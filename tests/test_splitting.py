@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -17,16 +18,21 @@ from gropes import (
     RewriteError,
     SplitLimits,
     Stage,
+    SurgeryKernel,
     Tip,
     ValidationError,
     cap_value_keys,
+    canonical_dumps,
     class_of,
+    dumps_capped,
     full_split,
+    generate_kernel,
     generator,
     is_dyadic,
     iter_stages,
     label_keys,
     random_capped_grope,
+    replay_trace,
     split_cap,
     split_stage,
     tips,
@@ -35,7 +41,7 @@ from gropes import (
     value_keys_by_cap,
 )
 
-from conftest import seeded
+from conftest import dyadic_tower, seeded
 
 F, G, H = generator(1), generator(2), generator(3)
 
@@ -325,6 +331,92 @@ def test_full_split_uniform_growth_small():
 
 
 def _dyadic_tower_local(depth: int):
-    from conftest import dyadic_tower
-
     return dyadic_tower(depth)
+
+
+# ---------------------------------------------------------------------------
+# golden outputs: ids, paths, traces and serialized bytes are pinned
+
+
+def _golden_random(seed: int, grope_class: int, values: int) -> CappedGrope:
+    rng = seeded(seed)
+    labels = [generator(i) for i in range(1, values + 1)]
+    return random_capped_grope(rng, grope_class, labels, density=1.0)
+
+
+def _golden_tower() -> CappedGrope:
+    """Class-3 dyadic tower: x1 and x2 on every cap, an x3 point into every stage."""
+    tower, _ = dyadic_tower(3)
+    caps = {f"c{i}": t for i, t in enumerate(tips(tower), start=1)}
+    pts = [
+        Intersection(f"p{i}_{j}", CapRef(c), CapRef(c), generator(j))
+        for i, c in enumerate(caps, start=1)
+        for j in (1, 2)
+    ]
+    pts += [
+        Intersection(f"b{k}", CapRef(c), BodyRef(path), generator(3))
+        for k, (c, (path, _)) in enumerate(zip(caps, iter_stages(tower)))
+    ]
+    return CappedGrope(tower, caps, tuple(pts))
+
+
+def _golden_stage_dual() -> CappedGrope:
+    """Cap c5 whose dual is a genus-2 stage reached by caps and body points."""
+    dual = Stage(((Tip("t1"), Tip("t2")), (Tip("t3"), Tip("t4"))))
+    body = Grope(Stage(((dual, Tip("t5")), (Tip("t6"), Tip("t7")))))
+    caps = {f"c{i}": f"t{i}" for i in range(1, 8)}
+    pts = (
+        Intersection("i1", CapRef("c5"), CapRef("c5"), F),
+        Intersection("i2", CapRef("c5"), CapRef("c1"), G),
+        Intersection("i3", CapRef("c5"), BodyRef(((0, 0),)), H),
+        Intersection("i4", CapRef("c3"), CapRef("c6"), F),
+        Intersection("i5", CapRef("c7"), BodyRef(()), G),
+        Intersection("i6", CapRef("c2"), CapRef("c4"), G * H),
+        Intersection("i7", CapRef("c6"), CapRef("c6"), H),
+        Intersection("i8", CapRef("c6"), CapRef("c6"), F),
+    )
+    return CappedGrope(body, caps, pts)
+
+
+GOLDEN = {
+    "random-s1": (
+        lambda: _golden_random(1, 3, 2),
+        "c4ab3d077bbcfa540e44542678e41fbe9c6ec6428c8f3dc0c08605b35afbe8ab",
+    ),
+    "random-s2": (
+        lambda: _golden_random(2, 4, 3),
+        "0454523c906b242f72a1a9e4447486d384ceb052c8c17422898080576f0cad7a",
+    ),
+    "random-s3": (
+        lambda: _golden_random(3, 4, 2),
+        "5873f77563035467bd3e19c50b5f8379e6781333a1f233937403895bdb59c4b7",
+    ),
+    "random-s4": (
+        lambda: _golden_random(4, 5, 2),
+        "ab00aac78b5c282e6d71f528a2ead818fbe7744882dc8822e3411caad60d0f4a",
+    ),
+    "kernel-s5": (
+        lambda: generate_kernel(5, labels=3).gropes[0],
+        "a0568049bf6152d9c69e0752b199ce05c9137173dd578fb3a75194abcb070b68",
+    ),
+    "dyadic-tower": (
+        _golden_tower,
+        "336b4d4127ea149189b93f6ef94087e649bd2bcefc71ec384c8056256df857df",
+    ),
+    "stage-dual": (
+        _golden_stage_dual,
+        "4a3d93211029554973cdd3c4652d15aca767c5d503c3db751cf0c935f335993c",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_full_split_golden(name):
+    build, digest = GOLDEN[name]
+    cg = build()
+    trace: list = []
+    out = full_split(cg, trace=trace)
+    text = dumps_capped(out) + canonical_dumps(trace)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    kernel = SurgeryKernel(3, (cg,), ())
+    assert replay_trace(kernel, [{"grope": 0, **e} for e in trace]) == (out,)
