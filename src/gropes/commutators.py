@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Union
 
 from .errors import ParseError, ValidationError
@@ -80,10 +81,9 @@ def evaluate(expr: CommutatorExpr) -> GroupWord:
         u, v = evaluate(expr.left), evaluate(expr.right)
         return u * v * u.inverse() * v.inverse()
     if isinstance(expr, Prod):
-        out = IDENTITY
-        for f in expr.factors:
-            out = out * evaluate(f)
-        return out
+        # One reduction over all factors: folding pairwise is quadratic in
+        # the factor count, and "x1^n" parses to a Prod of n factors.
+        return GroupWord(tuple(chain.from_iterable(evaluate(f).letters for f in expr.factors)))
     raise ValidationError(f"not a commutator expression: {expr!r}")
 
 
@@ -153,11 +153,7 @@ def _tokenize(text: str) -> Iterator[tuple[str, str, int]]:
         m = _TOKEN.match(text, pos)
         if m is None:
             raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        kind = m.lastgroup if m.lastgroup in ("genindex", "exp") else None
-        for name in ("ws", "gen", "one", "caret", "lbrack", "rbrack", "comma", "star", "lparen", "rparen"):
-            if m.group(name) is not None:
-                kind = name
-                break
+        kind = m.lastgroup
         if kind != "ws":
             yield kind, m.group(0), pos
         pos = m.end()

@@ -27,11 +27,9 @@ from .capped import (
 )
 from .commutators import parse_word, word_str
 from .errors import ParseError, ValidationError
-from .grope import ALPHA, Grope, Slot, Stage, Tip
+from .grope import SIDE_NAMES, Grope, Slot, Stage, Tip, path_doc
 from .pipeline import SurgeryKernel, SurgeryResult
 from .words import GroupWord
-
-_SIDE_NAMES = ("alpha", "beta")
 
 
 def canonical_dumps(doc: Any) -> str:
@@ -57,10 +55,6 @@ def _get(doc: dict, key: str, kind: type, ctx: str, default: Any = ...) -> Any:
     if kind in (str, list, dict) and not isinstance(value, kind):
         raise ParseError(f"{ctx}.{key}: expected {kind.__name__}, got {value!r}")
     return value
-
-
-def _word_to_doc(w: GroupWord) -> str:
-    return word_str(w)
 
 
 def _word_from_doc(doc: Any, ctx: str) -> GroupWord:
@@ -130,7 +124,7 @@ def end_to_doc(end: SheetRef) -> dict:
         return {"cap": end.cap_id}
     if isinstance(end, SphereRef):
         return {"sphere": end.sphere_id}
-    return {"body": [[j, _SIDE_NAMES[side]] for j, side in end.path]}
+    return {"body": path_doc(end.path)}
 
 
 def end_from_doc(doc: Any, ctx: str) -> SheetRef:
@@ -149,13 +143,13 @@ def end_from_doc(doc: Any, ctx: str) -> SheetRef:
                 or len(step) != 2
                 or isinstance(step[0], bool)
                 or not isinstance(step[0], int)
-                or step[1] not in _SIDE_NAMES
+                or step[1] not in SIDE_NAMES
             )
             if bad:
                 raise ParseError(
                     f'{ctx}.body[{k}]: expected [pairIndex, "alpha"|"beta"], got {step!r}'
                 )
-            path.append((step[0], _SIDE_NAMES.index(step[1])))
+            path.append((step[0], SIDE_NAMES.index(step[1])))
         return BodyRef(tuple(path))
     raise ParseError(f"{ctx}: an endpoint has exactly one of 'cap', 'body', 'sphere'")
 
@@ -165,7 +159,7 @@ def intersection_to_doc(p: Intersection) -> dict:
         "id": p.point_id,
         "endA": end_to_doc(p.end_a),
         "endB": end_to_doc(p.end_b),
-        "label": _word_to_doc(p.label),
+        "label": word_str(p.label),
     }
 
 
@@ -190,11 +184,11 @@ def sphere_to_doc(s: SphereRecord) -> dict:
         "piece": s.piece,
         "capA": s.cap_a,
         "capB": s.cap_b,
-        "label": _word_to_doc(s.label),
+        "label": word_str(s.label),
     }
     if s.pending:
         doc["pending"] = [
-            {"id": q.point_id, "other": end_to_doc(q.other), "label": _word_to_doc(q.label)}
+            {"id": q.point_id, "other": end_to_doc(q.other), "label": word_str(q.label)}
             for q in s.pending
         ]
     return doc

@@ -1,17 +1,20 @@
 """Splitting moves: push genus and label variety down to simple pieces.
 
-Two rewrites, both preserving the class of the grope:
+Both moves are one rewrite that widens a pair: pair j of a stage becomes m
+pairs side by side.  The slot on one side of pair j is replaced by m new
+slots, one per new pair, and the dual slot opposite it is copied once per
+new pair; each copy inherits every intersection of the dual, so a point on
+the dual becomes m points.  Body paths through later pairs of the stage
+shift by m - 1, and the class of the grope is preserved.
 
-* split_cap separates one label value off a cap that carries several.  The
-  cap's stage gains one pair: the cap is divided in two (the lexicographically
-  least unoriented value versus the rest) and whatever sits on the dual curve
-  is replaced by two parallel copies, each inheriting all of its
-  intersections.  Iterating peels off one value at a time, so a cap with n
-  values ends as n caps of one value each.
+* split_cap widens the pair of a cap that carries several label values into
+  two pairs and divides the cap between them: one new cap takes the
+  intersections whose unoriented value is lexicographically least, the
+  other takes the rest.  Iterating peels off one value at a time, so a cap
+  with n values ends as n caps of one value each.
 
-* split_stage replaces a genus-g stage (g >= 2) above the first stage by g
-  genus-1 stages side by side on the parent, again duplicating the dual side
-  per piece.
+* split_stage widens the pair holding a genus-g stage (g >= 2) above the
+  first stage into g pairs, each holding one genus-1 piece of that stage.
 
 full_split drives both to a fixed point: afterwards every cap carries at most
 one label value and every stage above the first has genus 1, so all genus is
@@ -27,6 +30,7 @@ sheets keep their ids, so rewrites are auditable and replayable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .capped import (
     BodyRef,
@@ -100,16 +104,99 @@ def _copy_slot(slot: Slot, k: int, names: _Names, tip_map: dict[str, str]) -> Sl
     )
 
 
-def _shifted(path: Path, ppath: Path, pair: int, extra: int) -> Path:
-    """Shift the pair index of paths passing through a later pair of ppath."""
+def _widen_pair(
+    cg: CappedGrope,
+    ppath: Path,
+    pair: int,
+    side: int,
+    mine: list[Slot],
+    mine_caps: dict[str, str],
+    remap_mine: Callable[[Intersection, SheetRef], SheetRef],
+    names: _Names,
+    limits: SplitLimits,
+) -> CappedGrope:
+    """Replace pair `pair` of the stage at ppath by len(mine) pairs.
+
+    New pair k holds mine[k] on `side` and the k-th parallel copy of the dual
+    slot opposite it; each copy takes lineage names and inherits every
+    intersection of the dual, so a point on the dual becomes one point per
+    copy.  A replaced tip's cap gives way to mine_caps (cap id -> tip id).
+    Endpoints on the replaced slot (its cap, or any stage in it) are
+    rewritten by remap_mine, and body paths through later pairs of the stage
+    shift by len(mine) - 1.
+    """
+    body = cg.body
+    parent = stage_at(body, ppath)
+    old, dual = parent.pairs[pair][side], parent.pairs[pair][1 - side]
+    count = len(mine)
+    tip_to_cap = cg.tip_to_cap
+
+    caps = dict(cg.caps)
+    mine_cap = tip_to_cap.get(old.tip_id) if isinstance(old, Tip) else None
+    if mine_cap is not None:
+        del caps[mine_cap]
+    caps.update(mine_caps)
+
+    new_pairs = list(parent.pairs[:pair])
+    cap_copies: dict[str, list[CapRef]] = {}
+    for k in range(1, count + 1):
+        tip_map: dict[str, str] = {}
+        copy = _copy_slot(dual, k, names, tip_map)
+        for old_tip, new_tip in tip_map.items():
+            old_cap = tip_to_cap.get(old_tip)
+            if old_cap is not None:
+                new_cap = names.derived(old_cap, k)
+                caps[new_cap] = new_tip
+                cap_copies.setdefault(old_cap, []).append(CapRef(new_cap))
+        new_pairs.append((mine[k - 1], copy) if side == 0 else (copy, mine[k - 1]))
+    new_pairs.extend(parent.pairs[pair + 1 :])
+    for old_cap in cap_copies:
+        del caps[old_cap]
+    body = Grope(with_stage_at(body.root, ppath, Stage(tuple(new_pairs))), body.closed)
+
     depth = len(ppath)
-    if len(path) > depth and path[:depth] == ppath and path[depth][0] > pair:
-        j, side = path[depth]
-        return path[:depth] + ((j + extra, side),) + path[depth + 1 :]
-    return path
+    mine_step = (pair, side) if isinstance(old, Stage) else None
+    dual_step = (pair, 1 - side) if isinstance(dual, Stage) else None
 
+    def move(p: Intersection, end: SheetRef) -> SheetRef | list[SheetRef]:
+        """The rewritten endpoint, or its list of per-copy endpoints."""
+        kind = type(end)
+        if kind is CapRef:
+            if end.cap_id == mine_cap:
+                return remap_mine(p, end)
+            return cap_copies.get(end.cap_id, end)
+        if kind is BodyRef:
+            path = end.path
+            if len(path) > depth and path[:depth] == ppath:
+                step = path[depth]
+                if step[0] > pair:
+                    return BodyRef(ppath + ((step[0] + count - 1, step[1]),) + path[depth + 1 :])
+                if step == dual_step:
+                    rest = path[depth + 1 :]
+                    return [BodyRef(ppath + ((pair + k, step[1]),) + rest) for k in range(count)]
+                if step == mine_step:
+                    return remap_mine(p, end)
+        return end
 
-def _check_limits(body: Grope, points: list[Intersection], limits: SplitLimits) -> None:
+    points: list[Intersection] = []
+    for p in cg.intersections:
+        a, b = move(p, p.end_a), move(p, p.end_b)
+        a_copied, b_copied = type(a) is list, type(b) is list
+        if a_copied or b_copied:
+            for k in range(count):
+                points.append(
+                    Intersection(
+                        names.derived(p.point_id, k + 1),
+                        a[k] if a_copied else a,
+                        b[k] if b_copied else b,
+                        p.label,
+                    )
+                )
+        elif a is p.end_a and b is p.end_b:
+            points.append(p)  # untouched points are shared, not rebuilt
+        else:
+            points.append(Intersection(p.point_id, a, b, p.label))
+
     genus = body.root.genus
     if genus > limits.max_first_stage_genus:
         raise GrowthLimitError(
@@ -119,110 +206,7 @@ def _check_limits(body: Grope, points: list[Intersection], limits: SplitLimits) 
         raise GrowthLimitError(
             f"{len(points)} intersections exceed the limit {limits.max_intersections}"
         )
-
-
-@dataclass
-class _DualCopies:
-    """Parallel copies of a dual slot plus the maps to rewrite references."""
-
-    copies: list[Slot]
-    cap_maps: list[dict[str, str]]  # per copy: old cap id -> new cap id
-    tip_maps: list[dict[str, str]]  # per copy: old tip id -> new tip id
-    dual_caps: set[str]
-    prefix: Path | None  # dual subtree path, None when the dual is a tip
-
-
-def _dual_copies(
-    cg: CappedGrope,
-    dual: Slot,
-    ppath: Path,
-    pair: int,
-    side: int,
-    count: int,
-    names: _Names,
-) -> _DualCopies:
-    tip_to_cap = cg.tip_to_cap
-    if isinstance(dual, Tip):
-        dual_caps = {tip_to_cap[dual.tip_id]} if dual.tip_id in tip_to_cap else set()
-        prefix = None
-    else:
-        dual_caps = {tip_to_cap[t] for t in tips(dual) if t in tip_to_cap}
-        prefix = ppath + ((pair, side),)
-    copies: list[Slot] = []
-    cap_maps: list[dict[str, str]] = []
-    tip_maps: list[dict[str, str]] = []
-    for k in range(1, count + 1):
-        tip_map: dict[str, str] = {}
-        copies.append(_copy_slot(dual, k, names, tip_map))
-        tip_maps.append(tip_map)
-        cap_maps.append(
-            {
-                tip_to_cap[old_tip]: names.derived(tip_to_cap[old_tip], k)
-                for old_tip in tip_map
-                if old_tip in tip_to_cap
-            }
-        )
-    return _DualCopies(copies, cap_maps, tip_maps, dual_caps, prefix)
-
-
-def _membership(dc: _DualCopies):
-    """Predicate: does a reference live on the duplicated dual slot?"""
-
-    def in_copied(end: SheetRef) -> bool:
-        if isinstance(end, CapRef):
-            return end.cap_id in dc.dual_caps
-        if isinstance(end, BodyRef) and dc.prefix is not None:
-            return end.path[: len(dc.prefix)] == dc.prefix
-        return False
-
-    return in_copied
-
-
-def _copy_remapper(dc: _DualCopies, ppath: Path, pair: int, dual_side: int):
-    """Rewrite a dual-slot reference into copy k's ids and paths."""
-
-    def remap_copied(end: SheetRef, k: int) -> SheetRef:
-        if isinstance(end, CapRef):
-            return CapRef(dc.cap_maps[k][end.cap_id])
-        assert isinstance(end, BodyRef) and dc.prefix is not None
-        step = (pair + k, dual_side)
-        return BodyRef(ppath + (step,) + end.path[len(dc.prefix) :])
-
-    return remap_copied
-
-
-def _transfer_dual_caps(caps: dict[str, str], old_caps: dict[str, str], dc: _DualCopies) -> None:
-    """Drop the consumed dual caps and register their parallel copies."""
-    for old_cap in dc.dual_caps:
-        del caps[old_cap]
-    for cap_map, tip_map in zip(dc.cap_maps, dc.tip_maps):
-        for old_cap, new_cap in cap_map.items():
-            caps[new_cap] = tip_map[old_caps[old_cap]]
-
-
-def _rebuild_points(
-    points: tuple[Intersection, ...],
-    in_copied,
-    remap_copied,
-    remap_other,
-    copy_count: int,
-    names: _Names,
-) -> list[Intersection]:
-    out: list[Intersection] = []
-    for p in points:
-        a_in, b_in = in_copied(p.end_a), in_copied(p.end_b)
-        if not a_in and not b_in:
-            end_a, end_b = remap_other(p, p.end_a), remap_other(p, p.end_b)
-            if end_a is p.end_a and end_b is p.end_b:
-                out.append(p)  # untouched points are shared, not rebuilt
-            else:
-                out.append(Intersection(p.point_id, end_a, end_b, p.label))
-            continue
-        for k in range(copy_count):
-            end_a = remap_copied(p.end_a, k) if a_in else remap_other(p, p.end_a)
-            end_b = remap_copied(p.end_b, k) if b_in else remap_other(p, p.end_b)
-            out.append(Intersection(names.derived(p.point_id, k + 1), end_a, end_b, p.label))
-    return out
+    return CappedGrope(body, caps, tuple(points), cg.spheres)
 
 
 def split_cap(
@@ -257,8 +241,7 @@ def split_cap(
     tip_id = cg.caps[cap_id]
     ppath, pair, side = tip_locations(cg.body)[tip_id]
     parent = stage_at(cg.body, ppath)
-    dual = parent.pairs[pair][1 - side]
-    if isinstance(dual, Stage) and not allow_stage_dual:
+    if isinstance(parent.pairs[pair][1 - side], Stage) and not allow_stage_dual:
         raise DualNotCapError(
             f"the dual of cap {cap_id!r} is a stage; split the dual subtree first"
         )
@@ -266,45 +249,22 @@ def split_cap(
     names = _Names(cg)
     new_tips = (names.derived(tip_id, 1), names.derived(tip_id, 2))
     new_caps = (names.derived(cap_id, 1), names.derived(cap_id, 2))
-    dc = _dual_copies(cg, dual, ppath, pair, 1 - side, 2, names)
+    least_ref, rest_ref = CapRef(new_caps[0]), CapRef(new_caps[1])
 
-    def make_pair(k: int) -> tuple[Slot, Slot]:
-        mine: Slot = Tip(new_tips[k])
-        other = dc.copies[k]
-        return (mine, other) if side == 0 else (other, mine)
+    def remap_mine(p: Intersection, end: SheetRef) -> SheetRef:
+        return least_ref if unoriented_key(p.label) == least else rest_ref
 
-    new_pairs = parent.pairs[:pair] + (make_pair(0), make_pair(1)) + parent.pairs[pair + 1 :]
-    new_root = with_stage_at(cg.body.root, ppath, Stage(new_pairs))
-    body = Grope(new_root, cg.body.closed)
-
-    me = CapRef(cap_id)
-
-    def remap_other(p: Intersection, end: SheetRef) -> SheetRef:
-        if end == me:
-            part = 0 if unoriented_key(p.label) == least else 1
-            return CapRef(new_caps[part])
-        if isinstance(end, BodyRef):
-            shifted = _shifted(end.path, ppath, pair, 1)
-            return end if shifted == end.path else BodyRef(shifted)
-        return end
-
-    points = _rebuild_points(
-        cg.intersections,
-        _membership(dc),
-        _copy_remapper(dc, ppath, pair, 1 - side),
-        remap_other,
-        2,
+    out = _widen_pair(
+        cg,
+        ppath,
+        pair,
+        side,
+        [Tip(t) for t in new_tips],
+        dict(zip(new_caps, new_tips)),
+        remap_mine,
         names,
+        limits,
     )
-
-    caps = dict(cg.caps)
-    del caps[cap_id]
-    caps[new_caps[0]] = new_tips[0]
-    caps[new_caps[1]] = new_tips[1]
-    _transfer_dual_caps(caps, cg.caps, dc)
-
-    out = CappedGrope(body, caps, tuple(points), cg.spheres)
-    _check_limits(body, points, limits)
     if trace is not None:
         trace.append(
             {
@@ -347,49 +307,27 @@ def split_stage(
 
     ppath, (pair, side) = path[:-1], path[-1]
     parent = stage_at(cg.body, ppath)
-    dual = parent.pairs[pair][1 - side]
+    depth = len(path)
 
-    names = _Names(cg)
-    dc = _dual_copies(cg, dual, ppath, pair, 1 - side, g, names)
-
-    def make_pair(k: int) -> tuple[Slot, Slot]:
-        mine: Slot = Stage((stage.pairs[k],))
-        other = dc.copies[k]
-        return (mine, other) if side == 0 else (other, mine)
-
-    new_pairs = (
-        parent.pairs[:pair]
-        + tuple(make_pair(k) for k in range(g))
-        + parent.pairs[pair + 1 :]
-    )
-    new_root = with_stage_at(cg.body.root, ppath, Stage(new_pairs))
-    body = Grope(new_root, cg.body.closed)
-
-    def remap_other(p: Intersection, end: SheetRef) -> SheetRef:
-        if not isinstance(end, BodyRef):
+    def remap_mine(p: Intersection, end: SheetRef) -> SheetRef:
+        # The stage's own surface stays on the first piece; a stage above
+        # pair j of it moves onto piece j.
+        if len(end.path) == depth:
             return end
-        if end.path == path:
-            return BodyRef(ppath + ((pair, side),))
-        if end.path[: len(path)] == path:
-            j, s2 = end.path[len(path)]
-            return BodyRef(ppath + ((pair + j, side), (0, s2)) + end.path[len(path) + 1 :])
-        shifted = _shifted(end.path, ppath, pair, g - 1)
-        return end if shifted == end.path else BodyRef(shifted)
+        j, s = end.path[depth]
+        return BodyRef(ppath + ((pair + j, side), (0, s)) + end.path[depth + 1 :])
 
-    points = _rebuild_points(
-        cg.intersections,
-        _membership(dc),
-        _copy_remapper(dc, ppath, pair, 1 - side),
-        remap_other,
-        g,
-        names,
+    out = _widen_pair(
+        cg,
+        ppath,
+        pair,
+        side,
+        [Stage((pr,)) for pr in stage.pairs],
+        {},
+        remap_mine,
+        _Names(cg),
+        limits,
     )
-
-    caps = dict(cg.caps)
-    _transfer_dual_caps(caps, cg.caps, dc)
-
-    out = CappedGrope(body, caps, tuple(points), cg.spheres)
-    _check_limits(body, points, limits)
     if trace is not None:
         trace.append(
             {

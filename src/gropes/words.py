@@ -64,10 +64,7 @@ class GroupWord:
 
     def __pow__(self, n: int) -> "GroupWord":
         base = self if n >= 0 else self.inverse()
-        out = IDENTITY
-        for _ in range(abs(n)):
-            out = out * base
-        return out
+        return GroupWord(base.letters * abs(n))
 
     def syllables(self) -> Iterator[tuple[int, int]]:
         """Runs of equal letters as (generator index, signed exponent)."""

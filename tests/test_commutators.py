@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -195,6 +197,20 @@ def test_parse_word_rank_bound():
     assert parse_word("x2", rank=2).letters == (2,)
     with pytest.raises(ParseError):
         parse_word("x3", rank=2)
+
+
+def test_large_exponents_are_linear():
+    """A short label with a big exponent must not stall the parser."""
+    x, y = generator(1), generator(2)
+    start = time.perf_counter()
+    assert parse_word("x1^20000").letters == (1,) * 20000
+    assert parse_word("x1^20000*x2*x2^-1*x1^-20000") == IDENTITY
+    assert parse_word("x2^-10000*x1^-10000") == (x**10000 * y**10000).inverse()
+    c = commutator(x, y)
+    assert evaluate(parse_expression("[x1,x2]^-5000")) == c**-5000
+    assert (c**20000).letters == c.letters * 20000
+    elapsed = time.perf_counter() - start
+    assert elapsed < 2.0, f"large powers took {elapsed:.2f}s, budget 2s"
 
 
 def test_word_str_forms():

@@ -317,7 +317,7 @@ def test_full_split_uniform_growth_small():
     """Uniform dyadic input, n values on every cap: first-stage genus n^k."""
     for n in (2, 3):
         for k in (2, 3):
-            tower, _ = _dyadic_tower_local(k)
+            tower, _ = dyadic_tower(k)
             caps = {f"c{i}": t for i, t in enumerate(tips(tower), start=1)}
             pts = tuple(
                 Intersection(f"p{i}_{j}", CapRef(c), CapRef(c), generator(j))
@@ -328,10 +328,6 @@ def test_full_split_uniform_growth_small():
             out = full_split(cg)
             _postconditions(cg, out)
             assert len(out.body.root.pairs) == n**k
-
-
-def _dyadic_tower_local(depth: int):
-    return dyadic_tower(depth)
 
 
 # ---------------------------------------------------------------------------
