@@ -1,5 +1,6 @@
 """Kernel validation, hypothesis counting, and the full surgery pipeline."""
 
+import hashlib
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from gropes import (
     check_hypotheses,
     class_of,
     dumps_capped,
+    dumps_result,
     find_duplicate_pair,
     generate_kernel,
     generator,
@@ -275,6 +277,73 @@ def test_replay_reproduces_the_surgery_exactly():
     assert [dumps_capped(g) for g in replayed] == [
         dumps_capped(g) for g in result.gropes
     ]
+
+
+def _forced_random_kernel(seed: int) -> SurgeryKernel:
+    """Class-3 random gropes over two labels, each paired with itself."""
+    rng = random.Random(seed)
+    cg = random_capped_grope(rng, 3, [F, G], density=1.0)
+    return SurgeryKernel(2, (cg, cg), ((0, 1),))
+
+
+# name -> (kernel builder, force, sha256 of dumps_result or of the failure message)
+SURGERY_GOLDEN = {
+    "generated-s11": (
+        lambda: generate_kernel(11, labels=2),
+        False,
+        "3921c0a262707be14811009e1228ee4c794e64ce8005379aaceb2696652ffeb9",
+    ),
+    "generated-s5-pairs": (
+        lambda: generate_kernel(5, labels=3, pair_count=2, density=1.2),
+        False,
+        "faeb87fc705236c12dd0abf00dc041fc8d87c23c0e65b981be54397887c1197e",
+    ),
+    "generated-s8-dense": (
+        lambda: generate_kernel(8, labels=4, density=0.7),
+        False,
+        "2d5f7655e2c1cfaa2a1f047ec25873363d9f4dc76b3bbe019e0770bbd4ab3155",
+    ),
+    "generated-s2-unlabeled": (
+        lambda: generate_kernel(2, labels=0),
+        False,
+        "349c723c7ae44dc25159bd5d66860e306e34e7f83e597d29f02dca3fc750cfe1",
+    ),
+    "adversarial-s3": (
+        lambda: generate_kernel(3, labels=3, adversarial=True),
+        True,
+        "62082fc156c1e72445fc70b692f318f9fb56948748709f5e58956e8d68dc2e6b",
+    ),
+    "adversarial-s17-pairs": (
+        lambda: generate_kernel(17, labels=4, pair_count=2, adversarial=True),
+        True,
+        "aa649397a00daf4249cbad3be67e65ce89bda67151e00afb1475cab6fbd732af",
+    ),
+    "forced-random-s0": (
+        lambda: _forced_random_kernel(0),
+        True,
+        "8381493c26459cb895beb70e4a9a8971171f34400e5222fa24535e2db7f7d348",
+    ),
+    "forced-random-s2": (
+        lambda: _forced_random_kernel(2),
+        True,
+        "accec74024d325e2dbaa2168e8cb0d238e81fa68ca6d0aeb3e304ab016578a2b",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SURGERY_GOLDEN))
+def test_run_surgery_golden(name):
+    build, force, digest = SURGERY_GOLDEN[name]
+    kernel = build()
+    try:
+        result = run_surgery(kernel, force=force)
+    except PigeonholeFailure as e:
+        text = f"PigeonholeFailure: {e}"
+    else:
+        text = dumps_result(result)
+        replayed = replay_trace(kernel, result.trace)
+        assert [dumps_capped(g) for g in replayed] == [dumps_capped(g) for g in result.gropes]
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_replay_rejects_unknown_ops():
