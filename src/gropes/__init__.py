@@ -19,7 +19,6 @@ from .capped import (
     cap_labels,
     cap_order,
     cap_value_keys,
-    distinct_label_count,
     incident,
     is_pi1_null,
     label_keys,
@@ -114,10 +113,8 @@ from .words import (
     TruncatedSeries,
     commutator,
     generator,
-    invert,
     lcs_depth,
     magnus,
-    multiply,
     reduce,
     unoriented_key,
 )

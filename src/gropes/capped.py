@@ -180,10 +180,6 @@ def label_keys(cg: CappedGrope) -> set[tuple[int, ...]]:
     return {unoriented_key(p.label) for p in cg.intersections} - {()}
 
 
-def distinct_label_count(cg: CappedGrope) -> int:
-    return len(label_keys(cg))
-
-
 def is_pi1_null(cg: CappedGrope) -> bool:
     """True when every intersection label reduces to the identity."""
     return all(p.label.is_identity for p in cg.intersections)

@@ -18,9 +18,29 @@ shift by m - 1, and the class of the grope is preserved.
 
 full_split drives both to a fixed point: afterwards every cap carries at most
 one label value and every stage above the first has genus 1, so all genus is
-concentrated on the first stage.  Duplication can grow structures fast
-(splitting a class-k grope whose caps each carry n values multiplies
-first-stage genus to n^k), so both moves enforce configurable size guards.
+concentrated on the first stage.  Its rewrite order is part of the contract,
+because it fixes every derived id and trace entry:
+
+1. while some cap carries several values, split the first such cap in tip
+   traversal order (depth-first, pair by pair, alpha before beta);
+2. then, while some stage above the first has genus > 1, split the first such
+   stage in traversal order among the deepest ones.
+
+full_split keeps each cap's value set, the tip-to-cap map and the ids in use
+up to date across rewrites instead of rescanning the grope, and resumes each
+search from a cursor, relying on two invariants.  split_cap at pair j of the
+stage at path P leaves every cap before (P, j, alpha) in traversal order
+untouched, so the next multi-valued cap is never earlier.  split_stage
+creates no multi-valued cap, no genus > 1 stage deeper than the one it
+splits, and none earlier at the same depth, so stage splitting resumes at
+the same depth from (P, j, alpha), and moves one level up when that depth is
+exhausted.
+
+Duplication can grow structures fast (splitting a class-k grope whose caps
+each carry n values multiplies first-stage genus to n^k), so both moves
+enforce configurable size guards, and full_split refuses before its first
+rewrite when the first-stage genus it would reach, worked out from the value
+sets, exceeds the guard.
 
 Parallel copies get lineage names: cap c3 becomes c3.1 and c3.2, an
 intersection i7 inherited by two copies becomes i7.1 and i7.2.  Surviving
@@ -29,8 +49,10 @@ sheets keep their ids, so rewrites are auditable and replayable.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 from .capped import (
     BodyRef,
@@ -38,12 +60,11 @@ from .capped import (
     CapRef,
     Intersection,
     SheetRef,
-    cap_order,
-    cap_value_keys,
     value_keys_by_cap,
 )
 from .errors import DualNotCapError, GrowthLimitError, RewriteError, ValidationError
 from .grope import (
+    ALPHA,
     Grope,
     Path,
     Slot,
@@ -71,24 +92,62 @@ DEFAULT_LIMITS = SplitLimits()
 
 
 class _Names:
-    """Deterministic lineage naming with collision avoidance."""
+    """Deterministic lineage naming with collision avoidance.
+
+    Counts the holders of every id in use (caps, the tips caps sit on, body
+    tips, intersections, spheres), so that an id one rewrite frees stays
+    taken while a sheet of another kind still carries it.
+    """
 
     def __init__(self, cg: CappedGrope):
-        taken = set(cg.caps) | set(cg.caps.values())
-        taken.update(p.point_id for p in cg.intersections)
-        taken.update(s.sphere_id for s in cg.spheres)
-        if cg.body is not None:
-            taken.update(tips(cg.body))
-        self.taken = taken
+        count = Counter(cg.caps.keys())
+        count.update(cg.caps.values())
+        count.update(p.point_id for p in cg.intersections)
+        count.update(s.sphere_id for s in cg.spheres)
+        count.update(tips(cg.body))
+        self.count = count
 
     def derived(self, base: str, k: int) -> str:
         name = f"{base}.{k}"
         m = 0
-        while name in self.taken:
+        while name in self.count:
             m += 1
             name = f"{base}.{k}.{m}"
-        self.taken.add(name)
+        self.count[name] = 1
         return name
+
+    def add(self, name: str) -> None:
+        self.count[name] += 1
+
+    def release(self, names: list[str]) -> None:
+        count = self.count
+        for name in names:
+            if count[name] == 1:
+                del count[name]
+            else:
+                count[name] -= 1
+
+
+class _SplitState:
+    """A capped grope under rewriting, with what the rewrites keep current.
+
+    values maps every cap to its set of unoriented label values and tip_cap
+    every capped tip to its cap; both, and the names in use, are updated
+    from each rewrite's changes rather than recomputed.  Value sets are
+    shared between parallel copies and never mutated.
+    """
+
+    __slots__ = ("cg", "values", "tip_cap", "names", "limits", "trace")
+
+    def __init__(self, cg: CappedGrope, limits: SplitLimits | None, trace: list | None):
+        if cg.body is None:
+            raise ValidationError("cannot split a fully surgered grope")
+        self.cg = cg
+        self.values = value_keys_by_cap(cg)
+        self.tip_cap = cg.tip_to_cap
+        self.names = _Names(cg)
+        self.limits = limits or DEFAULT_LIMITS
+        self.trace = trace
 
 
 def _copy_slot(slot: Slot, k: int, names: _Names, tip_map: dict[str, str]) -> Slot:
@@ -105,37 +164,38 @@ def _copy_slot(slot: Slot, k: int, names: _Names, tip_map: dict[str, str]) -> Sl
 
 
 def _widen_pair(
-    cg: CappedGrope,
+    state: _SplitState,
     ppath: Path,
     pair: int,
     side: int,
     mine: list[Slot],
-    mine_caps: dict[str, str],
+    mine_caps: list[tuple[str, str, set]],
     remap_mine: Callable[[Intersection, SheetRef], SheetRef],
-    names: _Names,
-    limits: SplitLimits,
-) -> CappedGrope:
+) -> None:
     """Replace pair `pair` of the stage at ppath by len(mine) pairs.
 
     New pair k holds mine[k] on `side` and the k-th parallel copy of the dual
     slot opposite it; each copy takes lineage names and inherits every
     intersection of the dual, so a point on the dual becomes one point per
-    copy.  A replaced tip's cap gives way to mine_caps (cap id -> tip id).
-    Endpoints on the replaced slot (its cap, or any stage in it) are
-    rewritten by remap_mine, and body paths through later pairs of the stage
-    shift by len(mine) - 1.
+    copy, and each copied cap inherits its original's value set.  A
+    replaced tip's cap gives way to mine_caps, given as (cap id, tip id,
+    value set).  Endpoints on the replaced slot (its cap, or any stage in
+    it) are rewritten by remap_mine, and body paths through later pairs of
+    the stage shift by len(mine) - 1.  The state moves to the result.
     """
+    cg, names, tip_cap, values = state.cg, state.names, state.tip_cap, state.values
     body = cg.body
     parent = stage_at(body, ppath)
     old, dual = parent.pairs[pair][side], parent.pairs[pair][1 - side]
     count = len(mine)
-    tip_to_cap = cg.tip_to_cap
+    freed: list[str] = []  # one entry per holder of an id that goes away
 
     caps = dict(cg.caps)
-    mine_cap = tip_to_cap.get(old.tip_id) if isinstance(old, Tip) else None
+    mine_cap = tip_cap.get(old.tip_id) if isinstance(old, Tip) else None
     if mine_cap is not None:
         del caps[mine_cap]
-    caps.update(mine_caps)
+    for cap, tip, _ in mine_caps:
+        caps[cap] = tip
 
     new_pairs = list(parent.pairs[:pair])
     cap_copies: dict[str, list[CapRef]] = {}
@@ -143,16 +203,35 @@ def _widen_pair(
         tip_map: dict[str, str] = {}
         copy = _copy_slot(dual, k, names, tip_map)
         for old_tip, new_tip in tip_map.items():
-            old_cap = tip_to_cap.get(old_tip)
+            old_cap = tip_cap.get(old_tip)
             if old_cap is not None:
                 new_cap = names.derived(old_cap, k)
+                names.add(new_tip)
                 caps[new_cap] = new_tip
                 cap_copies.setdefault(old_cap, []).append(CapRef(new_cap))
         new_pairs.append((mine[k - 1], copy) if side == 0 else (copy, mine[k - 1]))
     new_pairs.extend(parent.pairs[pair + 1 :])
-    for old_cap in cap_copies:
-        del caps[old_cap]
     body = Grope(with_stage_at(body.root, ppath, Stage(tuple(new_pairs))), body.closed)
+
+    freed.extend([dual.tip_id] if isinstance(dual, Tip) else tips(dual))
+    if isinstance(old, Tip):
+        freed.append(old.tip_id)
+    if mine_cap is not None:
+        del values[mine_cap]
+        del tip_cap[old.tip_id]
+        freed += (mine_cap, old.tip_id)
+    for cap, tip, keys in mine_caps:
+        values[cap] = keys
+        tip_cap[tip] = cap
+        names.add(tip)
+    for old_cap, refs in cap_copies.items():
+        old_tip = caps.pop(old_cap)
+        keys = values.pop(old_cap)
+        del tip_cap[old_tip]
+        for ref in refs:
+            values[ref.cap_id] = keys
+            tip_cap[caps[ref.cap_id]] = ref.cap_id
+        freed += (old_cap, old_tip)
 
     depth = len(ppath)
     mine_step = (pair, side) if isinstance(old, Stage) else None
@@ -183,6 +262,7 @@ def _widen_pair(
         a, b = move(p, p.end_a), move(p, p.end_b)
         a_copied, b_copied = type(a) is list, type(b) is list
         if a_copied or b_copied:
+            freed.append(p.point_id)
             for k in range(count):
                 points.append(
                     Intersection(
@@ -196,7 +276,10 @@ def _widen_pair(
             points.append(p)  # untouched points are shared, not rebuilt
         else:
             points.append(Intersection(p.point_id, a, b, p.label))
+    # Freed only now: every id the input held stays taken while deriving.
+    names.release(freed)
 
+    limits = state.limits
     genus = body.root.genus
     if genus > limits.max_first_stage_genus:
         raise GrowthLimitError(
@@ -206,7 +289,76 @@ def _widen_pair(
         raise GrowthLimitError(
             f"{len(points)} intersections exceed the limit {limits.max_intersections}"
         )
-    return CappedGrope(body, caps, tuple(points), cg.spheres)
+    state.cg = CappedGrope(body, caps, tuple(points), cg.spheres)
+
+
+def _split_cap_at(state: _SplitState, cap_id: str, ppath: Path, pair: int, side: int) -> None:
+    """split_cap on a multi-valued cap whose tip sits at (ppath, pair, side)."""
+    cg, names = state.cg, state.names
+    keys = state.values[cap_id]
+    least = min(keys)
+    tip_id = cg.caps[cap_id]
+    genus = stage_at(cg.body, ppath).genus
+
+    new_tips = (names.derived(tip_id, 1), names.derived(tip_id, 2))
+    new_caps = (names.derived(cap_id, 1), names.derived(cap_id, 2))
+    least_ref, rest_ref = CapRef(new_caps[0]), CapRef(new_caps[1])
+
+    def remap_mine(p: Intersection, end: SheetRef) -> SheetRef:
+        return least_ref if unoriented_key(p.label) == least else rest_ref
+
+    _widen_pair(
+        state,
+        ppath,
+        pair,
+        side,
+        [Tip(t) for t in new_tips],
+        [(new_caps[0], new_tips[0], {least}), (new_caps[1], new_tips[1], keys - {least})],
+        remap_mine,
+    )
+    if state.trace is not None:
+        state.trace.append(
+            {
+                "op": "split_cap",
+                "cap": cap_id,
+                "stage": path_doc(ppath),
+                "pair": pair,
+                "least": str(GroupWord(least)),
+                "into": list(new_caps),
+                "genusBefore": genus,
+                "genusAfter": genus + 1,
+            }
+        )
+
+
+def _split_stage_at(state: _SplitState, path: Path) -> None:
+    """split_stage on a genus >= 2 stage above the first."""
+    body = state.cg.body
+    stage = stage_at(body, path)
+    g = stage.genus
+    ppath, (pair, side) = path[:-1], path[-1]
+    genus = stage_at(body, ppath).genus
+    depth = len(path)
+
+    def remap_mine(p: Intersection, end: SheetRef) -> SheetRef:
+        # The stage's own surface stays on the first piece; a stage above
+        # pair j of it moves onto piece j.
+        if len(end.path) == depth:
+            return end
+        j, s = end.path[depth]
+        return BodyRef(ppath + ((pair + j, side), (0, s)) + end.path[depth + 1 :])
+
+    _widen_pair(state, ppath, pair, side, [Stage((pr,)) for pr in stage.pairs], [], remap_mine)
+    if state.trace is not None:
+        state.trace.append(
+            {
+                "op": "split_stage",
+                "stage": path_doc(path),
+                "genus": g,
+                "parentGenusBefore": genus,
+                "parentGenusAfter": genus + g - 1,
+            }
+        )
 
 
 def split_cap(
@@ -228,57 +380,20 @@ def split_cap(
     parallel-copy a whole dual subtree instead, which is how full_split
     splits caps deep in the tree.
     """
-    limits = limits or DEFAULT_LIMITS
-    if cg.body is None:
-        raise ValidationError("cannot split a fully surgered grope")
+    state = _SplitState(cg, limits, trace)
     if cap_id not in cg.caps:
         raise ValidationError(f"unknown cap {cap_id!r}")
-    keys = cap_value_keys(cg, cap_id)
-    if len(keys) <= 1:
+    if len(state.values[cap_id]) <= 1:
         return cg
-    least = min(keys)
 
-    tip_id = cg.caps[cap_id]
-    ppath, pair, side = tip_locations(cg.body)[tip_id]
+    ppath, pair, side = tip_locations(cg.body)[cg.caps[cap_id]]
     parent = stage_at(cg.body, ppath)
     if isinstance(parent.pairs[pair][1 - side], Stage) and not allow_stage_dual:
         raise DualNotCapError(
             f"the dual of cap {cap_id!r} is a stage; split the dual subtree first"
         )
-
-    names = _Names(cg)
-    new_tips = (names.derived(tip_id, 1), names.derived(tip_id, 2))
-    new_caps = (names.derived(cap_id, 1), names.derived(cap_id, 2))
-    least_ref, rest_ref = CapRef(new_caps[0]), CapRef(new_caps[1])
-
-    def remap_mine(p: Intersection, end: SheetRef) -> SheetRef:
-        return least_ref if unoriented_key(p.label) == least else rest_ref
-
-    out = _widen_pair(
-        cg,
-        ppath,
-        pair,
-        side,
-        [Tip(t) for t in new_tips],
-        dict(zip(new_caps, new_tips)),
-        remap_mine,
-        names,
-        limits,
-    )
-    if trace is not None:
-        trace.append(
-            {
-                "op": "split_cap",
-                "cap": cap_id,
-                "stage": path_doc(ppath),
-                "pair": pair,
-                "least": str(GroupWord(least)),
-                "into": list(new_caps),
-                "genusBefore": parent.genus,
-                "genusAfter": parent.genus + 1,
-            }
-        )
-    return out
+    _split_cap_at(state, cap_id, ppath, pair, side)
+    return state.cg
 
 
 def split_stage(
@@ -295,50 +410,76 @@ def split_stage(
     inheriting all of its intersections.  A genus-1 stage is returned
     unchanged.
     """
-    limits = limits or DEFAULT_LIMITS
-    if cg.body is None:
-        raise ValidationError("cannot split a fully surgered grope")
+    state = _SplitState(cg, limits, trace)
     if not path:
         raise RewriteError("the first stage is never split; it absorbs the genus")
-    stage = stage_at(cg.body, path)
-    g = stage.genus
-    if g == 1:
+    if stage_at(cg.body, path).genus == 1:
         return cg
+    _split_stage_at(state, path)
+    return state.cg
 
-    ppath, (pair, side) = path[:-1], path[-1]
-    parent = stage_at(cg.body, ppath)
-    depth = len(path)
 
-    def remap_mine(p: Intersection, end: SheetRef) -> SheetRef:
-        # The stage's own surface stays on the first piece; a stage above
-        # pair j of it moves onto piece j.
-        if len(end.path) == depth:
-            return end
-        j, s = end.path[depth]
-        return BodyRef(ppath + ((pair + j, side), (0, s)) + end.path[depth + 1 :])
+def _slots_from(
+    root: Stage, start: Path, max_depth: float = math.inf
+) -> Iterator[tuple[Path, Slot]]:
+    """Slots at most max_depth deep whose paths are >= start, in traversal order.
 
-    out = _widen_pair(
-        cg,
-        ppath,
-        pair,
-        side,
-        [Stage((pr,)) for pr in stage.pairs],
-        {},
-        remap_mine,
-        _Names(cg),
-        limits,
-    )
-    if trace is not None:
-        trace.append(
-            {
-                "op": "split_stage",
-                "stage": path_doc(path),
-                "genus": g,
-                "parentGenusBefore": parent.genus,
-                "parentGenusAfter": parent.genus + g - 1,
-            }
-        )
-    return out
+    Traversal order is depth-first, pair by pair, alpha before beta, which
+    is the lexicographic order of paths; subtrees wholly before start are
+    skipped without being entered.
+    """
+
+    def walk(stage: Stage, path: Path, on_start: bool) -> Iterator[tuple[Path, Slot]]:
+        depth = len(path)
+        first = start[depth] if on_start and depth < len(start) else (0, ALPHA)
+        for j in range(first[0], stage.genus):
+            for side, slot in enumerate(stage.pairs[j]):
+                step = (j, side)
+                if step < first:
+                    continue
+                child = path + (step,)
+                yield child, slot
+                if type(slot) is Stage and depth + 1 < max_depth:
+                    yield from walk(slot, child, on_start and step == first)
+
+    yield from walk(root, (), True)
+
+
+def _next_multi_valued_cap(state: _SplitState, start: Path) -> tuple[str, Path] | None:
+    """The first cap at or after start in traversal order with several values."""
+    tip_cap, values = state.tip_cap, state.values
+    for path, slot in _slots_from(state.cg.body.root, start):
+        if type(slot) is Tip:
+            cap = tip_cap.get(slot.tip_id)
+            if cap is not None and len(values[cap]) > 1:
+                return cap, path
+    return None
+
+
+def _next_wide_stage(root: Stage, depth: int, start: Path) -> Path | None:
+    """The first genus > 1 stage exactly `depth` deep at or after start."""
+    for path, slot in _slots_from(root, start, depth):
+        if len(path) == depth and type(slot) is Stage and slot.genus > 1:
+            return path
+    return None
+
+
+def _predicted_genus(body: Grope, tip_cap: dict[str, str], values: dict[str, set]) -> int:
+    """The first-stage genus full_split reaches, worked out without rewriting.
+
+    A slot stands for mult(slot) pieces: max(1, number of values) for a
+    tip's cap, and for a stage the sum over its pairs of mult(a) * mult(b).
+    Every rewrite leaves mult of the first stage unchanged, and at the fixed
+    point it equals the first-stage genus.
+    """
+
+    def mult(slot: Slot) -> int:
+        if type(slot) is Tip:
+            cap = tip_cap.get(slot.tip_id)
+            return max(1, len(values[cap])) if cap is not None else 1
+        return sum(mult(a) * mult(b) for a, b in slot.pairs)
+
+    return mult(body.root)
 
 
 def full_split(
@@ -353,19 +494,33 @@ def full_split(
     above the first has genus 1: the first stage holds all the genus and
     every pair heads a one-value-per-cap dyadic branch.  The class of the
     grope is unchanged.
+
+    Rewrites run in the module's contract order: first the first
+    multi-valued cap in tip traversal order, repeatedly; then, among the
+    deepest stages of genus > 1 above the first, the first in traversal
+    order.  Raises GrowthLimitError before any rewrite when the splitting
+    would raise the first-stage genus above limits.max_first_stage_genus.
     """
-    limits = limits or DEFAULT_LIMITS
-    while True:
-        keys = value_keys_by_cap(cg)
-        for cap in cap_order(cg):
-            if len(keys[cap]) > 1:
-                cg = split_cap(cg, cap, limits=limits, trace=trace, allow_stage_dual=True)
-                break
-        else:
-            deepest: Path | None = None
-            for path, stage in iter_stages(cg.body):
-                if path and stage.genus > 1 and (deepest is None or len(path) > len(deepest)):
-                    deepest = path
-            if deepest is None:
-                return cg
-            cg = split_stage(cg, deepest, limits=limits, trace=trace)
+    state = _SplitState(cg, limits, trace)
+    root_genus = cg.body.root.genus
+    genus = _predicted_genus(cg.body, state.tip_cap, state.values)
+    if genus > max(root_genus, state.limits.max_first_stage_genus):
+        raise GrowthLimitError(
+            f"splitting would raise the first-stage genus to {genus}, "
+            f"over the limit {state.limits.max_first_stage_genus}"
+        )
+
+    start: Path = ()
+    while (found := _next_multi_valued_cap(state, start)) is not None:
+        cap, path = found
+        ppath, (pair, side) = path[:-1], path[-1]
+        _split_cap_at(state, cap, ppath, pair, side)
+        start = ppath + ((pair, ALPHA),)
+
+    depth = max((len(p) for p, s in iter_stages(state.cg.body) if s.genus > 1), default=0)
+    for depth in range(depth, 0, -1):
+        start = ()
+        while (path := _next_wide_stage(state.cg.body.root, depth, start)) is not None:
+            _split_stage_at(state, path)
+            start = path[:-1] + ((path[-1][0], ALPHA),)
+    return state.cg

@@ -112,14 +112,6 @@ def reduce(letters: Iterable[int], rank: int | None = None) -> GroupWord:
     return word
 
 
-def multiply(a: GroupWord, b: GroupWord) -> GroupWord:
-    return a * b
-
-
-def invert(a: GroupWord) -> GroupWord:
-    return a.inverse()
-
-
 def commutator(a: GroupWord, b: GroupWord) -> GroupWord:
     """[a, b] = a b a^-1 b^-1."""
     return a * b * a.inverse() * b.inverse()

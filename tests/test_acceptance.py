@@ -54,7 +54,8 @@ from gropes import (
     value_keys_by_cap,
 )
 from conftest import dyadic_tower
-from gropes.errors import PigeonholeFailure
+from gropes.cli import main
+from gropes.errors import GrowthLimitError, PigeonholeFailure
 from magnus_oracle import depth_oracle, left_normed_letters
 
 
@@ -172,6 +173,36 @@ def test_split_postconditions(capsys):
         f"{trials} random capped gropes (class <= 5, <= 6 values): caps hold "
         f"<= 1 value, upper stages genus 1, class and values preserved "
         f"[{elapsed:.2f}s < 30s]",
+    )
+
+
+def test_growth_bomb_is_refused_up_front(capsys, tmp_path):
+    """A class-7 tower with 10 values per cap would split to genus 10^7."""
+    body, _ = dyadic_tower(7)
+    caps = {f"c{i}": t for i, t in enumerate(tips(body), start=1)}
+    pts = tuple(
+        Intersection(f"p{i}_{j}", CapRef(c), CapRef(c), generator(j))
+        for i, c in enumerate(caps, start=1)
+        for j in range(1, 11)
+    )
+    cg = CappedGrope(body, caps, pts)
+    path = tmp_path / "bomb.json"
+    path.write_text(dumps_capped(cg), encoding="utf-8")
+
+    start = time.perf_counter()
+    with pytest.raises(GrowthLimitError, match="10000000"):
+        full_split(cg)
+    api = time.perf_counter() - start
+    start = time.perf_counter()
+    code = main(["split", str(path)])
+    cli = time.perf_counter() - start
+    err = capsys.readouterr().err
+    report(
+        capsys,
+        "growth bomb refused",
+        api < 1.0 and cli < 1.0 and code == 3 and "growth limit" in err,
+        f"{len(pts)} points predicting genus 10^7: API raised in {api:.3f}s, "
+        f"`gropes split` exited {code} in {cli:.3f}s [each < 1s]",
     )
 
 

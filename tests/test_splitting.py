@@ -6,6 +6,8 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gropes import (
     BodyRef,
@@ -20,7 +22,9 @@ from gropes import (
     Stage,
     SurgeryKernel,
     Tip,
+    IDENTITY,
     ValidationError,
+    cap_order,
     cap_value_keys,
     canonical_dumps,
     class_of,
@@ -40,6 +44,7 @@ from gropes import (
     validate_capped,
     value_keys_by_cap,
 )
+from gropes.splitting import _predicted_genus
 
 from conftest import dyadic_tower, seeded
 
@@ -416,3 +421,135 @@ def test_full_split_golden(name):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
     kernel = SurgeryKernel(3, (cg,), ())
     assert replay_trace(kernel, [{"grope": 0, **e} for e in trace]) == (out,)
+
+
+# ---------------------------------------------------------------------------
+# the rescanning loop full_split replaced, kept as its oracle
+
+
+def _oracle_full_split(cg: CappedGrope, trace: list) -> CappedGrope:
+    """Rescan every cap and stage before every rewrite, as full_split once did."""
+    while True:
+        keys = value_keys_by_cap(cg)
+        for cap in cap_order(cg):
+            if len(keys[cap]) > 1:
+                cg = split_cap(cg, cap, trace=trace, allow_stage_dual=True)
+                break
+        else:
+            deepest = None
+            for path, stage in iter_stages(cg.body):
+                if path and stage.genus > 1 and (deepest is None or len(path) > len(deepest)):
+                    deepest = path
+            if deepest is None:
+                return cg
+            cg = split_stage(cg, deepest, trace=trace)
+
+
+def _split_text(split, cg: CappedGrope) -> str:
+    trace: list = []
+    return dumps_capped(split(cg, trace=trace)) + canonical_dumps(trace)
+
+
+# Ids with dots, several spelled like the lineage names splitting derives,
+# and drawn for every kind from one pool so that a cap, a tip and a point can
+# share a spelling.
+NAME_POOL = (
+    "a", "a.1", "a.2", "a.1.1", "b", "b.1", "e", "e.1",
+    "t1", "t1.1", "c1", "c1.1", "i1", "i1.1", "x", "x.2",
+)
+MAX_TIPS = 6
+ORACLE_LABELS = (F, G.inverse(), F * G, IDENTITY)
+
+
+@st.composite
+def split_inputs(draw) -> CappedGrope:
+    """Small capped gropes with multi-valued caps, body endpoints and stage duals."""
+    tip_names = draw(st.permutations(NAME_POOL))
+    cap_names = draw(st.permutations(NAME_POOL))
+    point_names = draw(st.permutations(NAME_POOL))
+    made: list[str] = []
+
+    def slot(depth: int):
+        if depth == 0 or len(made) >= MAX_TIPS - 1 or draw(st.booleans()):
+            made.append(tip_names[len(made)])
+            return Tip(made[-1])
+        return stage(depth - 1)
+
+    def stage(depth: int) -> Stage:
+        genus = draw(st.integers(1, 2))
+        return Stage(tuple((slot(depth), slot(depth)) for _ in range(genus)))
+
+    body = Grope(stage(2))
+    caps = dict(zip(cap_names, made))
+    cap_ids = list(caps)
+    paths = [path for path, _ in iter_stages(body)]
+    points = []
+    for point_id in point_names[: draw(st.integers(0, 12))]:
+        end_a = CapRef(draw(st.sampled_from(cap_ids)))
+        if draw(st.booleans()):
+            end_b = CapRef(draw(st.sampled_from(cap_ids)))
+        else:
+            end_b = BodyRef(draw(st.sampled_from(paths)))
+        label = draw(st.sampled_from(ORACLE_LABELS[:3]) | st.just(IDENTITY))
+        points.append(Intersection(point_id, end_a, end_b, label))
+    return CappedGrope(body, caps, tuple(points))
+
+
+@settings(max_examples=150, deadline=None)
+@given(split_inputs())
+def test_full_split_matches_the_rescanning_oracle(cg):
+    assert _split_text(full_split, cg) == _split_text(_oracle_full_split, cg)
+
+
+def test_full_split_keeps_an_id_taken_by_another_kind():
+    """Copying point a.1 must not free the name while cap a.1 still holds it."""
+    body = Grope(Stage(((Tip("tb"), Tip("te")), (Tip("ta"), Tip("tx")))))
+    caps = {"b": "tb", "e": "te", "a": "ta", "a.1": "tx"}
+    pts = (
+        Intersection("p1", CapRef("b"), CapRef("b"), F),
+        Intersection("p2", CapRef("b"), CapRef("b"), G),
+        Intersection("a.1", CapRef("e"), CapRef("e"), F),
+        Intersection("p3", CapRef("a"), CapRef("a"), F),
+        Intersection("p4", CapRef("a"), CapRef("a"), G),
+    )
+    cg = CappedGrope(body, caps, pts)
+    trace: list = []
+    out = full_split(cg, trace=trace)
+    assert validate_capped(out) == []
+    assert [e["into"] for e in trace if e["cap"] == "a"] == [["a.1.3", "a.2"]]
+    assert _split_text(full_split, cg) == _split_text(_oracle_full_split, cg)
+
+
+@settings(max_examples=150, deadline=None)
+@given(split_inputs())
+def test_predicted_genus_is_the_split_genus(cg):
+    predicted = _predicted_genus(cg.body, cg.tip_to_cap, value_keys_by_cap(cg))
+    assert predicted == full_split(cg).body.root.genus
+
+
+def test_full_split_refuses_from_the_predicted_genus():
+    tower, _ = dyadic_tower(4)
+    caps = {f"c{i}": t for i, t in enumerate(tips(tower), start=1)}
+    pts = tuple(
+        Intersection(f"p{i}_{j}", CapRef(c), CapRef(c), generator(j))
+        for i, c in enumerate(caps, start=1)
+        for j in (1, 2, 3)
+    )
+    cg = CappedGrope(tower, caps, pts)
+    trace: list = []
+    with pytest.raises(GrowthLimitError, match="genus to 81"):
+        full_split(cg, limits=SplitLimits(max_first_stage_genus=80), trace=trace)
+    assert trace == []  # refused before the first rewrite
+    assert full_split(cg, limits=SplitLimits(max_first_stage_genus=81)).body.root.genus == 81
+
+
+def test_full_split_keeps_a_wide_first_stage_that_needs_no_growth():
+    """Only growth is refused: a first stage already over the guard is kept."""
+    body = Grope(Stage(tuple((Tip(f"a{k}"), Tip(f"b{k}")) for k in range(3))))
+    cg = CappedGrope(body, {f"c{k}": f"a{k}" for k in range(3)})
+    assert full_split(cg, limits=SplitLimits(max_first_stage_genus=2)) == cg
+
+
+def test_full_split_rejects_a_fully_surgered_grope():
+    with pytest.raises(ValidationError, match="fully surgered"):
+        full_split(CappedGrope(None))

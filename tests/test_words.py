@@ -17,10 +17,8 @@ from gropes import (
     ValidationError,
     commutator,
     generator,
-    invert,
     lcs_depth,
     magnus,
-    multiply,
     reduce,
     unoriented_key,
 )
@@ -87,29 +85,29 @@ def test_reduced_invariant_no_adjacent_cancellation(raw):
 
 @given(words, words)
 def test_multiply_reduces(a, b):
-    ab = multiply(a, b)
+    ab = a * b
     assert ab.letters == reduce(a.letters + b.letters).letters
 
 
 @given(words)
 def test_identity_laws(w):
-    assert multiply(IDENTITY, w) == w
-    assert multiply(w, IDENTITY) == w
+    assert IDENTITY * w == w
+    assert w * IDENTITY == w
 
 
 @given(words)
 def test_inverse_law(w):
-    assert multiply(w, invert(w)) == IDENTITY
-    assert multiply(invert(w), w) == IDENTITY
+    assert w * w.inverse() == IDENTITY
+    assert w.inverse() * w == IDENTITY
 
 
 @given(words, words, words)
 def test_associativity(a, b, c):
-    assert multiply(multiply(a, b), c) == multiply(a, multiply(b, c))
+    assert (a * b) * c == a * (b * c)
 
 
 def test_invert_reverses_and_flips():
-    assert invert(GroupWord((1, 2))).letters == (-2, -1)
+    assert GroupWord((1, 2)).inverse().letters == (-2, -1)
 
 
 def test_word_operators():
@@ -129,7 +127,7 @@ def test_commutator_definition():
 
 @given(words, words)
 def test_commutator_inverse_swaps(a, b):
-    assert invert(commutator(a, b)) == commutator(b, a)
+    assert commutator(a, b).inverse() == commutator(b, a)
 
 
 # ---------------------------------------------------------------------------
@@ -138,12 +136,12 @@ def test_commutator_inverse_swaps(a, b):
 
 @given(words)
 def test_unoriented_key_orientation_free(w):
-    assert unoriented_key(w) == unoriented_key(invert(w))
+    assert unoriented_key(w) == unoriented_key(w.inverse())
 
 
 @given(words)
 def test_unoriented_key_is_min(w):
-    assert unoriented_key(w) == min(w.letters, invert(w).letters)
+    assert unoriented_key(w) == min(w.letters, w.inverse().letters)
 
 
 def test_unoriented_key_identity():
@@ -219,7 +217,7 @@ def test_magnus_matches_oracle(raw, cutoff):
 @settings(max_examples=60)
 def test_magnus_homomorphism(a, b):
     cutoff = 4
-    lhs = magnus(multiply(a, b), cutoff)
+    lhs = magnus(a * b, cutoff)
     rhs = magnus(a, cutoff) * magnus(b, cutoff)
     assert lhs.terms == rhs.terms
 
@@ -228,7 +226,7 @@ def test_magnus_homomorphism(a, b):
 @settings(max_examples=60)
 def test_magnus_inverse_is_series_inverse(w):
     cutoff = 4
-    prod = magnus(w, cutoff) * magnus(invert(w), cutoff)
+    prod = magnus(w, cutoff) * magnus(w.inverse(), cutoff)
     assert prod.terms == {}
 
 
