@@ -191,11 +191,15 @@ def _widen_pair(
     freed: list[str] = []  # one entry per holder of an id that goes away
 
     caps = dict(cg.caps)
-    mine_cap = tip_cap.get(old.tip_id) if isinstance(old, Tip) else None
+    mine_cap = tip_cap.pop(old.tip_id, None) if isinstance(old, Tip) else None
     if mine_cap is not None:
-        del caps[mine_cap]
-    for cap, tip, _ in mine_caps:
+        del caps[mine_cap], values[mine_cap]
+        freed += (mine_cap, old.tip_id)
+    for cap, tip, keys in mine_caps:
         caps[cap] = tip
+        values[cap] = keys
+        tip_cap[tip] = cap
+        names.add(tip)
 
     new_pairs = list(parent.pairs[:pair])
     cap_copies: dict[str, list[CapRef]] = {}
@@ -208,30 +212,19 @@ def _widen_pair(
                 new_cap = names.derived(old_cap, k)
                 names.add(new_tip)
                 caps[new_cap] = new_tip
+                values[new_cap] = values[old_cap]
+                tip_cap[new_tip] = new_cap
                 cap_copies.setdefault(old_cap, []).append(CapRef(new_cap))
         new_pairs.append((mine[k - 1], copy) if side == 0 else (copy, mine[k - 1]))
     new_pairs.extend(parent.pairs[pair + 1 :])
     body = Grope(with_stage_at(body.root, ppath, Stage(tuple(new_pairs))), body.closed)
-
+    for old_cap in cap_copies:
+        old_tip = caps.pop(old_cap)
+        del values[old_cap], tip_cap[old_tip]
+        freed += (old_cap, old_tip)
     freed.extend([dual.tip_id] if isinstance(dual, Tip) else tips(dual))
     if isinstance(old, Tip):
         freed.append(old.tip_id)
-    if mine_cap is not None:
-        del values[mine_cap]
-        del tip_cap[old.tip_id]
-        freed += (mine_cap, old.tip_id)
-    for cap, tip, keys in mine_caps:
-        values[cap] = keys
-        tip_cap[tip] = cap
-        names.add(tip)
-    for old_cap, refs in cap_copies.items():
-        old_tip = caps.pop(old_cap)
-        keys = values.pop(old_cap)
-        del tip_cap[old_tip]
-        for ref in refs:
-            values[ref.cap_id] = keys
-            tip_cap[caps[ref.cap_id]] = ref.cap_id
-        freed += (old_cap, old_tip)
 
     depth = len(ppath)
     mine_step = (pair, side) if isinstance(old, Stage) else None
@@ -422,11 +415,12 @@ def split_stage(
 def _slots_from(
     root: Stage, start: Path, max_depth: float = math.inf
 ) -> Iterator[tuple[Path, Slot]]:
-    """Slots at most max_depth deep whose paths are >= start, in traversal order.
+    """Slots at most max_depth deep with their paths, in traversal order from start.
 
     Traversal order is depth-first, pair by pair, alpha before beta, which
-    is the lexicographic order of paths; subtrees wholly before start are
-    skipped without being entered.
+    is the lexicographic order of paths.  The stages on the way down to start
+    come first; subtrees wholly before start are skipped without being
+    entered.
     """
 
     def walk(stage: Stage, path: Path, on_start: bool) -> Iterator[tuple[Path, Slot]]:
@@ -498,8 +492,10 @@ def full_split(
     Rewrites run in the module's contract order: first the first
     multi-valued cap in tip traversal order, repeatedly; then, among the
     deepest stages of genus > 1 above the first, the first in traversal
-    order.  Raises GrowthLimitError before any rewrite when the splitting
-    would raise the first-stage genus above limits.max_first_stage_genus.
+    order.  Each search resumes from where the last rewrite happened, which
+    the two cursor invariants in the module docstring make exact.  Raises
+    GrowthLimitError before any rewrite when the splitting would raise the
+    first-stage genus above limits.max_first_stage_genus.
     """
     state = _SplitState(cg, limits, trace)
     root_genus = cg.body.root.genus
