@@ -16,10 +16,6 @@ from .capped import (
     PendingPushoff,
     SphereRecord,
     SphereRef,
-    cap_labels,
-    cap_order,
-    cap_value_keys,
-    incident,
     is_pi1_null,
     label_keys,
     validate_capped,

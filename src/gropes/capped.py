@@ -130,34 +130,8 @@ class CappedGrope:
         raise ValidationError(f"unknown sphere {sphere_id!r}")
 
 
-def incident(cg: CappedGrope, cap_id: str) -> list[Intersection]:
-    """Intersections with at least one endpoint on the given cap."""
-    ref = CapRef(cap_id)
-    return [p for p in cg.intersections if p.end_a == ref or p.end_b == ref]
-
-
-def cap_labels(cg: CappedGrope, cap_id: str) -> list[GroupWord]:
-    """Label multiset at a cap, each read outward from the cap.
-
-    A self-intersection of the cap contributes twice, once per endpoint.
-    """
-    ref = CapRef(cap_id)
-    out = []
-    for p in cg.intersections:
-        if p.end_a == ref:
-            out.append(p.label)
-        if p.end_b == ref:
-            out.append(p.label.inverse())
-    return out
-
-
-def cap_value_keys(cg: CappedGrope, cap_id: str) -> set[tuple[int, ...]]:
-    """Distinct unoriented label values present at a cap (identity included)."""
-    return {unoriented_key(p.label) for p in incident(cg, cap_id)}
-
-
 def value_keys_by_cap(cg: CappedGrope) -> dict[str, set[tuple[int, ...]]]:
-    """cap_value_keys for every cap at once, in a single pass over the points."""
+    """Every cap's distinct unoriented label values (identity included), in one pass."""
     out: dict[str, set[tuple[int, ...]]] = {cap: set() for cap in cg.caps}
     get = out.get
     for p in cg.intersections:
@@ -183,14 +157,6 @@ def label_keys(cg: CappedGrope) -> set[tuple[int, ...]]:
 def is_pi1_null(cg: CappedGrope) -> bool:
     """True when every intersection label reduces to the identity."""
     return all(p.label.is_identity for p in cg.intersections)
-
-
-def cap_order(cg: CappedGrope) -> list[str]:
-    """Cap ids in tip traversal order of the body."""
-    if cg.body is None:
-        return []
-    by_tip = cg.tip_to_cap
-    return [by_tip[t] for t in tips(cg.body) if t in by_tip]
 
 
 def validate_capped(cg: CappedGrope, strict: bool = False, rank: int | None = None) -> list[str]:

@@ -18,7 +18,7 @@ import sys
 
 from . import __version__
 from .capped import CappedGrope, validate_capped
-from .commutators import parse_expression, parse_word, word_str
+from .commutators import evaluate, parse_expression, parse_word, word_str
 from .errors import (
     GropeError,
     GrowthLimitError,
@@ -34,6 +34,7 @@ from .pipeline import (
     run_surgery,
     validate_kernel,
 )
+from .moves import contract, pushoff
 from .render import render_dot
 from .serialize import (
     canonical_dumps,
@@ -96,6 +97,13 @@ def _limits(args) -> SplitLimits:
     if max_points is None:
         max_points = default.max_intersections
     return SplitLimits(max_genus, max_points)
+
+
+def _load_valid_capped(path: str) -> CappedGrope:
+    _, cg = _load(path, ("capped",))
+    if problems := validate_capped(cg):
+        raise ValidationError("invalid capped grope: " + "; ".join(problems))
+    return cg
 
 
 def _write_trace(path: str | None, entries: list[dict]) -> None:
@@ -176,15 +184,13 @@ def cmd_lcs(args) -> int:
     if args.word:
         word = parse_word(args.expression)
     else:
-        from .commutators import evaluate
-
         word = evaluate(parse_expression(args.expression))
     print(lcs_depth(word, args.cutoff))
     return 0
 
 
 def cmd_split(args) -> int:
-    _, cg = _load(args.file, ("capped",))
+    cg = _load_valid_capped(args.file)
     limits = _limits(args)
     trace: list[dict] = []
     if args.cap is not None:
@@ -199,9 +205,7 @@ def cmd_split(args) -> int:
 
 
 def cmd_contract(args) -> int:
-    from .moves import contract, pushoff
-
-    _, cg = _load(args.file, ("capped",))
+    cg = _load_valid_capped(args.file)
     cap_a, comma, cap_b = args.caps.partition(",")
     if not comma or not cap_a or not cap_b:
         raise ParseError(f"bad --caps {args.caps!r}: expected capA,capB")

@@ -28,6 +28,9 @@ from .words import IDENTITY, GroupWord, generator
 
 CommutatorExpr = Union["Gen", "Inv", "Comm", "Prod"]
 
+# Most brackets and parentheses open at once; parsing and evaluation recurse per level.
+MAX_NESTING = 200
+
 
 @dataclass(frozen=True, slots=True)
 class Gen:
@@ -165,6 +168,7 @@ class _Parser:
         self.tokens = list(_tokenize(text))
         self.allow_brackets = allow_brackets
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -223,15 +227,18 @@ class _Parser:
             if self.allow_brackets:
                 raise ParseError("'1' denotes the identity word, not an expression", pos)
             return None
-        if kind == "lbrack" and self.allow_brackets:
-            left = self.require(self.parse_expr(), pos)
-            self.expect("comma", "','")
-            right = self.require(self.parse_expr(), pos)
-            self.expect("rbrack", "']'")
-            return Comm(left, right)
-        if kind == "lparen" and self.allow_brackets:
+        if kind in ("lbrack", "lparen") and self.allow_brackets:
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"brackets and parentheses nest deeper than {MAX_NESTING}", pos)
             inner = self.require(self.parse_expr(), pos)
-            self.expect("rparen", "')'")
+            if kind == "lbrack":
+                self.expect("comma", "','")
+                inner = Comm(inner, self.require(self.parse_expr(), pos))
+                self.expect("rbrack", "']'")
+            else:
+                self.expect("rparen", "')'")
+            self.depth -= 1
             return inner
         what = "a generator, '[', or '('" if self.allow_brackets else "a generator or '1'"
         raise ParseError(f"expected {what}, found {text or 'end of input'!r}", pos)

@@ -21,7 +21,7 @@ from .capped import (
     SheetRef,
     SphereRecord,
     SphereRef,
-    cap_value_keys,
+    value_keys_by_cap,
 )
 from .errors import (
     LabelMismatchError,
@@ -61,14 +61,14 @@ def _piece_is_dyadic(root: Stage, pair_index: int) -> bool:
     return True
 
 
-def effective_value(cg: CappedGrope, cap_id: str) -> tuple[int, ...]:
-    """The single nonidentity unoriented value at a cap, or () if none.
+def effective_value(cap_id: str, keys: set[tuple[int, ...]]) -> tuple[int, ...]:
+    """The single nonidentity value among a cap's value_keys_by_cap, or ().
 
     Identity crossings (for example the parallel sphere crossings created by
     pushoff) carry no group element and never obstruct pairing, so they are
     ignored here; a cap is "clean" when nothing nonidentity meets it.
     """
-    keys = cap_value_keys(cg, cap_id) - {()}
+    keys = keys - {()}
     if len(keys) > 1:
         raise SplitFirstError(
             f"cap {cap_id!r} carries {len(keys)} label values; split it first"
@@ -113,8 +113,9 @@ def contract(
     for c in (cap_a, cap_b):
         if c not in caps_here:
             raise MoveError(f"cap {c!r} is not on the piece at pair {pair_index}")
-    key_a = effective_value(cg, cap_a)
-    key_b = effective_value(cg, cap_b)
+    values = value_keys_by_cap(cg)
+    key_a = effective_value(cap_a, values[cap_a])
+    key_b = effective_value(cap_b, values[cap_b])
     if key_a != key_b:
         raise LabelMismatchError(
             f"caps {cap_a!r} and {cap_b!r} carry different values "

@@ -32,6 +32,7 @@ from .capped import (
     is_pi1_null,
     label_keys,
     validate_capped,
+    value_keys_by_cap,
 )
 from .errors import (
     HypothesisError,
@@ -148,22 +149,18 @@ def find_duplicate_pair(
     on the piece are distinct.
     """
     caps_here = piece_caps(cg, pair_index)
+    values = value_keys_by_cap(cg)
     name = piece_name or f"pair {pair_index}"
-    by_key: dict[tuple[int, ...], str] = {}
-    clean_first: str | None = None
+    first: dict[tuple[int, ...], str] = {}
     fallback: tuple[str, str] | None = None
     for cap in caps_here:
-        key = effective_value(cg, cap)
-        if key == ():
-            if clean_first is None:
-                clean_first = cap
-            else:
-                return clean_first, cap
-        elif key in by_key:
-            if fallback is None:
-                fallback = (by_key[key], cap)
-        else:
-            by_key[key] = cap
+        key = effective_value(cap, values[cap])
+        if key not in first:
+            first[key] = cap
+        elif key == ():
+            return first[key], cap
+        elif fallback is None:
+            fallback = (first[key], cap)
     if fallback is not None:
         return fallback
     raise PigeonholeFailure(

@@ -10,7 +10,7 @@ stored id order.
 
 from __future__ import annotations
 
-from .capped import BodyRef, CappedGrope, CapRef, SheetRef, cap_value_keys
+from .capped import BodyRef, CappedGrope, CapRef, SheetRef, value_keys_by_cap
 from .grope import Grope, Path, Stage, Tip, iter_stages
 from .words import GroupWord
 
@@ -40,6 +40,7 @@ def render_dot(obj: Grope | CappedGrope) -> str:
     capped = isinstance(obj, CappedGrope)
     body = obj.body if capped else obj
     tip_to_cap = obj.tip_to_cap if capped else {}
+    values = value_keys_by_cap(obj) if capped else {}
 
     lines = ["digraph grope {", "  rankdir=TB;"]
 
@@ -50,9 +51,8 @@ def render_dot(obj: Grope | CappedGrope) -> str:
             label = tip.tip_id
         else:
             name = f"cap_{cap}"
-            values = sorted(cap_value_keys(obj, cap))
-            shown = ", ".join(str(GroupWord(v)) for v in values)
-            label = f"{cap} {{{shown}}}" if shown else f"{cap} {{}}"
+            shown = ", ".join(str(GroupWord(v)) for v in sorted(values[cap]))
+            label = f"{cap} {{{shown}}}"
         lines.append(f"  {_quote(name)} [shape=ellipse, label={_quote(label)}];")
         return name
 

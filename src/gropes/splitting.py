@@ -379,7 +379,10 @@ def split_cap(
     if len(state.values[cap_id]) <= 1:
         return cg
 
-    ppath, pair, side = tip_locations(cg.body)[cg.caps[cap_id]]
+    tip_id = cg.caps[cap_id]
+    if (location := tip_locations(cg.body).get(tip_id)) is None:
+        raise ValidationError(f"cap {cap_id!r} sits on tip {tip_id!r}, which is not in the body")
+    ppath, pair, side = location
     parent = stage_at(cg.body, ppath)
     if isinstance(parent.pairs[pair][1 - side], Stage) and not allow_stage_dual:
         raise DualNotCapError(

@@ -14,6 +14,7 @@ from gropes import (
     Intersection,
     Stage,
     Tip,
+    generator,
     reduce,
 )
 
@@ -50,6 +51,22 @@ def two_cap_grope(label_a: GroupWord, label_b: GroupWord | None = None) -> Cappe
     points = [Intersection("i1", CapRef("c1"), CapRef("c1"), label_a)]
     if label_b is not None:
         points.append(Intersection("i2", CapRef("c2"), CapRef("c2"), label_b))
+    return CappedGrope(body, caps, tuple(points))
+
+
+def ghost_tip_grope() -> CappedGrope:
+    """Genus-1 class-2 grope whose third cap, cx, sits on a tip not in the body.
+
+    cx carries two values, so splitting it reaches for the missing tip.
+    """
+    body = Grope(Stage(((Tip("t1"), Tip("t2")),)))
+    caps = {"c1": "t1", "c2": "t2", "cx": "ghost"}
+    points = [
+        Intersection("i1", CapRef("c1"), CapRef("c1"), generator(1)),
+        Intersection("i2", CapRef("c2"), CapRef("c2"), generator(1)),
+        Intersection("i3", CapRef("cx"), CapRef("cx"), generator(1)),
+        Intersection("i4", CapRef("cx"), CapRef("cx"), generator(2)),
+    ]
     return CappedGrope(body, caps, tuple(points))
 
 

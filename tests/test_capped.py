@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gropes import (
     BodyRef,
@@ -16,18 +20,18 @@ from gropes import (
     Stage,
     Tip,
     ValidationError,
-    cap_labels,
-    cap_order,
-    cap_value_keys,
     generator,
-    incident,
     is_pi1_null,
+    iter_stages,
     label_keys,
+    piece_caps,
+    random_capped_grope,
     unoriented_key,
     validate_capped,
+    value_keys_by_cap,
 )
 
-from conftest import two_cap_grope
+from conftest import two_cap_grope, words
 
 
 def _base():
@@ -66,7 +70,7 @@ def test_body_body_intersection_rejected():
 def test_cap_order_follows_tip_order():
     body = Grope(Stage(((Tip("t2"), Tip("t1")),)))
     cg = CappedGrope(body, {"cB": "t1", "cA": "t2"})
-    assert cap_order(cg) == ["cA", "cB"]
+    assert piece_caps(cg, 0) == ["cA", "cB"]
 
 
 def test_tip_to_cap_mapping():
@@ -79,12 +83,8 @@ def test_tip_to_cap_mapping():
 
 
 def test_label_read_direction():
-    body, caps = _base()
     f = generator(1)
     i = Intersection("p", CapRef("c1"), CapRef("c2"), f)
-    cg = CappedGrope(body, caps, (i,))
-    assert cap_labels(cg, "c1") == [f]
-    assert cap_labels(cg, "c2") == [f.inverse()]
     assert i.label_from(CapRef("c1")) == f
     assert i.label_from(CapRef("c2")) == f.inverse()
 
@@ -92,16 +92,18 @@ def test_label_read_direction():
 def test_self_intersection_counts_both_orientations():
     body, caps = _base()
     f = generator(1)
-    cg = CappedGrope(body, caps, (Intersection("s", CapRef("c1"), CapRef("c1"), f),))
-    assert sorted(map(str, cap_labels(cg, "c1"))) == ["x1", "x1^-1"]
+    for label in (f, f.inverse()):
+        cg = CappedGrope(body, caps, (Intersection("s", CapRef("c1"), CapRef("c1"), label),))
+        assert value_keys_by_cap(cg) == {"c1": {unoriented_key(f)}, "c2": set()}
 
 
 def test_cap_value_keys_are_unoriented():
     body, caps = _base()
     f = generator(1)
     cg = CappedGrope(body, caps, (Intersection("p", CapRef("c1"), CapRef("c2"), f),))
-    assert cap_value_keys(cg, "c1") == {unoriented_key(f)}
-    assert cap_value_keys(cg, "c1") == cap_value_keys(cg, "c2")
+    keys = value_keys_by_cap(cg)
+    assert keys["c1"] == {unoriented_key(f)}
+    assert keys["c1"] == keys["c2"]
 
 
 def test_label_keys_exclude_identity():
@@ -117,22 +119,62 @@ def test_label_keys_exclude_identity():
     assert label_keys(cg) == {unoriented_key(generator(2))}
     assert len(label_keys(cg)) == 1
     # but the identity still shows up as a per-cap value key
-    assert () in cap_value_keys(cg, "c1")
+    assert () in value_keys_by_cap(cg)["c1"]
 
 
 def test_incident_lists_touching_points():
     body, caps = _base()
-    f = generator(1)
+    f, g = generator(1), generator(2)
     cg = CappedGrope(
         body,
         caps,
         (
             Intersection("p", CapRef("c1"), CapRef("c2"), f),
-            Intersection("q", CapRef("c2"), BodyRef(()), f),
+            Intersection("q", CapRef("c2"), BodyRef(()), g),
         ),
     )
-    assert [i.point_id for i in incident(cg, "c1")] == ["p"]
-    assert [i.point_id for i in incident(cg, "c2")] == ["p", "q"]
+    keys = value_keys_by_cap(cg)
+    assert keys["c1"] == {unoriented_key(f)}
+    assert keys["c2"] == {unoriented_key(f), unoriented_key(g)}
+
+
+def _scanned_value_keys(cg: CappedGrope, cap_id: str) -> set[tuple[int, ...]]:
+    """One cap's values by a scan of every point, as the package once queried them."""
+    ref = CapRef(cap_id)
+    return {unoriented_key(p.label) for p in cg.intersections if ref in (p.end_a, p.end_b)}
+
+
+@st.composite
+def value_inputs(draw) -> CappedGrope:
+    """A random_capped_grope plus extra points of arbitrary label, identity
+    included, from a cap to a cap, itself, a body stage, a sphere or an
+    unknown cap."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    pool = [generator(1), generator(2).inverse(), generator(1) * generator(2), IDENTITY]
+    cg = random_capped_grope(
+        rng,
+        draw(st.integers(2, 4)),
+        pool[: draw(st.integers(0, len(pool)))],
+        genus=draw(st.integers(1, 2)),
+        density=draw(st.floats(0, 2)),
+    )
+    others = [CapRef(c) for c in cg.caps] + [CapRef("ghost"), SphereRef("sph0"), None]
+    others += [BodyRef(path) for path, _ in iter_stages(cg.body)]
+    ends = st.tuples(st.sampled_from(sorted(cg.caps)), st.sampled_from(others))
+    extra = draw(st.lists(st.tuples(ends, words, st.booleans()), max_size=10))
+    points = list(cg.intersections)
+    for k, ((cap, other), label, flip) in enumerate(extra):
+        me = CapRef(cap)
+        other = other or me
+        a, b = (other, me) if flip else (me, other)
+        points.append(Intersection(f"e{k}", a, b, label))
+    sphere = SphereRecord("sph0", 0, "a", "b", IDENTITY)
+    return CappedGrope(cg.body, cg.caps, tuple(points), (sphere,))
+
+
+@given(value_inputs())
+def test_value_keys_by_cap_matches_a_per_cap_scan(cg):
+    assert value_keys_by_cap(cg) == {cap: _scanned_value_keys(cg, cap) for cap in cg.caps}
 
 
 def test_is_pi1_null():

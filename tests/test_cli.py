@@ -22,6 +22,9 @@ from gropes import (
     loads_document,
 )
 from gropes.cli import main
+from gropes.commutators import MAX_NESTING
+
+from conftest import ghost_tip_grope
 
 F = generator(1)
 G = generator(2)
@@ -228,6 +231,16 @@ def test_lcs_reports_cutoff_saturation(capsys):
     assert (code, out) == (0, ">=3\n")
 
 
+def test_lcs_nesting_bound(capsys):
+    at_bound = "(" * MAX_NESTING + "x1" + ")" * MAX_NESTING
+    assert run(capsys, "lcs", at_bound)[:2] == (0, "1\n")
+    deep = "[x1," * 3000 + "x2" + "]" * 3000
+    for text in ("(" + at_bound + ")", "(" * 3000 + "x1" + ")" * 3000, deep):
+        code, out, err = run(capsys, "lcs", text)
+        assert (code, out) == (65, "")
+        assert err.count("\n") == 1 and "nest deeper" in err
+
+
 def test_lcs_parse_error(capsys):
     code, _, err = run(capsys, "lcs", "[x1,")
     assert code == 65
@@ -259,6 +272,18 @@ def test_split_unknown_cap_fails(capsys, multivalue_file):
     code, _, err = run(capsys, "split", "--cap", "zz", multivalue_file)
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("split", "--cap", "cx"), ("split",), ("contract", "--pair", "0", "--caps", "c1,c2")],
+)
+def test_rewrites_refuse_an_invalid_capped_grope(capsys, tmp_path, argv):
+    path = write(tmp_path, "ghost.json", dumps_capped(ghost_tip_grope()))
+    code, out, err = run(capsys, *argv[:1], path, *argv[1:])
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "unknown tip 'ghost'" in err
 
 
 def test_split_stage_by_path(capsys, tmp_path):

@@ -26,6 +26,7 @@ from gropes import (
     weight,
     word_str,
 )
+from gropes.commutators import MAX_NESTING
 
 # A recursive strategy over expression trees.
 exprs = st.recursive(
@@ -185,6 +186,18 @@ def test_parse_word_identity():
 def test_parse_word_basic():
     assert parse_word("x1*x2^-1").letters == (1, -2)
     assert parse_word(" x3 ").letters == (3,)
+
+
+def test_nesting_bound_counts_brackets_and_parentheses_together():
+    half = MAX_NESTING // 2
+    mixed = "[x1," * half + "(" * (MAX_NESTING - half) + "x2" + ")" * (MAX_NESTING - half)
+    expr = parse_expression(mixed + "]" * half)
+    assert weight(expr) == half + 1
+    chain = parse_expression("[x1," * MAX_NESTING + "x2" + "]" * MAX_NESTING)
+    assert weight(chain) == MAX_NESTING + 1
+    for deeper in ("(" + mixed + "]" * half + ")", "[x1," + mixed + "]" * (half + 1)):
+        with pytest.raises(ParseError, match="nest deeper"):
+            parse_expression(deeper)
 
 
 def test_parse_word_rejects_brackets():

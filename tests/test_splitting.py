@@ -24,8 +24,6 @@ from gropes import (
     Tip,
     IDENTITY,
     ValidationError,
-    cap_order,
-    cap_value_keys,
     canonical_dumps,
     class_of,
     dumps_capped,
@@ -46,7 +44,7 @@ from gropes import (
 )
 from gropes.splitting import _predicted_genus
 
-from conftest import dyadic_tower, seeded
+from conftest import dyadic_tower, ghost_tip_grope, seeded
 
 F, G, H = generator(1), generator(2), generator(3)
 
@@ -77,8 +75,9 @@ def test_split_cap_partitions_by_least_key():
     by_id = {i.point_id: i for i in out.intersections}
     assert by_id["i2"].end_a == CapRef("c1.1")  # x2 self point
     assert by_id["i1"].end_a == CapRef("c1.2")  # x1 self point
-    assert cap_value_keys(out, "c1.1") == {unoriented_key(G)}
-    assert cap_value_keys(out, "c1.2") == {unoriented_key(F)}
+    keys = value_keys_by_cap(out)
+    assert keys["c1.1"] == {unoriented_key(G)}
+    assert keys["c1.2"] == {unoriented_key(F)}
 
 
 def test_split_cap_duplicates_dual():
@@ -120,6 +119,11 @@ def test_split_cap_single_value_is_noop():
 def test_split_cap_unknown_cap():
     with pytest.raises(ValidationError):
         split_cap(_two_value_cap(), "ghost")
+
+
+def test_split_cap_on_a_tip_outside_the_body():
+    with pytest.raises(ValidationError, match="not in the body"):
+        split_cap(ghost_tip_grope(), "cx")
 
 
 def test_split_cap_stage_dual_rejected_by_default():
@@ -430,8 +434,8 @@ def test_full_split_golden(name):
 def _oracle_full_split(cg: CappedGrope, trace: list) -> CappedGrope:
     """Rescan every cap and stage before every rewrite, as full_split once did."""
     while True:
-        keys = value_keys_by_cap(cg)
-        for cap in cap_order(cg):
+        keys, by_tip = value_keys_by_cap(cg), cg.tip_to_cap
+        for cap in [by_tip[t] for t in tips(cg.body) if t in by_tip]:
             if len(keys[cap]) > 1:
                 cg = split_cap(cg, cap, trace=trace, allow_stage_dual=True)
                 break
