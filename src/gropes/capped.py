@@ -13,7 +13,7 @@ both endpoints must be caps, the discipline all rewriting moves preserve.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Iterable, Union
 
 from .errors import ValidationError
 from .grope import Grope, Path, iter_stages, tips, validate_grope
@@ -132,9 +132,20 @@ class CappedGrope:
 
 def value_keys_by_cap(cg: CappedGrope) -> dict[str, set[tuple[int, ...]]]:
     """Every cap's distinct unoriented label values (identity included), in one pass."""
-    out: dict[str, set[tuple[int, ...]]] = {cap: set() for cap in cg.caps}
+    return _value_keys(cg.caps, cg.intersections)
+
+
+def _value_keys(
+    caps: Iterable[str], points: Iterable[Intersection]
+) -> dict[str, set[tuple[int, ...]]]:
+    """The given caps' value sets, read from the given points only.
+
+    Ends on other caps are skipped, so a caller that knows which points can
+    touch the caps (the surgery sweep's per-piece buckets) scans only those.
+    """
+    out: dict[str, set[tuple[int, ...]]] = {cap: set() for cap in caps}
     get = out.get
-    for p in cg.intersections:
+    for p in points:
         key = unoriented_key(p.label)
         end = p.end_a
         if type(end) is CapRef:

@@ -30,6 +30,10 @@ CommutatorExpr = Union["Gen", "Inv", "Comm", "Prod"]
 
 # Most brackets and parentheses open at once; parsing and evaluation recurse per level.
 MAX_NESTING = 200
+# Most letters an expression's word may have before free reduction.  Powers
+# and evaluation are refused above it, from the length predicted from
+# the expression, before any letter is built.
+MAX_WORD_LENGTH = 1_000_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,19 +78,57 @@ def weight(expr: CommutatorExpr) -> int:
     raise ValidationError(f"not a commutator expression: {expr!r}")
 
 
+def _word_length(expr: CommutatorExpr, seen: dict) -> int:
+    """Letters of the expression's word before free reduction.
+
+    Gen 1, Inv as its operand, Comm 2(l + r), Prod the sum of its factors.
+    seen memoizes by node, so a subexpression shared by several parents (a
+    power's base) is measured once.
+    """
+    known = seen.get(id(expr))
+    if known is not None:
+        return known[1]
+    if isinstance(expr, Gen):
+        n = 1
+    elif isinstance(expr, Inv):
+        n = _word_length(expr.operand, seen)
+    elif isinstance(expr, Comm):
+        n = 2 * (_word_length(expr.left, seen) + _word_length(expr.right, seen))
+    elif isinstance(expr, Prod):
+        n = sum(_word_length(f, seen) for f in expr.factors)
+    else:
+        raise ValidationError(f"not a commutator expression: {expr!r}")
+    seen[id(expr)] = (expr, n)  # the node is held so that its id is not reused
+    return n
+
+
+def _refuse_long(length: int, position: int | None = None) -> None:
+    if length > MAX_WORD_LENGTH:
+        raise ParseError(f"word exceeds the bound of {MAX_WORD_LENGTH} letters", position)
+
+
 def evaluate(expr: CommutatorExpr) -> GroupWord:
-    """The free-group word of an expression, freely reduced."""
+    """The free-group word of an expression, freely reduced.
+
+    Raises ParseError, building nothing, when the word would have more than
+    MAX_WORD_LENGTH letters before reduction.
+    """
+    _refuse_long(_word_length(expr, {}))
+    return _evaluate(expr)
+
+
+def _evaluate(expr: CommutatorExpr) -> GroupWord:
     if isinstance(expr, Gen):
         return generator(expr.index)
     if isinstance(expr, Inv):
-        return evaluate(expr.operand).inverse()
+        return _evaluate(expr.operand).inverse()
     if isinstance(expr, Comm):
-        u, v = evaluate(expr.left), evaluate(expr.right)
+        u, v = _evaluate(expr.left), _evaluate(expr.right)
         return u * v * u.inverse() * v.inverse()
     if isinstance(expr, Prod):
         # One reduction over all factors: folding pairwise is quadratic in
         # the factor count, and "x1^n" parses to a Prod of n factors.
-        return GroupWord(tuple(chain.from_iterable(evaluate(f).letters for f in expr.factors)))
+        return GroupWord(tuple(chain.from_iterable(_evaluate(f).letters for f in expr.factors)))
     raise ValidationError(f"not a commutator expression: {expr!r}")
 
 
@@ -163,12 +205,20 @@ def _tokenize(text: str) -> Iterator[tuple[str, str, int]]:
     yield "end", "", len(text)
 
 
+def _number(digits: str, pos: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # longer than int() converts from text
+        raise ParseError(f"number of {len(digits)} digits is too long", pos) from None
+
+
 class _Parser:
     def __init__(self, text: str, allow_brackets: bool):
         self.tokens = list(_tokenize(text))
         self.allow_brackets = allow_brackets
         self.i = 0
         self.depth = 0
+        self.lengths: dict = {}  # _word_length's memo, shared by every power
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -206,20 +256,21 @@ class _Parser:
         atom = self.parse_atom()
         if self.peek()[0] == "caret":
             kind, text, pos = self.take()
-            exp = int(text[1:])
+            exp = _number(text[1:], pos)
             if exp == 0:
                 raise ParseError("exponent must be nonzero", pos)
             if atom is None:
                 return None
-            base = atom if exp > 0 else Inv(atom)
             n = abs(exp)
+            _refuse_long(n * _word_length(atom, self.lengths), pos)
+            base = atom if exp > 0 else Inv(atom)
             return base if n == 1 else Prod((base,) * n)
         return atom
 
     def parse_atom(self) -> CommutatorExpr | None:
         kind, text, pos = self.take()
         if kind == "gen":
-            index = int(text[1:])
+            index = _number(text[1:], pos)
             if index < 1:
                 raise ParseError("generator index must be >= 1", pos)
             return Gen(index)

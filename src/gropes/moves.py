@@ -12,6 +12,8 @@ of contract + pushoff is strictly fewer distinct label values, never more.
 
 from __future__ import annotations
 
+from typing import Callable, Container, Iterable
+
 from .capped import (
     BodyRef,
     CappedGrope,
@@ -41,7 +43,10 @@ def piece_caps(cg: CappedGrope, pair_index: int) -> list[str]:
     root = cg.body.root
     if not 0 <= pair_index < root.genus:
         raise ValidationError(f"no pair {pair_index} at a genus-{root.genus} first stage")
-    by_tip = cg.tip_to_cap
+    return _pair_caps(root, pair_index, cg.tip_to_cap)
+
+
+def _pair_caps(root: Stage, pair_index: int, by_tip: dict[str, str]) -> list[str]:
     out = []
     for slot in root.pairs[pair_index]:
         for t in ([slot.tip_id] if isinstance(slot, Tip) else tips(slot)):
@@ -52,13 +57,18 @@ def piece_caps(cg: CappedGrope, pair_index: int) -> list[str]:
     return out
 
 
-def _piece_is_dyadic(root: Stage, pair_index: int) -> bool:
-    for slot in root.pairs[pair_index]:
-        if isinstance(slot, Stage) and any(
-            s.genus != 1 for _, s in iter_stages(slot)
-        ):
-            return False
-    return True
+def _require_dyadic(pair: tuple[Slot, Slot], pair_index: int) -> None:
+    for slot in pair:
+        if isinstance(slot, Stage) and any(s.genus != 1 for _, s in iter_stages(slot)):
+            raise NotDyadicError(
+                f"pair {pair_index} heads a subtree with genus above 1; split stages first"
+            )
+
+
+def _refuse_pending(spheres: Iterable[SphereRecord]) -> None:
+    for s in spheres:
+        if s.pending:
+            raise MoveError(f"sphere {s.sphere_id!r} has a pending pushoff queue")
 
 
 def effective_value(cap_id: str, keys: set[tuple[int, ...]]) -> tuple[int, ...]:
@@ -99,15 +109,10 @@ def contract(
     """
     if cg.body is None:
         raise MoveError("nothing to contract: the body is fully surgered")
-    for s in cg.spheres:
-        if s.pending:
-            raise MoveError(f"sphere {s.sphere_id!r} has a pending pushoff queue")
+    _refuse_pending(cg.spheres)
     root = cg.body.root
     caps_here = piece_caps(cg, pair_index)
-    if not _piece_is_dyadic(root, pair_index):
-        raise NotDyadicError(
-            f"pair {pair_index} heads a subtree with genus above 1; split stages first"
-        )
+    _require_dyadic(root.pairs[pair_index], pair_index)
     if cap_a == cap_b:
         raise MoveError("contraction needs two distinct caps")
     for c in (cap_a, cap_b):
@@ -121,7 +126,6 @@ def contract(
             f"caps {cap_a!r} and {cap_b!r} carry different values "
             f"({GroupWord(key_a)} vs {GroupWord(key_b)})"
         )
-    label = GroupWord(key_a)
 
     last_pair = root.genus == 1
     piece_cap_set = set(caps_here)
@@ -142,29 +146,14 @@ def contract(
             return BodyRef(((j - 1, side),) + rest)
         return end
 
-    taken = {p.point_id for p in cg.intersections}
-    taken.update(s.sphere_id for s in cg.spheres)
-    n = len(cg.spheres)
-    while f"sph{n}" in taken:
-        n += 1
-    sphere_id = f"sph{n}"
-    sphere_ref = SphereRef(sphere_id)
-
-    kept: list[Intersection] = []
-    selfs: list[Intersection] = []
-    self_log: list[dict] = []
-    queued: list[PendingPushoff] = []
-    for p in cg.intersections:
-        a_in, b_in = in_piece(p.end_a), in_piece(p.end_b)
-        if a_in and b_in:
-            selfs.append(Intersection(p.point_id, sphere_ref, sphere_ref, IDENTITY))
-            self_log.append({"point": p.point_id, "was": str(p.label), "result": "1"})
-        elif a_in or b_in:
-            other = p.end_b if a_in else p.end_a
-            queued.append(PendingPushoff(p.point_id, remap(other), p.label_from(other)))
-        else:
-            kept.append(Intersection(p.point_id, remap(p.end_a), remap(p.end_b), p.label))
-
+    sphere_id = _sphere_name(
+        len(cg.spheres),
+        {p.point_id for p in cg.intersections},
+        {s.sphere_id for s in cg.spheres},
+    )
+    kept, selfs, self_log, queued = _absorb(
+        cg.intersections, in_piece, SphereRef(sphere_id), remap
+    )
     if last_pair:
         body = None
     else:
@@ -175,25 +164,71 @@ def contract(
         pair_index if piece is None else piece,
         cap_a,
         cap_b,
-        label,
+        GroupWord(key_a),
         tuple(queued),
     )
     out = CappedGrope(body, caps, tuple(kept + selfs), cg.spheres + (record,))
     if trace is not None:
-        trace.append(
-            {
-                "op": "contract",
-                "pairIndex": pair_index,
-                "piece": record.piece,
-                "capA": cap_a,
-                "capB": cap_b,
-                "label": str(label),
-                "sphere": sphere_id,
-                "selfPoints": self_log,
-                "queued": [q.point_id for q in queued],
-            }
-        )
+        trace.append(_contract_entry(pair_index, record, self_log, queued))
     return out, record
+
+
+def _sphere_name(n: int, point_ids: Container[str], sphere_ids: Container[str]) -> str:
+    """sph{n}, counting up from n (the sphere count) past every id in use."""
+    while f"sph{n}" in point_ids or f"sph{n}" in sphere_ids:
+        n += 1
+    return f"sph{n}"
+
+
+def _absorb(
+    points: Iterable[Intersection],
+    in_piece: Callable[[SheetRef], bool],
+    sphere_ref: SphereRef,
+    remap: Callable[[SheetRef], SheetRef],
+) -> tuple[list[Intersection], list[Intersection], list[dict], list[PendingPushoff]]:
+    """Sort points against a piece being contracted into the sphere.
+
+    A point with both ends on the piece becomes an identity self-point of
+    the sphere (logged with the label it had); one with a single end there
+    is queued from its other end, read through remap; the rest are kept,
+    and a kept point whose ends remap to themselves is kept as is.  Returns
+    (kept, selfs, self log, queued), each in the order of points.
+    """
+    kept: list[Intersection] = []
+    selfs: list[Intersection] = []
+    self_log: list[dict] = []
+    queued: list[PendingPushoff] = []
+    for p in points:
+        a_in, b_in = in_piece(p.end_a), in_piece(p.end_b)
+        if a_in and b_in:
+            selfs.append(Intersection(p.point_id, sphere_ref, sphere_ref, IDENTITY))
+            self_log.append({"point": p.point_id, "was": str(p.label), "result": "1"})
+        elif a_in or b_in:
+            other = p.end_b if a_in else p.end_a
+            queued.append(PendingPushoff(p.point_id, remap(other), p.label_from(other)))
+        else:
+            a, b = remap(p.end_a), remap(p.end_b)
+            if a is p.end_a and b is p.end_b:
+                kept.append(p)
+            else:
+                kept.append(Intersection(p.point_id, a, b, p.label))
+    return kept, selfs, self_log, queued
+
+
+def _contract_entry(
+    pair_index: int, record: SphereRecord, self_log: list[dict], queued: list[PendingPushoff]
+) -> dict:
+    return {
+        "op": "contract",
+        "pairIndex": pair_index,
+        "piece": record.piece,
+        "capA": record.cap_a,
+        "capB": record.cap_b,
+        "label": str(record.label),
+        "sphere": record.sphere_id,
+        "selfPoints": self_log,
+        "queued": [q.point_id for q in queued],
+    }
 
 
 def pushoff(cg: CappedGrope, sphere_id: str, *, trace: list | None = None) -> CappedGrope:
@@ -207,29 +242,8 @@ def pushoff(cg: CappedGrope, sphere_id: str, *, trace: list | None = None) -> Ca
     record = cg.sphere(sphere_id)
     if not record.pending:
         return cg
-    sphere_ref = SphereRef(sphere_id)
-    taken = {p.point_id for p in cg.intersections}
-    new_points: list[Intersection] = []
-    logged = []
-    for q in record.pending:
-        created = []
-        for k in (1, 2):
-            name = f"{q.point_id}.{k}"
-            m = 0
-            while name in taken:
-                m += 1
-                name = f"{q.point_id}.{k}.{m}"
-            taken.add(name)
-            created.append(name)
-            new_points.append(Intersection(name, q.other, sphere_ref, IDENTITY))
-        logged.append(
-            {
-                "from": q.point_id,
-                "hadLabel": str(q.label),
-                "created": created,
-                "result": "1",
-            }
-        )
+    live = {p.point_id: p for p in cg.intersections}
+    new_points, logged = _push_off(record.pending, SphereRef(sphere_id), live)
     spheres = tuple(
         SphereRecord(s.sphere_id, s.piece, s.cap_a, s.cap_b, s.label, ())
         if s.sphere_id == sphere_id
@@ -238,5 +252,43 @@ def pushoff(cg: CappedGrope, sphere_id: str, *, trace: list | None = None) -> Ca
     )
     out = CappedGrope(cg.body, cg.caps, cg.intersections + tuple(new_points), spheres)
     if trace is not None:
-        trace.append({"op": "pushoff", "sphere": sphere_id, "points": logged})
+        trace.append(_pushoff_entry(sphere_id, logged))
     return out
+
+
+def _push_off(
+    pending: Iterable[PendingPushoff], sphere_ref: SphereRef, live: dict[str, Intersection]
+) -> tuple[list[Intersection], list[dict]]:
+    """Two identity crossings of the sphere per queued point, added to live.
+
+    live maps every point id in use to its point.  The copies of point i
+    are named i.1 and i.2, or i.k.m with the least m >= 1 that is free.
+    Returns the new points and the pushoff log, in queue order.
+    """
+    new_points: list[Intersection] = []
+    logged = []
+    for q in pending:
+        created = []
+        for k in (1, 2):
+            name = f"{q.point_id}.{k}"
+            m = 0
+            while name in live:
+                m += 1
+                name = f"{q.point_id}.{k}.{m}"
+            point = Intersection(name, q.other, sphere_ref, IDENTITY)
+            live[name] = point
+            new_points.append(point)
+            created.append(name)
+        logged.append(
+            {
+                "from": q.point_id,
+                "hadLabel": str(q.label),
+                "created": created,
+                "result": "1",
+            }
+        )
+    return new_points, logged
+
+
+def _pushoff_entry(sphere_id: str, logged: list[dict]) -> dict:
+    return {"op": "pushoff", "sphere": sphere_id, "points": logged}

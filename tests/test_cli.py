@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -239,6 +240,30 @@ def test_lcs_nesting_bound(capsys):
         code, out, err = run(capsys, "lcs", text)
         assert (code, out) == (65, "")
         assert err.count("\n") == 1 and "nest deeper" in err
+
+
+def test_lcs_refuses_words_over_the_length_bound(capsys, tmp_path):
+    """Powers and bracket chains that would spell huge words exit 65 at once."""
+    chain = "[x1," * 40 + "x2" + "]" * 40  # 2^41 + ... letters, well inside MAX_NESTING
+    cg = CappedGrope(
+        Grope(Stage(((Tip("t1"), Tip("t2")),))),
+        {"c1": "t1", "c2": "t2"},
+        (Intersection("i1", CapRef("c1"), CapRef("c1"), F),),
+    )
+    huge = json.loads(dumps_capped(cg))
+    huge["intersections"][0]["label"] = "x1^99999999"
+    doc = write(tmp_path, "huge.json", json.dumps(huge))
+    digits = "9" * 5000  # more digits than int() converts from text
+    for argv in (["lcs", "x1^99999999"], ["lcs", "--word", "x1^99999999"],
+                 ["lcs", chain], ["validate", doc], ["lcs", "x1^" + digits],
+                 ["lcs", "x" + digits], ["lcs", "[[x1,x2],[x1,x2]]^" + digits[:4290]]):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        elapsed = time.perf_counter() - start
+        assert (code, out) == (65, ""), argv
+        assert err.count("\n") == 1, argv
+        assert "exceeds the bound" in err or "digits is too long" in err, argv
+        assert elapsed < 1.0, f"{argv[:2]} took {elapsed:.2f}s"
 
 
 def test_lcs_parse_error(capsys):

@@ -15,18 +15,21 @@ from gropes import (
     Inv,
     ParseError,
     Prod,
+    boundary_word,
     commutator,
     evaluate,
     expr_str,
     generator,
     generators_used,
+    grope_from_expression,
     parse_expression,
     parse_word,
     push_inverses,
     weight,
     word_str,
 )
-from gropes.commutators import MAX_NESTING
+from gropes import commutators
+from gropes.commutators import MAX_NESTING, MAX_WORD_LENGTH
 
 # A recursive strategy over expression trees.
 exprs = st.recursive(
@@ -223,6 +226,40 @@ def test_large_exponents_are_linear():
     assert (c**20000).letters == c.letters * 20000
     elapsed = time.perf_counter() - start
     assert elapsed < 2.0, f"large powers took {elapsed:.2f}s, budget 2s"
+
+
+def test_word_length_bound_is_predicted_from_the_expression(monkeypatch):
+    """Sizes are tested through a lowered bound; nothing large is built."""
+    monkeypatch.setattr(commutators, "MAX_WORD_LENGTH", 22)
+    assert parse_word("x1^22") == generator(1) ** 22
+    assert evaluate(parse_expression("[x1,[x1,[x1,x2]]]")).letters  # 2(1 + 10) = 22
+    assert len(evaluate(parse_expression("(x2^2*x1^-3)^-2*[x1,x2]^3")).letters) <= 22
+    refused = [
+        lambda: parse_word("x1^23"),  # the power itself
+        lambda: parse_word("x1^-12*x2^11"),  # the whole word
+        lambda: parse_expression("(x1^6)^4"),  # a power of a power
+        lambda: parse_expression("[x1,x2]^-6"),  # Comm 2(l + r), then |n| times
+        lambda: evaluate(parse_expression("[x1,[x1,[x1,[x1,x2]]]]")),  # 46
+    ]
+    for attempt in refused:
+        with pytest.raises(ParseError, match="exceeds the bound of 22"):
+            attempt()
+    # A deep chain is a small tree: it parses, and only its word is refused.
+    chain = parse_expression("[x1," * MAX_NESTING + "x2" + "]" * MAX_NESTING)
+    assert weight(chain) == MAX_NESTING + 1
+    with pytest.raises(ParseError, match="exceeds the bound"):
+        evaluate(chain)
+
+
+def test_word_length_bound_clears_real_inputs():
+    # depth_words asks for weight 3-8, and the right-nested chain is the
+    # longest bracketing of a weight; generated kernels label with generators.
+    chain = parse_expression("[x1," * 7 + "x2" + "]" * 7)
+    assert weight(chain) == 8
+    body, _ = grope_from_expression(chain)
+    assert len(boundary_word(body).letters) == 382  # fresh generators: nothing cancels
+    assert MAX_WORD_LENGTH >= 1000 * 382
+    assert parse_word("x1^20000").letters == (1,) * 20000
 
 
 def test_word_str_forms():

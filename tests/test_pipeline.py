@@ -4,22 +4,33 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gropes import (
+    BodyRef,
     CappedGrope,
     CapRef,
     HypothesisReport,
     Intersection,
+    PendingPushoff,
+    SphereRecord,
+    SphereRef,
     SurgeryKernel,
+    SurgeryResult,
     check_hypotheses,
     class_of,
+    contract,
     dumps_capped,
+    dumps_kernel,
     dumps_result,
     find_duplicate_pair,
+    full_split,
     generate_kernel,
     generator,
     is_pi1_null,
     label_keys,
+    pushoff,
     random_capped_grope,
     random_grope,
     replay_trace,
@@ -28,14 +39,16 @@ from gropes import (
     validate_kernel,
 )
 from gropes.errors import (
+    GropeError,
     HypothesisError,
+    MoveError,
     PigeonholeFailure,
     SplitFirstError,
     ValidationError,
 )
 from gropes.grope import Grope, Stage, Tip
 
-from conftest import two_cap_grope
+from conftest import dyadic_tower, two_cap_grope
 
 F = generator(1)
 G = generator(2)
@@ -344,6 +357,246 @@ def test_run_surgery_golden(name):
         replayed = replay_trace(kernel, result.trace)
         assert [dumps_capped(g) for g in replayed] == [dumps_capped(g) for g in result.gropes]
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# the sweep against the per-piece loop
+
+
+def _oracle_run_surgery(kernel, *, force=False, limits=None):
+    """run_surgery as the per-piece loop over the public moves.
+
+    Every piece is found, contracted and pushed off as pair 0 of the grope
+    left by the previous piece, rescanning every point each time.
+    """
+    problems = validate_kernel(kernel)
+    if problems:
+        raise ValidationError("invalid kernel: " + "; ".join(problems))
+    report = check_hypotheses(kernel)
+    if not report.ok and not force:
+        raise HypothesisError(
+            f"kernel has {report.label_count} label values but class "
+            f"{report.min_class} < {report.required_class}; pass force to attempt anyway"
+        )
+    trace, husks, genera = [], [], []
+    for gi, cg in enumerate(kernel.gropes):
+        steps = []
+        work = full_split(cg, limits=limits, trace=steps)
+        genus = work.body.root.genus
+        genera.append(genus)
+        for ordinal in range(genus):
+            cap_a, cap_b = find_duplicate_pair(
+                work, 0, piece_name=f"grope {gi} piece {ordinal}"
+            )
+            work, sphere = contract(work, 0, cap_a, cap_b, piece=ordinal, trace=steps)
+            work = pushoff(work, sphere.sphere_id, trace=steps)
+        husks.append(work)
+        trace.extend({"grope": gi, **entry} for entry in steps)
+    pairs = []
+    for i, j in kernel.hyperbolic_pairs:
+        left, right = husks[i].spheres, husks[j].spheres
+        if len(left) != len(right):
+            raise ValidationError(
+                f"gropes {i} and {j} are paired but split into "
+                f"{len(left)} and {len(right)} pieces"
+            )
+        pairs.extend(((i, a.sphere_id), (j, b.sphere_id)) for a, b in zip(left, right))
+    stats = {
+        "labelCount": report.label_count,
+        "minClass": report.min_class,
+        "firstStageGenus": genera,
+        "pieceCount": sum(genera),
+        "spherePairCount": len(pairs),
+        "outputPi1Null": all(is_pi1_null(h) for h in husks),
+    }
+    return SurgeryResult(tuple(husks), tuple(pairs), tuple(trace), stats)
+
+
+def _outcome(run, kernel, force):
+    """dumps_result of the run, or the type and message of its error."""
+    try:
+        return dumps_result(run(kernel, force=force))
+    except GropeError as e:
+        return f"{type(e).__name__}: {e}"
+
+
+def _matches_oracle(kernel, force=False):
+    """The sweep's outcome, after checking it against the per-piece loop."""
+    before = dumps_kernel(kernel)
+    got = _outcome(run_surgery, kernel, force)
+    assert got == _outcome(_oracle_run_surgery, kernel, force)
+    assert dumps_kernel(kernel) == before
+    return got
+
+
+surgery_inputs = st.one_of(
+    st.builds(
+        lambda seed, labels, pairs, density: generate_kernel(
+            seed, labels=labels, pair_count=pairs, density=density
+        ),
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 3),
+        st.integers(1, 2),
+        st.floats(0.3, 1.2),
+    ),
+    st.builds(
+        lambda seed, labels, pairs: generate_kernel(
+            seed, labels=labels, pair_count=pairs, adversarial=True
+        ),
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 4),
+        st.integers(1, 2),
+    ),
+    st.builds(_forced_random_kernel, st.integers(0, 2**32 - 1)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(surgery_inputs, st.booleans())
+def test_run_surgery_matches_the_per_piece_loop(kernel, force):
+    _matches_oracle(kernel, force)
+
+
+def _genus2_kernel(points, spheres=()):
+    """A genus-2 class-2 first stage, caps c1..c4 on t1..t4, paired with itself.
+
+    Piece 0 holds c1 and c2, piece 1 holds c3 and c4; full_split leaves it
+    alone when every cap carries one value.
+    """
+    body = Grope(Stage(((Tip("t1"), Tip("t2")), (Tip("t3"), Tip("t4")))))
+    caps = {f"c{k}": f"t{k}" for k in range(1, 5)}
+    cg = CappedGrope(body, caps, tuple(points), tuple(spheres))
+    return SurgeryKernel(2, (cg, cg), ((0, 1),))
+
+
+def _self(point_id, cap, label=F):
+    return Intersection(point_id, CapRef(cap), CapRef(cap), label)
+
+
+def _grope0_steps(result, op):
+    return [e for e in result.trace if e["grope"] == 0 and e["op"] == op]
+
+
+def _husk_points(result):
+    return {p.point_id: (p.end_a, p.end_b) for p in result.gropes[0].intersections}
+
+
+def test_sweep_consumes_first_stage_points_at_the_last_piece():
+    kernel = _genus2_kernel(
+        [Intersection("b0", CapRef("c1"), BodyRef(()), F), _self("s2", "c2")]
+    )
+    _matches_oracle(kernel)
+    result = run_surgery(kernel)
+    first, last = _grope0_steps(result, "contract")
+    assert first["queued"] == ["b0"]
+    assert last["queued"] == ["b0.1", "b0.2"]
+    both = (SphereRef("sph0"), SphereRef("sph1"))
+    for name in ("b0.1.1", "b0.1.2", "b0.2.1", "b0.2.2"):
+        assert _husk_points(result)[name] == both
+
+
+def test_sweep_requeues_pushoff_copies_on_a_later_piece():
+    kernel = _genus2_kernel(
+        [
+            Intersection("i1", CapRef("c1"), CapRef("c3"), F),
+            _self("i2", "c2"),
+            _self("i3", "c3"),
+            _self("i4", "c4"),
+        ]
+    )
+    _matches_oracle(kernel)
+    result = run_surgery(kernel)
+    first, last = _grope0_steps(result, "contract")
+    assert first["queued"] == ["i1"] and last["queued"] == ["i1.1", "i1.2"]
+    created = [c for e in _grope0_steps(result, "pushoff") for p in e["points"] for c in p["created"]]
+    assert created == ["i1.1", "i1.2", "i1.1.1", "i1.1.2", "i1.2.1", "i1.2.2"]
+
+
+def test_sweep_names_around_ids_already_in_use():
+    kernel = _genus2_kernel(
+        [
+            Intersection("i3", CapRef("c1"), CapRef("c3"), F),
+            _self("i3.1", "c4"),
+            _self("sph0", "c2"),
+            _self("i5", "c3"),
+        ]
+    )
+    _matches_oracle(kernel)
+    result = run_surgery(kernel)
+    assert [s.sphere_id for s in result.gropes[0].spheres] == ["sph1", "sph2"]
+    created = [c for e in _grope0_steps(result, "pushoff") for p in e["points"] for c in p["created"]]
+    assert created[:2] == ["i3.1.1", "i3.2"]
+    assert _husk_points(result)["sph0"] == (SphereRef("sph1"), SphereRef("sph1"))
+
+
+def test_sweep_numbers_spheres_after_the_input_spheres():
+    old = SphereRecord("sph1", 0, "a", "b", F)
+    kernel = _genus2_kernel(
+        [
+            Intersection("i1", CapRef("c1"), SphereRef("sph1"), F),
+            _self("i2", "c2"),
+            Intersection("i3", SphereRef("sph1"), SphereRef("sph1"), G),
+        ],
+        spheres=[old],
+    )
+    _matches_oracle(kernel, force=True)
+    result = run_surgery(kernel, force=True)
+    husk = result.gropes[0]
+    assert [s.sphere_id for s in husk.spheres] == ["sph1", "sph2", "sph3"]
+    points = _husk_points(result)
+    assert points["i3"] == (SphereRef("sph1"), SphereRef("sph1"))
+    assert points["i1.1"] == (SphereRef("sph1"), SphereRef("sph2"))
+
+
+def test_sweep_refuses_a_pending_input_sphere_after_the_first_pair_search():
+    pending = (PendingPushoff("q", CapRef("c3"), F),)
+    old = SphereRecord("s", 0, "a", "b", F, pending)
+    kernel = _genus2_kernel([_self("i1", "c1"), _self("i2", "c2")], spheres=[old])
+    assert _matches_oracle(kernel) == (
+        "MoveError: sphere 's' has a pending pushoff queue"
+    )
+    with pytest.raises(MoveError, match="pending pushoff"):
+        run_surgery(kernel)
+    # With no pair on piece 0 the pair search fails first, as in the loop.
+    unpaired = _genus2_kernel([_self("i1", "c1"), _self("i2", "c2", G)], spheres=[old])
+    assert _matches_oracle(unpaired, force=True).startswith(
+        "PigeonholeFailure: grope 0 piece 0"
+    )
+
+
+def test_sweep_on_genus_one_gropes_takes_every_body_point():
+    body, _ = dyadic_tower(3)
+    caps = {"c1": "t1", "c2": "t2", "c3": "t3"}
+    points = (
+        Intersection("i1", CapRef("c1"), BodyRef(()), F),
+        Intersection("i2", BodyRef(((0, 1),)), CapRef("c2"), F),
+        _self("i3", "c3"),
+    )
+    cg = CappedGrope(body, caps, points)
+    kernel = SurgeryKernel(1, (cg, cg), ((0, 1),))
+    _matches_oracle(kernel)
+    result = run_surgery(kernel)
+    (entry,) = _grope0_steps(result, "contract")
+    assert [p["point"] for p in entry["selfPoints"]] == ["i1", "i2", "i3"]
+    assert entry["queued"] == [] and _grope0_steps(result, "pushoff") == []
+
+
+def test_sweep_leaves_its_input_unchanged():
+    kernel = generate_kernel(5, labels=3, pair_count=2, density=1.2)
+    points = [cg.intersections for cg in kernel.gropes]
+    _matches_oracle(kernel)
+    assert [cg.intersections for cg in kernel.gropes] == points
+    # full_split returns this grope as it is, so the sweep sees the input itself.
+    unsplit = _genus2_kernel(
+        [Intersection("b0", CapRef("c1"), BodyRef(()), F), _self("s2", "c2")]
+    )
+    cg = unsplit.gropes[0]
+    assert full_split(cg) is cg
+    kept = cg.intersections
+    _matches_oracle(unsplit)
+    assert cg.intersections is kept and cg.spheres == () and cg.caps == {
+        f"c{k}": f"t{k}" for k in range(1, 5)
+    }
 
 
 def test_replay_rejects_unknown_ops():
