@@ -22,7 +22,7 @@ from typing import Iterator, Mapping, Union
 
 from .commutators import Comm, CommutatorExpr, Gen, Inv, Prod, push_inverses
 from .errors import ValidationError
-from .words import IDENTITY, GroupWord, commutator, generator
+from .words import GroupWord, generator
 
 Slot = Union["Tip", "Stage"]
 Path = tuple[tuple[int, int], ...]
@@ -186,10 +186,16 @@ def boundary_word(obj: Grope | Stage, assignment: Mapping[str, GroupWord] | None
                 return assignment[slot.tip_id]
             except KeyError:
                 raise ValidationError(f"no word assigned to tip {slot.tip_id!r}") from None
-        out = IDENTITY
+        # One reduction over the whole stage: folding pair by pair re-reduces
+        # the growing word each time, which is quadratic in the genus.
+        letters: list[int] = []
         for a, b in slot.pairs:
-            out = out * commutator(word_of(a), word_of(b))
-        return out
+            u, v = word_of(a).letters, word_of(b).letters
+            letters += u
+            letters += v
+            letters.extend(-x for x in reversed(u))
+            letters.extend(-x for x in reversed(v))
+        return GroupWord(tuple(letters))
 
     return word_of(root)
 

@@ -64,6 +64,7 @@ from .capped import (
     validate_capped,
     value_keys_by_cap,
 )
+from .commutators import MAX_NESTING
 from .errors import (
     HypothesisError,
     PigeonholeFailure,
@@ -488,6 +489,7 @@ def generate_kernel(
     label count whose caps carry pairwise distinct values (one self-labeled
     point each): splitting changes nothing, every piece sees every value
     exactly once, and surgery must fail the pigeonhole on the first piece.
+    Its chain nests labels - 1 stages, so labels is at most MAX_NESTING + 1.
     """
     if labels < 0:
         raise ValidationError(f"label count must be >= 0, got {labels}")
@@ -501,6 +503,11 @@ def generate_kernel(
             grope_class = labels
         if grope_class != labels:
             raise ValidationError("adversarial kernels use class == label count")
+        if labels - 1 > MAX_NESTING:  # documents refuse deeper stages
+            raise ValidationError(
+                f"an adversarial kernel with {labels} labels nests {labels - 1} stages,"
+                f" over the bound {MAX_NESTING}"
+            )
     elif grope_class is None:
         grope_class = max(labels + 1, 2)
     if grope_class < 2:

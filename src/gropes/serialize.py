@@ -25,7 +25,7 @@ from .capped import (
     SphereRecord,
     SphereRef,
 )
-from .commutators import parse_word, word_str
+from .commutators import MAX_NESTING, parse_word, word_str
 from .errors import ParseError, ValidationError
 from .grope import SIDE_NAMES, Grope, Slot, Stage, Tip, path_doc
 from .pipeline import SurgeryKernel, SurgeryResult
@@ -76,18 +76,25 @@ def stage_to_doc(stage: Stage) -> dict:
     return {"pairs": [[slot_to_doc(a), slot_to_doc(b)] for a, b in stage.pairs]}
 
 
-def slot_from_doc(doc: Any, ctx: str) -> Slot:
+def slot_from_doc(doc: Any, ctx: str, depth: int = 1) -> Slot:
     if not isinstance(doc, dict):
         raise ParseError(f"{ctx}: expected a slot object, got {doc!r}")
     if set(doc) == {"tip"}:
         tip = _get(doc, "tip", str, ctx)
         return Tip(tip)
     if set(doc) == {"stage"}:
-        return stage_from_doc(doc["stage"], f"{ctx}.stage")
+        return stage_from_doc(doc["stage"], f"{ctx}.stage", depth + 1)
     raise ParseError(f"{ctx}: a slot has exactly one of the keys 'tip' or 'stage'")
 
 
-def stage_from_doc(doc: Any, ctx: str) -> Stage:
+def stage_from_doc(doc: Any, ctx: str, depth: int = 1) -> Stage:
+    """Parse a stage at the given depth (the root is 1), refusing depth > MAX_NESTING.
+
+    Every walk over a stage tree recurses once per stage, so the bound keeps
+    them all inside the interpreter's recursion limit.
+    """
+    if depth > MAX_NESTING:
+        raise ParseError(f"{ctx.partition('.pairs')[0]}: stages nest deeper than {MAX_NESTING}")
     if not isinstance(doc, dict):
         raise ParseError(f"{ctx}: expected a stage object, got {doc!r}")
     _check_keys(doc, ("pairs",), ctx)
@@ -100,8 +107,8 @@ def stage_from_doc(doc: Any, ctx: str) -> Stage:
             raise ParseError(f"{ctx}.pairs[{j}]: expected [alphaSlot, betaSlot]")
         pairs.append(
             (
-                slot_from_doc(pair[0], f"{ctx}.pairs[{j}][0]"),
-                slot_from_doc(pair[1], f"{ctx}.pairs[{j}][1]"),
+                slot_from_doc(pair[0], f"{ctx}.pairs[{j}][0]", depth),
+                slot_from_doc(pair[1], f"{ctx}.pairs[{j}][1]", depth),
             )
         )
     return Stage(tuple(pairs))
@@ -351,6 +358,8 @@ def loads_document(text: str):
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e.msg} (line {e.lineno}, column {e.colno})") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: arrays and objects nest too deeply to decode") from None
     kind = document_kind(doc)
     parser = {
         "kernel": kernel_from_doc,

@@ -7,6 +7,11 @@ out in noncommuting variables, dropping every monomial above a degree cutoff.
 The smallest degree that survives is the word's depth in the lower central
 series: depth >= k exactly when the word lies in the k-th term, and a word
 whose expansion is 1 at every cutoff is the identity.
+
+The expansion is graded and in place: terms are kept one dict per degree, and
+each letter is multiplied in with a single pass over the terms below the
+cutoff (x_g appends g to every term; x_g^-1 solves B = A - B * X_g degree by
+degree), never as a product of two general series.
 """
 
 from __future__ import annotations
@@ -186,10 +191,6 @@ class TruncatedSeries:
         product.terms = out
         return product
 
-    def min_degree(self) -> int | None:
-        """Lowest degree with a nonzero term, None when the series is 1."""
-        return min((len(m) for m in self.terms), default=None)
-
     def coefficient(self, mono: tuple[int, ...]) -> int:
         if not mono:
             return 1
@@ -205,12 +206,38 @@ class TruncatedSeries:
         return f"TruncatedSeries(cutoff={self.cutoff}, 1 + {body})"
 
 
-def _letter_series(letter: int, cutoff: int) -> TruncatedSeries:
-    gen = abs(letter)
-    if letter > 0:
-        return TruncatedSeries(cutoff, {(gen,): 1})
-    terms = {(gen,) * j: (-1) ** j for j in range(1, cutoff + 1)}
-    return TruncatedSeries(cutoff, terms)
+def _expand(letters: tuple[int, ...], cutoff: int) -> list[dict[tuple[int, ...], int]]:
+    """Graded expansion of a word: levels[k] maps each degree-k monomial to its coefficient.
+
+    levels[0] is the constant term {(): 1}.  Letters are multiplied in one at
+    a time, in place, each in one pass over the terms below the cutoff:
+
+    - x_g:    A * (1 + X_g) adds m + (g,) for every term m.  Degrees are
+      walked from high to low, so each level is read before it changes.
+    - x_g^-1: B = A * (1 + X_g)^-1 solves B = A - B * X_g.  Degrees are
+      walked from low to high, so the new degree-(k-1) terms feed degree k.
+
+    Zero coefficients are deleted.  Levels stop at the highest degree a term
+    can reach: the word's length when it has no inverse letters, else the cutoff.
+    """
+    top = cutoff if any(x < 0 for x in letters) else min(cutoff, len(letters))
+    levels: list[dict[tuple[int, ...], int]] = [{(): 1}]
+    levels.extend({} for _ in range(top))
+    for x in letters:
+        if x > 0:
+            step, sign, degrees = (x,), 1, range(top, 0, -1)
+        else:
+            step, sign, degrees = (-x,), -1, range(1, top + 1)
+        for k in degrees:
+            src, dst = levels[k - 1], levels[k]
+            for mono, coeff in src.items():
+                mono += step
+                c = dst.get(mono, 0) + sign * coeff
+                if c:
+                    dst[mono] = c
+                else:
+                    del dst[mono]
+    return levels
 
 
 def magnus(w: GroupWord, cutoff: int = DEFAULT_CUTOFF) -> TruncatedSeries:
@@ -219,10 +246,10 @@ def magnus(w: GroupWord, cutoff: int = DEFAULT_CUTOFF) -> TruncatedSeries:
     The map is a homomorphism into the units of the truncated tensor algebra:
     magnus(a * b) == magnus(a) * magnus(b) at any shared cutoff.
     """
-    acc = TruncatedSeries(cutoff)
-    for letter in w.letters:
-        acc = acc * _letter_series(letter, cutoff)
-    return acc
+    series = TruncatedSeries(cutoff)
+    for level in _expand(w.letters, cutoff)[1:]:
+        series.terms.update(level)
+    return series
 
 
 @dataclass(frozen=True, slots=True)
@@ -268,17 +295,19 @@ def lcs_depth(w: GroupWord, cutoff: int = DEFAULT_CUTOFF) -> Depth:
 
     A nontrivial word's expansion acquires its first terms exactly in degree
     equal to its depth, so the answer is exact whenever it is at most the
-    cutoff.  Computation deepens the cutoff one degree at a time: degree-k
-    terms of a product of unit series depend only on degree-<=k terms of the
-    factors, so stopping early gives the same answer as expanding at the full
-    cutoff directly, while cheap shallow words stay cheap.
+    cutoff.  Computation deepens the cutoff one degree at a time with the
+    graded in-place expansion: degree-k terms of a product of unit series
+    depend only on degree-<=k terms of the factors, so at cutoff c the degrees
+    below c are already known to be zero and only levels[c] is tested.
+    Stopping early gives the same answer as expanding at the full cutoff
+    directly, while cheap shallow words stay cheap.
     """
     if cutoff < 1:
         raise ValidationError(f"cutoff must be >= 1, got {cutoff}")
     if w.is_identity:
         return Depth.infinite()
     for c in range(1, cutoff + 1):
-        d = magnus(w, c).min_degree()
-        if d is not None:
-            return Depth.exact(d)
+        # levels[c] exists: a word with no inverse letters returns at c = 1.
+        if _expand(w.letters, c)[c]:
+            return Depth.exact(c)
     return Depth.at_least(cutoff + 1)

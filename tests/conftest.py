@@ -70,5 +70,16 @@ def ghost_tip_grope() -> CappedGrope:
     return CappedGrope(body, caps, tuple(points))
 
 
+def chain_stage_text(depth: int) -> str:
+    """JSON text of a stage whose stages nest depth deep along the alpha slots.
+
+    Built as text: the json encoder would itself recurse once per level.
+    """
+    slot = '{"tip": "t0"}'
+    for k in range(depth):
+        slot = '{"stage": {"pairs": [[%s, {"tip": "u%d"}]]}}' % (slot, k)
+    return slot[len('{"stage": '):-1]
+
+
 def seeded(seed: int) -> random.Random:
     return random.Random(seed)

@@ -25,7 +25,7 @@ from gropes import (
 from gropes.cli import main
 from gropes.commutators import MAX_NESTING
 
-from conftest import ghost_tip_grope
+from conftest import chain_stage_text, ghost_tip_grope
 
 F = generator(1)
 G = generator(2)
@@ -116,6 +116,42 @@ def test_malformed_json_is_a_data_error(capsys, tmp_path):
     path = write(tmp_path, "bad.json", "{not json")
     code, _, err = run(capsys, "validate", path)
     assert code == 65
+
+
+def chain_grope_text(depth):
+    return '{"closed": false, "root": %s}' % chain_stage_text(depth)
+
+
+def test_deep_chain_grope_document_is_a_data_error(capsys, tmp_path):
+    """Stage depth is bounded by MAX_NESTING; the decoder's own limit is a parse error too."""
+    at_bound = write(tmp_path, "at_bound.json", chain_grope_text(MAX_NESTING))
+    assert run(capsys, "class", at_bound)[:2] == (0, f"{MAX_NESTING + 1}\n")
+    # Whether 3000 stages trip the decoder or the stage bound depends on the Python version.
+    for depth, reason in ((MAX_NESTING + 1, "stages nest deeper"), (3000, "nest")):
+        path = write(tmp_path, f"chain{depth}.json", chain_grope_text(depth))
+        code, out, err = run(capsys, "class", path)
+        assert (code, out) == (65, ""), depth
+        assert err.count("\n") == 1 and reason in err, err[:200]
+
+
+def test_deeply_nested_json_is_a_data_error(capsys, tmp_path):
+    path = write(tmp_path, "brackets.json", "[" * 100_000)
+    for command in ("class", "validate", "pipeline"):
+        code, out, err = run(capsys, command, path)
+        assert (code, out) == (65, ""), command
+        assert err.count("\n") == 1 and "nest too deeply" in err, err[:200]
+
+
+def test_deep_documents_end_without_a_traceback(tmp_path):
+    """The same refusals through the installed entry point: one stderr line, exit 65."""
+    chain = write(tmp_path, "chain.json", chain_grope_text(3000))
+    brackets = write(tmp_path, "brackets.json", "[" * 100_000)
+    for path in (chain, brackets):
+        proc = subprocess.run(
+            [sys.executable, "-m", "gropes", "class", path], capture_output=True, text=True
+        )
+        assert (proc.returncode, proc.stdout) == (65, "")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
 def test_wrong_document_kind_is_a_data_error(capsys, kernel_file):
@@ -512,6 +548,20 @@ def test_generate_rejects_bad_parameters(capsys):
     code, _, err = run(capsys, "generate", "--seed", "1", "--labels", "1", "--adversarial")
     assert code == 1
     assert "at least 2 labels" in err
+
+
+def test_generate_refuses_adversarial_kernels_deeper_than_documents_allow(capsys, monkeypatch):
+    """An adversarial kernel nests labels - 1 stages; the deepest allowed one reads back."""
+    labels = MAX_NESTING + 1
+    code, out, _ = run(capsys, "generate", "--seed", "1", "--labels", str(labels), "--adversarial")
+    assert code == 0
+    monkeypatch.setattr(sys, "stdin", io.StringIO(out))
+    code, _, err = run(capsys, "pipeline", "--force", "-")
+    assert code == 2 and "pigeonhole failure" in err
+    for labels in (MAX_NESTING + 2, 1000):
+        code, out, err = run(capsys, "generate", "--seed", "1", "--labels", str(labels), "--adversarial")
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and f"over the bound {MAX_NESTING}" in err
 
 
 def test_render_emits_dot(capsys, grope_file, capped_file):

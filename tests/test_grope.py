@@ -4,18 +4,21 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from gropes import (
+    IDENTITY,
     Grope,
     Stage,
     Tip,
     ValidationError,
     boundary_word,
     class_of,
+    commutator,
     count_tips,
     default_assignment,
     evaluate,
@@ -33,7 +36,7 @@ from gropes import (
     with_stage_at,
 )
 
-from conftest import dyadic_tower
+from conftest import dyadic_tower, words
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +171,41 @@ def test_boundary_requires_total_assignment():
     g = Grope(Stage(((Tip("t1"), Tip("t2")),)))
     with pytest.raises(ValidationError):
         boundary_word(g, {"t1": generator(1)})
+
+
+@given(st.lists(st.tuples(words, words), min_size=1, max_size=6), st.booleans())
+def test_boundary_matches_a_pairwise_commutator_fold(pairs, nest):
+    """One reduction per stage gives the word of folding [u, v] pair by pair."""
+    tips_ = [(Tip(f"a{j}"), Tip(f"b{j}")) for j in range(len(pairs))]
+    asg = {}
+    for (ta, tb), (u, v) in zip(tips_, pairs):
+        asg[ta.tip_id], asg[tb.tip_id] = u, v
+    stage = Stage(tuple(tips_))
+    expected = IDENTITY
+    for u, v in pairs:
+        expected = expected * commutator(u, v)
+    if nest:
+        # The same stage glued on the alpha curve of a genus-1 root, next to x9.
+        stage = Stage(((stage, Tip("z")),))
+        asg["z"] = generator(9)
+        expected = commutator(expected, generator(9))
+    assert boundary_word(stage, asg) == expected
+
+
+def test_boundary_word_is_linear_in_stage_width():
+    """A genus-8000 stage used to take about 25 s: each pair re-reduced the whole word."""
+    n = 8000
+    g = Grope(Stage(tuple((Tip(f"a{j}"), Tip(f"b{j}")) for j in range(n))))
+    # Pairs [x1, x2] and [x2, x1] alternate and cancel.
+    cancelling = {f"{side}{j}": generator(1 + (j + (side == "b")) % 2) for j in range(n) for side in "ab"}
+    start = time.perf_counter()
+    fresh = boundary_word(g)
+    assert boundary_word(g, cancelling) == IDENTITY
+    elapsed = time.perf_counter() - start
+    assert fresh.letters == tuple(
+        x for j in range(n) for x in (2 * j + 1, 2 * j + 2, -(2 * j + 1), -(2 * j + 2))
+    )
+    assert elapsed < 2.0, f"genus-{n} boundary words took {elapsed:.2f}s, budget 2s"
 
 
 def test_default_assignment_in_tip_order():

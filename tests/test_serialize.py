@@ -19,6 +19,7 @@ from gropes import (
     Stage,
     Tip,
     canonical_dumps,
+    class_of,
     contract,
     document_kind,
     dumps_capped,
@@ -33,7 +34,9 @@ from gropes import (
     run_surgery,
 )
 
-from conftest import two_cap_grope
+from gropes.commutators import MAX_NESTING
+
+from conftest import chain_stage_text, two_cap_grope
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schema"
 
@@ -180,6 +183,27 @@ def test_husk_round_trip():
 def test_malformed_documents_rejected(text):
     with pytest.raises(ParseError):
         loads_document(text)
+
+
+def test_stage_depth_is_bounded_with_location():
+    """Stages nest at most MAX_NESTING deep; deeper is refused before any walk recurses."""
+    kind, g = loads_document('{"root": %s}' % chain_stage_text(MAX_NESTING))
+    assert (kind, class_of(g)) == ("grope", MAX_NESTING + 1)
+    deep = chain_stage_text(MAX_NESTING + 1)
+    for text, where in (
+        ('{"root": %s}' % deep, "$.root:"),
+        ('{"caps": {}, "root": %s}' % deep, "$.root:"),
+        ('{"rank": 2, "hyperbolicPairs": [], "gropes": [{"root": %s}]}' % deep, "$.gropes[0].root:"),
+    ):
+        with pytest.raises(ParseError) as exc:
+            loads_document(text)
+        assert str(exc.value) == f"{where} stages nest deeper than {MAX_NESTING}"
+
+
+def test_json_nesting_past_the_decoder_limit_is_a_parse_error():
+    for text in ("[" * 100_000, '{"a": ' * 100_000):
+        with pytest.raises(ParseError, match="nest too deeply"):
+            loads_document(text)
 
 
 def test_bad_label_rejected_with_location():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,8 @@ from gropes import (
     reduce,
     unoriented_key,
 )
+
+from gropes.words import _expand
 
 from conftest import raw_letter_lists, words
 from magnus_oracle import (
@@ -213,6 +216,44 @@ def test_magnus_matches_oracle(raw, cutoff):
     assert magnus(w, cutoff).terms == expected
 
 
+# Words of few generators and long runs of inverses, so coefficients pile up
+# on repeated monomials and cancel in the expansion.
+inverse_heavy_letters = st.lists(
+    st.tuples(st.integers(min_value=1, max_value=3), st.sampled_from((-3, -2, -1, -1, 1, 2))),
+    max_size=5,
+).map(lambda runs: [gen if exp > 0 else -gen for gen, exp in runs for _ in range(abs(exp))])
+
+
+@given(inverse_heavy_letters, st.integers(min_value=1, max_value=6))
+@settings(max_examples=150)
+def test_magnus_matches_oracle_on_inverse_heavy_words(raw, cutoff):
+    w = reduce(raw)
+    expected = magnus_oracle(w.letters, cutoff)
+    assert expected.pop((), 0) == 1
+    assert magnus(w, cutoff).terms == expected
+
+
+@given(inverse_heavy_letters, st.integers(min_value=1, max_value=6))
+@settings(max_examples=100)
+def test_graded_expansion_of_unreduced_letters_matches_oracle(raw, cutoff):
+    """x x^-1 pairs left in place must cancel to the last coefficient."""
+    levels = _expand(tuple(raw), cutoff)
+    assert levels[0] == {(): 1}
+    assert all(len(m) == k and c for k, level in enumerate(levels) for m, c in level.items())
+    merged = {m: c for level in levels for m, c in level.items()}
+    assert merged == magnus_oracle(raw, cutoff)
+
+
+def test_magnus_at_a_huge_cutoff_stays_small_for_positive_words():
+    """Levels stop at the word's length when no letter is an inverse."""
+    start = time.perf_counter()
+    assert magnus(generator(1), 10**7).terms == {(1,): 1}
+    assert magnus(generator(1) ** 3, 10**7).terms == {(1,): 3, (1, 1): 3, (1, 1, 1): 1}
+    assert lcs_depth(generator(2) ** 40, 10**7) == Depth.exact(1)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.5, f"took {elapsed:.2f}s"
+
+
 @given(words, words)
 @settings(max_examples=60)
 def test_magnus_homomorphism(a, b):
@@ -278,6 +319,32 @@ def test_depth_matches_oracle_when_exact(raw):
         assert not d.is_exact and d.bound == 6
     else:
         assert d.is_exact and d.bound == expected
+
+
+@pytest.mark.parametrize(
+    "letters",
+    [
+        commutator_letters([1], [1]),  # [x1, x1]
+        commutator_letters([1, 2, -1, -2], [1, 2, -1, -2]),  # [[x1,x2],[x1,x2]]
+        (-1,) * 5,  # x1^-5
+        (1, -2, 3, -3, 2, -1),  # w * w^-1 with w = x1 x2^-1 x3
+        commutator_letters([1], [2]) + commutator_letters([-1], [2]),  # degree 2 cancels
+        commutator_letters([1], [2]) + commutator_letters([2], [3]) + commutator_letters([3], [1]),
+        left_normed_letters([1, 2, 2, 1, 3]),  # depth 5, beyond cutoffs 1-4
+        left_normed_letters([2, 1, 1]) + left_normed_letters([1, 2, 2]),
+    ],
+)
+@pytest.mark.parametrize("cutoff", [1, 3, 4, 5])
+def test_depth_of_cancelling_inputs_matches_oracle(letters, cutoff):
+    """The oracle expands the unreduced letters, so cancellation happens in the series."""
+    d = lcs_depth(reduce(letters), cutoff)
+    expected = depth_oracle(letters, cutoff)
+    if reduce(letters) == IDENTITY:
+        assert expected is None and d == Depth.infinite()
+    elif expected is None:
+        assert d == Depth.at_least(cutoff + 1)
+    else:
+        assert d == Depth.exact(expected)
 
 
 def test_depth_left_normed_table():
