@@ -383,6 +383,40 @@ def _golden_stage_dual() -> CappedGrope:
     return CappedGrope(body, caps, pts)
 
 
+def _golden_body_paths() -> CappedGrope:
+    """Body endpoints where rewrites copy, remap and shift them.
+
+    Root pair 0 holds a genus-2 stage S (split by split_stage, so its own
+    surface and the stage above its pair 1 are remapped) opposite a stage D
+    (copied once per piece of S); root pair 1 holds a stage L, shifted when
+    pair 0 widens.  Multi-valued caps in S, D and L widen pairs that have
+    body endpoints on their dual, on themselves and on later pairs.
+    """
+    s = Stage(((Tip("t1"), Tip("t2")), (Tip("t3"), Stage(((Tip("t4"), Tip("t5")),)))))
+    d = Stage(((Tip("t6"), Stage(((Tip("t7"), Tip("t8")),))),))
+    later = Stage(((Tip("t9"), Stage(((Tip("t10"), Tip("t11")),))), (Tip("t12"), Tip("t13"))))
+    body = Grope(Stage(((s, d), (later, Tip("t14")))))
+    caps = {f"c{i}": f"t{i}" for i in range(1, 15)}
+    s_path, d_path, l_path = ((0, 0),), ((0, 1),), ((1, 0),)
+    pts = (
+        Intersection("i1", CapRef("c1"), CapRef("c1"), F),
+        Intersection("i2", CapRef("c1"), BodyRef(s_path + ((1, 1),)), G),
+        Intersection("i3", CapRef("c2"), BodyRef(s_path), H),
+        Intersection("i4", CapRef("c4"), BodyRef(d_path), F),
+        Intersection("i5", CapRef("c6"), CapRef("c6"), G),
+        Intersection("i6", CapRef("c6"), BodyRef(d_path + ((0, 1),)), H),
+        Intersection("i7", CapRef("c7"), BodyRef(l_path), F),
+        Intersection("i8", CapRef("c9"), CapRef("c9"), G),
+        Intersection("i9", CapRef("c9"), BodyRef(l_path + ((0, 1),)), F),
+        Intersection("i10", CapRef("c12"), BodyRef(l_path + ((0, 1),)), H),
+        Intersection("i11", CapRef("c14"), BodyRef(()), G),
+        Intersection("i12", CapRef("c14"), CapRef("c14"), F),
+        Intersection("i13", CapRef("c5"), BodyRef(s_path + ((1, 1),)), G * H),
+        Intersection("i14", CapRef("c13"), BodyRef(d_path), G),
+    )
+    return CappedGrope(body, caps, pts)
+
+
 GOLDEN = {
     "random-s1": (
         lambda: _golden_random(1, 3, 2),
@@ -411,6 +445,10 @@ GOLDEN = {
     "stage-dual": (
         _golden_stage_dual,
         "4a3d93211029554973cdd3c4652d15aca767c5d503c3db751cf0c935f335993c",
+    ),
+    "body-paths": (
+        _golden_body_paths,
+        "dd61266e4f93e1046b8d6b67ae5137c7e2751edfa18543f8eb1884f02e249a6f",
     ),
 }
 
