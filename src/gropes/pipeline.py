@@ -395,12 +395,23 @@ def replay_trace(kernel: SurgeryKernel, trace: Iterable[dict]) -> tuple[CappedGr
     return tuple(states)
 
 
+# The generators' shape odds: a stage above the first has genus 2 with
+# probability WIDE_STAGE_ODDS, and a kernel grope's first stage draws its
+# genus from KERNEL_ROOT_GENERA.  _expected_tips works from the same numbers.
+_WIDE_STAGE_ODDS = 0.3
+_KERNEL_ROOT_GENERA = (1, 1, 2)
+
+# generate_kernel refuses arguments whose kernel is expected to hold more
+# tips than this over all its gropes, which take seconds to write out.
+_MAX_GENERATED_TIPS = 50_000
+
+
 def _random_class_slot(rng: random.Random, c: int, fresh: "list[int]") -> Slot:
     """A random slot of class exactly c; fresh holds the tip counter."""
     if c == 1:
         fresh[0] += 1
         return Tip(f"t{fresh[0]}")
-    genus = 1 + (1 if rng.random() < 0.3 else 0)
+    genus = 1 + (1 if rng.random() < _WIDE_STAGE_ODDS else 0)
     pairs = []
     for _ in range(genus):
         a = rng.randint(1, c - 1)
@@ -493,9 +504,6 @@ def generate_kernel(
     """
     if labels < 0:
         raise ValidationError(f"label count must be >= 0, got {labels}")
-    rng = random.Random(seed)
-    pool = [generator(i + 1) for i in range(labels)]
-
     if adversarial:
         if labels < 2:
             raise ValidationError("adversarial kernels need at least 2 labels")
@@ -512,6 +520,20 @@ def generate_kernel(
         grope_class = max(labels + 1, 2)
     if grope_class < 2:
         raise ValidationError(f"a grope has class >= 2, got {grope_class}")
+    if labels > _MAX_GENERATED_TIPS:
+        raise ValidationError(f"{labels} labels are over the bound {_MAX_GENERATED_TIPS}")
+    count = 2 * max(1, pair_count)
+    size, about = count * grope_class, "at least"  # a class-c grope has >= c tips
+    if size <= _MAX_GENERATED_TIPS:
+        size, about = round(count * _expected_tips(grope_class, adversarial)), "about"
+    if size > _MAX_GENERATED_TIPS:
+        raise ValidationError(
+            f"{count} gropes of class {grope_class} would hold {about} {size} tips,"
+            f" over the bound {_MAX_GENERATED_TIPS}"
+        )
+
+    rng = random.Random(seed)
+    pool = [generator(i + 1) for i in range(labels)]
 
     gropes: list[CappedGrope] = []
     pairs: list[tuple[int, int]] = []
@@ -545,6 +567,24 @@ def generate_kernel(
     return SurgeryKernel(max(labels, 0), tuple(gropes), tuple(pairs))
 
 
+def _expected_tips(grope_class: int, adversarial: bool) -> float:
+    """The mean tip count of one grope generate_kernel draws at this class.
+
+    An adversarial grope is a chain with exactly grope_class tips.  Otherwise
+    a pair of class c splits c at a uniform a in 1..c-1, so with mean genus
+    g a stage of class c has g * 2/(c-1) * (E(1) + ... + E(c-1)) tips on
+    average, where E(1) = 1; the first stage takes its mean genus from
+    _KERNEL_ROOT_GENERA and every stage above it 1 + _WIDE_STAGE_ODDS.
+    """
+    if adversarial:
+        return float(grope_class)
+    wide, total = 1 + _WIDE_STAGE_ODDS, 1.0  # total = E(1) + ... + E(c - 1)
+    for c in range(2, grope_class):
+        total += wide * 2 / (c - 1) * total
+    root_genus = sum(_KERNEL_ROOT_GENERA) / len(_KERNEL_ROOT_GENERA)
+    return root_genus * 2 / (grope_class - 1) * total
+
+
 def _pigeonhole_safe_grope(
     rng: random.Random,
     grope_class: int,
@@ -559,7 +599,7 @@ def _pigeonhole_safe_grope(
     value set, and occasional second-value self-points force full_split to
     actually split caps while keeping every split copy on a pool value.
     """
-    body = random_grope(rng, grope_class, genus=rng.choice((1, 1, 2)))
+    body = random_grope(rng, grope_class, genus=rng.choice(_KERNEL_ROOT_GENERA))
     caps = {f"c{k + 1}": t for k, t in enumerate(tips(body))}
     stage_paths = [path for path, _ in iter_stages(body)]
     points: list[Intersection] = []

@@ -26,21 +26,35 @@ because it fixes every derived id and trace entry:
 2. then, while some stage above the first has genus > 1, split the first such
    stage in traversal order among the deepest ones.
 
-full_split keeps each cap's value set, the tip-to-cap map and the ids in use
-up to date across rewrites instead of rescanning the grope, and resumes each
-search from a cursor, relying on two invariants.  split_cap at pair j of the
-stage at path P leaves every cap before (P, j, alpha) in traversal order
-untouched, so the next multi-valued cap is never earlier.  split_stage
-creates no multi-valued cap, no genus > 1 stage deeper than the one it
-splits, and none earlier at the same depth, so stage splitting resumes at
-the same depth from (P, j, alpha), and moves one level up when that depth is
-exhausted.
+Both moves and full_split run on a _SplitState, which holds the grope
+under rewriting with its points indexed by sheet: every point by id, the
+ids of the points on each cap, and the ids of the points on each stage
+surface, keyed by the stage's path.  A rewrite at pair j of the stage at
+path P reads only the buckets it changes: the replaced cap's, those of the
+caps copied with the dual slot, and those of the stage paths below P whose
+step at P is the dual slot, the replaced slot, or a later pair (which shift
+by the number of new pairs less one).  Every other point is untouched and
+never visited.  The touched points are rewritten in id order, because a
+copied point's lineage name depends on the names taken before it, and that
+order is the one in which a scan of the sorted points always derived them.
+The value set of each cap, the tip-to-cap map and the ids in use are kept
+current the same way.  The CappedGrope, with its points sorted, is built
+once, after the last rewrite.
+
+full_split also resumes each search from a cursor, relying on two
+invariants.  split_cap at pair j of the stage at path P leaves every cap
+before (P, j, alpha) in traversal order untouched, so the next multi-valued
+cap is never earlier.  split_stage creates no multi-valued cap, no genus > 1
+stage deeper than the one it splits, and none earlier at the same depth, so
+stage splitting resumes at the same depth from (P, j, alpha), and moves one
+level up when that depth is exhausted.
 
 Duplication can grow structures fast (splitting a class-k grope whose caps
 each carry n values multiplies first-stage genus to n^k), so both moves
-enforce configurable size guards, and full_split refuses before its first
-rewrite when the first-stage genus it would reach, worked out from the value
-sets, exceeds the guard.
+enforce configurable size guards after every rewrite, and full_split
+refuses before its first rewrite when the first-stage genus it would reach,
+worked out from the value sets, or a lower bound on the number of points it
+would make exceeds its guard.
 
 Parallel copies get lineage names: cap c3 becomes c3.1 and c3.2, an
 intersection i7 inherited by two copies becomes i7.1 and i7.2.  Surviving
@@ -52,7 +66,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .capped import (
     BodyRef,
@@ -65,6 +79,7 @@ from .capped import (
 from .errors import DualNotCapError, GrowthLimitError, RewriteError, ValidationError
 from .grope import (
     ALPHA,
+    BETA,
     Grope,
     Path,
     Slot,
@@ -129,25 +144,73 @@ class _Names:
 
 
 class _SplitState:
-    """A capped grope under rewriting, with what the rewrites keep current.
+    """A capped grope under rewriting, with its points indexed by sheet.
 
-    values maps every cap to its set of unoriented label values and tip_cap
-    every capped tip to its cap; both, and the names in use, are updated
-    from each rewrite's changes rather than recomputed.  Value sets are
-    shared between parallel copies and never mutated.
+    The body, caps, spheres and points (by id) are kept here across
+    rewrites, and the result is built once.  by_cap maps a cap to the ids of
+    the points with an end on it and by_path a stage path to the ids of the
+    points with an end on that stage's surface; a point on two sheets is in
+    both buckets, and empty buckets are dropped.  values maps every cap to
+    its set of unoriented label values and tip_cap every capped tip to its
+    cap; both, and the names in use, are updated from each rewrite's changes
+    rather than recomputed.  Value sets are shared between parallel copies
+    and never mutated.
     """
 
-    __slots__ = ("cg", "values", "tip_cap", "names", "limits", "trace")
+    __slots__ = (
+        "source", "body", "caps", "spheres", "points", "by_cap", "by_path",
+        "values", "tip_cap", "names", "limits", "trace", "rewrites",
+    )
 
     def __init__(self, cg: CappedGrope, limits: SplitLimits | None, trace: list | None):
         if cg.body is None:
             raise ValidationError("cannot split a fully surgered grope")
-        self.cg = cg
+        self.source = cg
+        self.body = cg.body
+        self.caps = dict(cg.caps)
+        self.spheres = cg.spheres
+        self.points = {p.point_id: p for p in cg.intersections}
+        if len(self.points) != len(cg.intersections):
+            raise ValidationError("cannot split a capped grope with duplicate intersection ids")
+        self.by_cap: dict[str, set[str]] = {}
+        self.by_path: dict[Path, set[str]] = {}
+        for p in cg.intersections:
+            self.index(p)
         self.values = value_keys_by_cap(cg)
         self.tip_cap = cg.tip_to_cap
         self.names = _Names(cg)
         self.limits = limits or DEFAULT_LIMITS
         self.trace = trace
+        self.rewrites = 0
+
+    def index(self, p: Intersection) -> None:
+        for end in (p.end_a, p.end_b):
+            kind = type(end)
+            if kind is CapRef:
+                self.by_cap.setdefault(end.cap_id, set()).add(p.point_id)
+            elif kind is BodyRef:
+                self.by_path.setdefault(end.path, set()).add(p.point_id)
+
+    def unindex(self, p: Intersection) -> None:
+        for end in (p.end_a, p.end_b):
+            kind = type(end)
+            if kind is CapRef:
+                buckets, key = self.by_cap, end.cap_id
+            elif kind is BodyRef:
+                buckets, key = self.by_path, end.path
+            else:
+                continue
+            ids = buckets.get(key)
+            if ids is not None:  # a self point's second end finds it gone
+                ids.discard(p.point_id)
+                if not ids:
+                    del buckets[key]
+
+    def result(self) -> CappedGrope:
+        """The rewritten grope, its points sorted once; the input if nothing was rewritten."""
+        if not self.rewrites:
+            return self.source
+        return CappedGrope(self.body, self.caps, tuple(self.points.values()), self.spheres)
 
 
 def _copy_slot(slot: Slot, k: int, names: _Names, tip_map: dict[str, str]) -> Slot:
@@ -181,16 +244,20 @@ def _widen_pair(
     replaced tip's cap gives way to mine_caps, given as (cap id, tip id,
     value set).  Endpoints on the replaced slot (its cap, or any stage in
     it) are rewritten by remap_mine, and body paths through later pairs of
-    the stage shift by len(mine) - 1.  The state moves to the result.
+    the stage shift by len(mine) - 1.
+
+    Only the points in the buckets these changes reach are read: the
+    replaced cap's, the copied caps', and the body paths below ppath through
+    the dual step, the replaced step or a later pair.  They are rewritten in
+    id order, the order in which their lineage names were always derived.
     """
-    cg, names, tip_cap, values = state.cg, state.names, state.tip_cap, state.values
-    body = cg.body
+    body, caps, names = state.body, state.caps, state.names
+    tip_cap, values = state.tip_cap, state.values
     parent = stage_at(body, ppath)
     old, dual = parent.pairs[pair][side], parent.pairs[pair][1 - side]
     count = len(mine)
     freed: list[str] = []  # one entry per holder of an id that goes away
 
-    caps = dict(cg.caps)
     mine_cap = tip_cap.pop(old.tip_id, None) if isinstance(old, Tip) else None
     if mine_cap is not None:
         del caps[mine_cap], values[mine_cap]
@@ -217,7 +284,7 @@ def _widen_pair(
                 cap_copies.setdefault(old_cap, []).append(CapRef(new_cap))
         new_pairs.append((mine[k - 1], copy) if side == 0 else (copy, mine[k - 1]))
     new_pairs.extend(parent.pairs[pair + 1 :])
-    body = Grope(with_stage_at(body.root, ppath, Stage(tuple(new_pairs))), body.closed)
+    state.body = Grope(with_stage_at(body.root, ppath, Stage(tuple(new_pairs))), body.closed)
     for old_cap in cap_copies:
         old_tip = caps.pop(old_cap)
         del values[old_cap], tip_cap[old_tip]
@@ -229,6 +296,16 @@ def _widen_pair(
     depth = len(ppath)
     mine_step = (pair, side) if isinstance(old, Stage) else None
     dual_step = (pair, 1 - side) if isinstance(dual, Stage) else None
+
+    touched: set[str] = set()
+    by_cap = state.by_cap
+    for cap in (mine_cap, *cap_copies):
+        touched.update(by_cap.get(cap, ()))
+    for path, ids in state.by_path.items():
+        if len(path) > depth and path[:depth] == ppath:
+            step = path[depth]
+            if step[0] > pair or step == dual_step or step == mine_step:
+                touched.update(ids)
 
     def move(p: Intersection, end: SheetRef) -> SheetRef | list[SheetRef]:
         """The rewritten endpoint, or its list of per-copy endpoints."""
@@ -250,30 +327,34 @@ def _widen_pair(
                     return remap_mine(p, end)
         return end
 
-    points: list[Intersection] = []
-    for p in cg.intersections:
+    points = state.points
+    for point_id in sorted(touched):
+        p = points[point_id]
         a, b = move(p, p.end_a), move(p, p.end_b)
-        a_copied, b_copied = type(a) is list, type(b) is list
-        if a_copied or b_copied:
-            freed.append(p.point_id)
+        if a is p.end_a and b is p.end_b:
+            continue
+        state.unindex(p)
+        if type(a) is list or type(b) is list:
+            del points[point_id]
+            freed.append(point_id)
             for k in range(count):
-                points.append(
-                    Intersection(
-                        names.derived(p.point_id, k + 1),
-                        a[k] if a_copied else a,
-                        b[k] if b_copied else b,
-                        p.label,
-                    )
+                q = Intersection(
+                    names.derived(point_id, k + 1),
+                    a[k] if type(a) is list else a,
+                    b[k] if type(b) is list else b,
+                    p.label,
                 )
-        elif a is p.end_a and b is p.end_b:
-            points.append(p)  # untouched points are shared, not rebuilt
+                points[q.point_id] = q
+                state.index(q)
         else:
-            points.append(Intersection(p.point_id, a, b, p.label))
+            q = points[point_id] = Intersection(point_id, a, b, p.label)
+            state.index(q)
     # Freed only now: every id the input held stays taken while deriving.
     names.release(freed)
+    state.rewrites += 1
 
     limits = state.limits
-    genus = body.root.genus
+    genus = state.body.root.genus
     if genus > limits.max_first_stage_genus:
         raise GrowthLimitError(
             f"first-stage genus {genus} exceeds the limit {limits.max_first_stage_genus}"
@@ -282,16 +363,15 @@ def _widen_pair(
         raise GrowthLimitError(
             f"{len(points)} intersections exceed the limit {limits.max_intersections}"
         )
-    state.cg = CappedGrope(body, caps, tuple(points), cg.spheres)
 
 
 def _split_cap_at(state: _SplitState, cap_id: str, ppath: Path, pair: int, side: int) -> None:
     """split_cap on a multi-valued cap whose tip sits at (ppath, pair, side)."""
-    cg, names = state.cg, state.names
+    names = state.names
     keys = state.values[cap_id]
     least = min(keys)
-    tip_id = cg.caps[cap_id]
-    genus = stage_at(cg.body, ppath).genus
+    tip_id = state.caps[cap_id]
+    genus = stage_at(state.body, ppath).genus
 
     new_tips = (names.derived(tip_id, 1), names.derived(tip_id, 2))
     new_caps = (names.derived(cap_id, 1), names.derived(cap_id, 2))
@@ -326,7 +406,7 @@ def _split_cap_at(state: _SplitState, cap_id: str, ppath: Path, pair: int, side:
 
 def _split_stage_at(state: _SplitState, path: Path) -> None:
     """split_stage on a genus >= 2 stage above the first."""
-    body = state.cg.body
+    body = state.body
     stage = stage_at(body, path)
     g = stage.genus
     ppath, (pair, side) = path[:-1], path[-1]
@@ -389,7 +469,7 @@ def split_cap(
             f"the dual of cap {cap_id!r} is a stage; split the dual subtree first"
         )
     _split_cap_at(state, cap_id, ppath, pair, side)
-    return state.cg
+    return state.result()
 
 
 def split_stage(
@@ -412,7 +492,7 @@ def split_stage(
     if stage_at(cg.body, path).genus == 1:
         return cg
     _split_stage_at(state, path)
-    return state.cg
+    return state.result()
 
 
 def _slots_from(
@@ -445,7 +525,7 @@ def _slots_from(
 def _next_multi_valued_cap(state: _SplitState, start: Path) -> tuple[str, Path] | None:
     """The first cap at or after start in traversal order with several values."""
     tip_cap, values = state.tip_cap, state.values
-    for path, slot in _slots_from(state.cg.body.root, start):
+    for path, slot in _slots_from(state.body.root, start):
         if type(slot) is Tip:
             cap = tip_cap.get(slot.tip_id)
             if cap is not None and len(values[cap]) > 1:
@@ -461,22 +541,92 @@ def _next_wide_stage(root: Stage, depth: int, start: Path) -> Path | None:
     return None
 
 
-def _predicted_genus(body: Grope, tip_cap: dict[str, str], values: dict[str, set]) -> int:
-    """The first-stage genus full_split reaches, worked out without rewriting.
+def _multiplicities(
+    body: Grope, tip_cap: dict[str, str], values: dict[str, set]
+) -> tuple[dict[Path, int], dict[str, Path]]:
+    """mult of every slot, keyed by its path, and the path of every tip.
 
     A slot stands for mult(slot) pieces: max(1, number of values) for a
     tip's cap, and for a stage the sum over its pairs of mult(a) * mult(b).
+    """
+    mult: dict[Path, int] = {}
+    tip_path: dict[str, Path] = {}
+
+    def walk(slot: Slot, path: Path) -> int:
+        if type(slot) is Tip:
+            tip_path[slot.tip_id] = path
+            cap = tip_cap.get(slot.tip_id)
+            m = max(1, len(values[cap])) if cap is not None else 1
+        else:
+            m = sum(
+                walk(a, path + ((j, ALPHA),)) * walk(b, path + ((j, BETA),))
+                for j, (a, b) in enumerate(slot.pairs)
+            )
+        mult[path] = m
+        return m
+
+    walk(body.root, ())
+    return mult, tip_path
+
+
+def _predicted_genus(body: Grope, tip_cap: dict[str, str], values: dict[str, set]) -> int:
+    """The first-stage genus full_split reaches, worked out without rewriting.
+
     Every rewrite leaves mult of the first stage unchanged, and at the fixed
     point it equals the first-stage genus.
     """
+    return _multiplicities(body, tip_cap, values)[0][()]
 
-    def mult(slot: Slot) -> int:
-        if type(slot) is Tip:
-            cap = tip_cap.get(slot.tip_id)
-            return max(1, len(values[cap])) if cap is not None else 1
-        return sum(mult(a) * mult(b) for a, b in slot.pairs)
 
-    return mult(body.root)
+def _predicted_points(
+    body: Grope,
+    tip_cap: dict[str, str],
+    values: dict[str, set],
+    points: Iterable[Intersection],
+) -> int:
+    """A lower bound on the number of points full_split ends with.
+
+    In a pair (a, b) every piece of a ends up once beside each of the
+    mult(b) pieces of b, so the sheet at path P (a cap's tip or a stage)
+    ends on copies(P) sheets, the product of mult(dual slot) over P's steps.
+    Each copy of a sheet carries a copy of each of its points.  A point's
+    two ends are copied together along the steps their paths share, one
+    copy per piece of the shared prefix, and apart below it, so it becomes
+    copies(A) * copies(B) / copies(shared prefix) points.  Ends that a
+    stage split later puts into different pieces are copied apart from then
+    on, which only adds points, so the sum is a lower bound, exact for a
+    point whose two ends lie on one sheet.  An end on a sphere, or on a
+    sheet outside the body, counts as copied with the other end.
+    """
+    mult, tip_path = _multiplicities(body, tip_cap, values)
+    copies: dict[Path, int] = {(): 1}
+    for path in sorted(mult, key=len)[1:]:
+        parent, (j, side) = path[:-1], path[-1]
+        copies[path] = copies[parent] * mult[parent + ((j, 1 - side),)]
+    cap_path = {cap: tip_path[tip] for tip, cap in tip_cap.items() if tip in tip_path}
+
+    def sheet_path(end: SheetRef) -> Path | None:
+        kind = type(end)
+        if kind is CapRef:
+            return cap_path.get(end.cap_id)
+        if kind is BodyRef and end.path in copies:
+            return end.path
+        return None
+
+    total = 0
+    for p in points:
+        a, b = sheet_path(p.end_a), sheet_path(p.end_b)
+        if a is None or b is None:
+            known = b if a is None else a
+            total += 1 if known is None else copies[known]
+            continue
+        shared = 0
+        for step_a, step_b in zip(a, b):
+            if step_a != step_b:
+                break
+            shared += 1
+        total += copies[a] * copies[b] // copies[a[:shared]]
+    return total
 
 
 def full_split(
@@ -498,15 +648,23 @@ def full_split(
     order.  Each search resumes from where the last rewrite happened, which
     the two cursor invariants in the module docstring make exact.  Raises
     GrowthLimitError before any rewrite when the splitting would raise the
-    first-stage genus above limits.max_first_stage_genus.
+    first-stage genus above limits.max_first_stage_genus, or the number of
+    intersections (by a lower bound worked out from the input) above
+    limits.max_intersections.
     """
     state = _SplitState(cg, limits, trace)
-    root_genus = cg.body.root.genus
+    limits = state.limits
     genus = _predicted_genus(cg.body, state.tip_cap, state.values)
-    if genus > max(root_genus, state.limits.max_first_stage_genus):
+    if genus > max(cg.body.root.genus, limits.max_first_stage_genus):
         raise GrowthLimitError(
             f"splitting would raise the first-stage genus to {genus}, "
-            f"over the limit {state.limits.max_first_stage_genus}"
+            f"over the limit {limits.max_first_stage_genus}"
+        )
+    points = _predicted_points(cg.body, state.tip_cap, state.values, cg.intersections)
+    if points > max(len(cg.intersections), limits.max_intersections):
+        raise GrowthLimitError(
+            f"splitting would make at least {points} intersections, "
+            f"over the limit {limits.max_intersections}"
         )
 
     start: Path = ()
@@ -516,10 +674,10 @@ def full_split(
         _split_cap_at(state, cap, ppath, pair, side)
         start = ppath + ((pair, ALPHA),)
 
-    depth = max((len(p) for p, s in iter_stages(state.cg.body) if s.genus > 1), default=0)
+    depth = max((len(p) for p, s in iter_stages(state.body) if s.genus > 1), default=0)
     for depth in range(depth, 0, -1):
         start = ()
-        while (path := _next_wide_stage(state.cg.body.root, depth, start)) is not None:
+        while (path := _next_wide_stage(state.body.root, depth, start)) is not None:
             _split_stage_at(state, path)
             start = path[:-1] + ((path[-1][0], ALPHA),)
-    return state.cg
+    return state.result()

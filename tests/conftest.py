@@ -81,5 +81,12 @@ def chain_stage_text(depth: int) -> str:
     return slot[len('{"stage": '):-1]
 
 
+def report(capsys, name, ok, detail):
+    """Print one PASS/FAIL line past capture, with sizes and time against budget; assert."""
+    with capsys.disabled():
+        print(f"\n{'PASS' if ok else 'FAIL'} {name}: {detail}")
+    assert ok, f"{name}: {detail}"
+
+
 def seeded(seed: int) -> random.Random:
     return random.Random(seed)

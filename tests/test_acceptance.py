@@ -53,16 +53,10 @@ from gropes import (
     validate_capped,
     value_keys_by_cap,
 )
-from conftest import dyadic_tower
+from conftest import dyadic_tower, report
 from gropes.cli import main
 from gropes.errors import GrowthLimitError, PigeonholeFailure
 from magnus_oracle import depth_oracle, left_normed_letters
-
-
-def report(capsys, name, ok, detail):
-    with capsys.disabled():
-        print(f"\n{'PASS' if ok else 'FAIL'} {name}: {detail}")
-    assert ok, f"{name}: {detail}"
 
 
 def dyadic_shapes(k, fresh):

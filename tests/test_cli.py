@@ -22,6 +22,7 @@ from gropes import (
     generator,
     loads_document,
 )
+import gropes.pipeline as pipeline_module
 from gropes.cli import main
 from gropes.commutators import MAX_NESTING
 
@@ -562,6 +563,29 @@ def test_generate_refuses_adversarial_kernels_deeper_than_documents_allow(capsys
         code, out, err = run(capsys, "generate", "--seed", "1", "--labels", str(labels), "--adversarial")
         assert (code, out) == (1, "")
         assert err.count("\n") == 1 and f"over the bound {MAX_NESTING}" in err
+
+
+def test_generate_refuses_arguments_by_predicted_size(capsys, monkeypatch):
+    """The bound is lowered here; at its real value these took minutes."""
+    monkeypatch.setattr(pipeline_module, "_MAX_GENERATED_TIPS", 100)
+    for argv in (("--labels", "40"), ("--labels", "3", "--pairs", "20")):
+        code, out, err = run(capsys, "generate", "--seed", "1", *argv)
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and "tips, over the bound 100" in err
+    assert run(capsys, "generate", "--seed", "1", "--labels", "3", "--pairs", "2")[0] == 0
+
+
+def test_pipeline_refuses_a_point_count_blowup_up_front(capsys, tmp_path):
+    """Genus 84480 is under its guard; the points it predicts are not."""
+    code, text, _ = run(capsys, "generate", "--seed", "1", "--labels", "40")
+    assert code == 0
+    path = write(tmp_path, "k.json", text)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "pipeline", path)
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1 and "intersections, over the limit 10000000" in err
+    assert elapsed < 1.0, f"refused after {elapsed:.2f}s"
 
 
 def test_render_emits_dot(capsys, grope_file, capped_file):

@@ -47,6 +47,8 @@ from gropes.errors import (
     ValidationError,
 )
 from gropes.grope import Grope, Stage, Tip
+import gropes.pipeline as pipeline_module
+from gropes.pipeline import _expected_tips
 
 from conftest import dyadic_tower, two_cap_grope
 
@@ -645,6 +647,28 @@ def test_generate_kernel_rejects_bad_parameters():
         generate_kernel(1, labels=1, adversarial=True)
     with pytest.raises(ValidationError):
         generate_kernel(1, labels=3, grope_class=4, adversarial=True)
+
+
+def test_expected_tips_track_the_generator():
+    for labels in (2, 6):
+        got = [len(tips(generate_kernel(seed, labels=labels).gropes[0].body)) for seed in range(300)]
+        expected = _expected_tips(labels + 1, adversarial=False)
+        assert abs(sum(got) / len(got) - expected) < 0.1 * expected
+    chain = generate_kernel(1, labels=5, adversarial=True).gropes[0]
+    assert len(tips(chain.body)) == _expected_tips(5, adversarial=True) == 5
+
+
+def test_generate_kernel_refuses_from_the_predicted_size(monkeypatch):
+    monkeypatch.setattr(pipeline_module, "_MAX_GENERATED_TIPS", 100)
+    with pytest.raises(ValidationError, match="2 gropes of class 41 would hold about"):
+        generate_kernel(1, labels=40)
+    with pytest.raises(ValidationError, match="20 gropes of class 4 would hold about 147 tips"):
+        generate_kernel(1, labels=3, pair_count=10)
+    with pytest.raises(ValidationError, match="at least 400 tips, over the bound 100"):
+        generate_kernel(1, labels=2, grope_class=200)
+    with pytest.raises(ValidationError, match="200 labels are over the bound 100"):
+        generate_kernel(1, labels=200, grope_class=3)
+    assert len(generate_kernel(1, labels=3, pair_count=2).gropes) == 4
 
 
 def test_adversarial_kernels_put_one_distinct_value_on_every_cap():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -42,9 +43,9 @@ from gropes import (
     validate_capped,
     value_keys_by_cap,
 )
-from gropes.splitting import _predicted_genus
+from gropes.splitting import _predicted_genus, _predicted_points
 
-from conftest import dyadic_tower, ghost_tip_grope, seeded
+from conftest import dyadic_tower, ghost_tip_grope, report, seeded
 
 F, G, H = generator(1), generator(2), generator(3)
 
@@ -322,18 +323,23 @@ def test_full_split_growth_limit():
     assert len(out.body.root.pairs) == 5
 
 
+def _uniform_tower(n: int, k: int) -> CappedGrope:
+    """A class-k dyadic tower whose every cap carries n values on self points."""
+    tower, _ = dyadic_tower(k)
+    caps = {f"c{i}": t for i, t in enumerate(tips(tower), start=1)}
+    pts = tuple(
+        Intersection(f"p{i}_{j}", CapRef(c), CapRef(c), generator(j))
+        for i, c in enumerate(caps, start=1)
+        for j in range(1, n + 1)
+    )
+    return CappedGrope(tower, caps, pts)
+
+
 def test_full_split_uniform_growth_small():
     """Uniform dyadic input, n values on every cap: first-stage genus n^k."""
     for n in (2, 3):
         for k in (2, 3):
-            tower, _ = dyadic_tower(k)
-            caps = {f"c{i}": t for i, t in enumerate(tips(tower), start=1)}
-            pts = tuple(
-                Intersection(f"p{i}_{j}", CapRef(c), CapRef(c), generator(j))
-                for i, c in enumerate(caps, start=1)
-                for j in range(1, n + 1)
-            )
-            cg = CappedGrope(tower, caps, pts)
+            cg = _uniform_tower(n, k)
             out = full_split(cg)
             _postconditions(cg, out)
             assert len(out.body.root.pairs) == n**k
@@ -572,19 +578,81 @@ def test_predicted_genus_is_the_split_genus(cg):
 
 
 def test_full_split_refuses_from_the_predicted_genus():
-    tower, _ = dyadic_tower(4)
-    caps = {f"c{i}": t for i, t in enumerate(tips(tower), start=1)}
-    pts = tuple(
-        Intersection(f"p{i}_{j}", CapRef(c), CapRef(c), generator(j))
-        for i, c in enumerate(caps, start=1)
-        for j in (1, 2, 3)
-    )
-    cg = CappedGrope(tower, caps, pts)
+    cg = _uniform_tower(3, 4)
     trace: list = []
     with pytest.raises(GrowthLimitError, match="genus to 81"):
         full_split(cg, limits=SplitLimits(max_first_stage_genus=80), trace=trace)
     assert trace == []  # refused before the first rewrite
     assert full_split(cg, limits=SplitLimits(max_first_stage_genus=81)).body.root.genus == 81
+
+
+def _predicted(cg: CappedGrope) -> int:
+    return _predicted_points(cg.body, cg.tip_to_cap, value_keys_by_cap(cg), cg.intersections)
+
+
+@settings(max_examples=150, deadline=None)
+@given(split_inputs())
+def test_predicted_points_bound_the_split(cg):
+    assert len(cg.intersections) <= _predicted(cg) <= len(full_split(cg).intersections)
+
+
+def test_predicted_points_are_exact_on_dyadic_towers():
+    towers = [_uniform_tower(n, k) for n in (1, 2, 3) for k in (2, 3, 4, 5)]
+    for cg in towers + [_golden_tower()]:
+        assert _predicted(cg) == len(full_split(cg).intersections)
+
+
+def test_full_split_refuses_from_the_predicted_points():
+    cg = _uniform_tower(3, 4)
+    points = _predicted(cg)
+    trace: list = []
+    with pytest.raises(GrowthLimitError, match=f"at least {points} intersections"):
+        full_split(cg, limits=SplitLimits(max_intersections=points - 1), trace=trace)
+    assert trace == []  # refused before the first rewrite
+    out = full_split(cg, limits=SplitLimits(max_intersections=points))
+    assert len(out.intersections) == points
+
+
+def test_full_split_keeps_points_over_the_guard_that_need_no_growth():
+    cg = _uniform_tower(1, 3)
+    assert full_split(cg, limits=SplitLimits(max_intersections=1)) is cg
+
+
+def test_each_rewrite_checks_the_point_count():
+    cg = _two_value_cap()  # splitting c1 copies i3 and i4 with the dual: 6 points
+    with pytest.raises(GrowthLimitError, match="6 intersections exceed the limit 5"):
+        split_cap(cg, "c1", limits=SplitLimits(max_intersections=5))
+    assert len(split_cap(cg, "c1", limits=SplitLimits(max_intersections=6)).intersections) == 6
+
+
+def test_split_refuses_duplicate_point_ids():
+    body = Grope(Stage(((Tip("t1"), Tip("t2")),)))
+    twice = Intersection("i1", CapRef("c1"), CapRef("c1"), F)
+    cg = CappedGrope(body, {"c1": "t1", "c2": "t2"}, (twice, twice))
+    with pytest.raises(ValidationError, match="duplicate intersection ids"):
+        full_split(cg)
+
+
+def test_full_split_skips_untouched_points(capsys):
+    """Peeling 100 values off c1 reads c1's points, not pair 1's 20000."""
+    body = Grope(Stage(((Tip("t1"), Tip("t2")), (Tip("t3"), Tip("t4")))))
+    caps = {f"c{k}": f"t{k}" for k in range(1, 5)}
+    pts = [Intersection(f"v{j}", CapRef("c1"), CapRef("c1"), generator(j)) for j in range(1, 101)]
+    pair1 = (CapRef("c3"), CapRef("c4"))
+    pts += [Intersection(f"s{j}", pair1[j % 2], pair1[j % 2], F) for j in range(20000)]
+    cg = CappedGrope(body, caps, tuple(pts))
+    start = time.perf_counter()
+    trace: list = []
+    out = full_split(cg, trace=trace)
+    elapsed = time.perf_counter() - start
+    assert (len(trace), out.body.root.genus, len(out.intersections)) == (99, 101, 20100)
+    report(
+        capsys,
+        "split skips untouched points",
+        elapsed < 1.0,
+        f"{len(trace)} rewrites of c1 beside {len(pts) - 100} points on pair 1 "
+        f"[{elapsed:.2f}s < 1s]",
+    )
 
 
 def test_full_split_keeps_a_wide_first_stage_that_needs_no_growth():
