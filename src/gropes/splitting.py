@@ -146,15 +146,11 @@ class _Names:
 class _SplitState:
     """A capped grope under rewriting, with its points indexed by sheet.
 
-    The body, caps, spheres and points (by id) are kept here across
-    rewrites, and the result is built once.  by_cap maps a cap to the ids of
-    the points with an end on it and by_path a stage path to the ids of the
-    points with an end on that stage's surface; a point on two sheets is in
-    both buckets, and empty buckets are dropped.  values maps every cap to
-    its set of unoriented label values and tip_cap every capped tip to its
-    cap; both, and the names in use, are updated from each rewrite's changes
-    rather than recomputed.  Value sets are shared between parallel copies
-    and never mutated.
+    by_cap maps a cap, and by_path a stage path, to the ids of the points
+    with an end on that sheet; a point on two sheets is in both buckets, and
+    empty buckets are dropped.  values maps every cap to its set of
+    unoriented label values and tip_cap every capped tip to its cap.  Value
+    sets are shared between parallel copies and never mutated.
     """
 
     __slots__ = (

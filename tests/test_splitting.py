@@ -570,6 +570,22 @@ def test_full_split_keeps_an_id_taken_by_another_kind():
     assert _split_text(full_split, cg) == _split_text(_oracle_full_split, cg)
 
 
+def test_copies_take_lineage_names_in_point_id_order():
+    """Copies of p, p.1, p.1.1, ... collide on names, so their order fixes them."""
+    body = Grope(Stage(((Tip("t1"), Tip("t2")),)))
+    pts = [Intersection("i1", CapRef("c1"), CapRef("c1"), F)]
+    pts += [Intersection("i2", CapRef("c1"), CapRef("c1"), G)]
+    pts += [
+        Intersection(name, CapRef("c2"), CapRef("c2"), F)
+        for name in ("p.2", "p.1.1.1", "p.1", "p", "p.1.1")
+    ]
+    out = full_split(CappedGrope(body, {"c1": "t1", "c2": "t2"}, tuple(pts)))
+    assert [p.point_id for p in out.intersections] == [
+        "i1", "i2", "p.1.1.1.1", "p.1.1.1.1.1", "p.1.1.1.2", "p.1.1.2",
+        "p.1.1.2.1", "p.1.2", "p.1.2.1", "p.2.1", "p.2.1.1", "p.2.2",
+    ]
+
+
 @settings(max_examples=150, deadline=None)
 @given(split_inputs())
 def test_predicted_genus_is_the_split_genus(cg):
