@@ -68,13 +68,12 @@ from .grope import (
     validate_grope,
     with_stage_at,
 )
-from .moves import contract, effective_value, piece_caps, pushoff
+from .moves import contract, effective_value, find_duplicate_pair, piece_caps, pushoff
 from .pipeline import (
     HypothesisReport,
     SurgeryKernel,
     SurgeryResult,
     check_hypotheses,
-    find_duplicate_pair,
     generate_kernel,
     random_capped_grope,
     random_grope,

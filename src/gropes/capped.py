@@ -13,7 +13,7 @@ both endpoints must be caps, the discipline all rewriting moves preserve.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Union
+from typing import Container, Iterable, Union
 
 from .errors import ValidationError
 from .grope import Grope, Path, iter_stages, tips, validate_grope
@@ -128,6 +128,16 @@ class CappedGrope:
             if s.sphere_id == sphere_id:
                 return s
         raise ValidationError(f"unknown sphere {sphere_id!r}")
+
+
+def derived_id(base: str, k: int, taken: Container[str]) -> str:
+    """The lineage name of copy k of base: base.k, or base.k.m with the least m >= 1 not taken."""
+    name = f"{base}.{k}"
+    m = 0
+    while name in taken:
+        m += 1
+        name = f"{base}.{k}.{m}"
+    return name
 
 
 def value_keys_by_cap(cg: CappedGrope) -> dict[str, set[tuple[int, ...]]]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Union
 
-from .commutators import Comm, CommutatorExpr, Gen, Inv, Prod, push_inverses
+from .commutators import Comm, CommutatorExpr, Gen, Inv, _refuse_long, push_inverses
 from .errors import ValidationError
 from .words import GroupWord, generator
 
@@ -175,28 +175,51 @@ def boundary_word(obj: Grope | Stage, assignment: Mapping[str, GroupWord] | None
     Each tip contributes its assigned word, each deeper stage contributes its
     own boundary, and a stage reads [alpha, beta] across its pairs in order.
     With any assignment, the result of a class-k grope has depth >= k.
+
+    Raises ParseError, building nothing, when the word would have more than
+    MAX_WORD_LENGTH letters before reduction, as evaluate does.
     """
     root = obj.root if isinstance(obj, Grope) else obj
     if assignment is None:
         assignment = default_assignment(root)
+    # Both walks memoize by node, so a stage shared by several parents (built
+    # through the API; documents are trees) is measured and built once.  The
+    # tree outlives the call, so no id is reused while the memos are in use.
+    lengths: dict[int, int] = {}
+    words: dict[int, GroupWord] = {}
+
+    def length_of(slot: Slot) -> int:
+        n = lengths.get(id(slot))
+        if n is not None:
+            return n
+        if isinstance(slot, Tip):
+            try:
+                n = len(assignment[slot.tip_id])
+            except KeyError:
+                raise ValidationError(f"no word assigned to tip {slot.tip_id!r}") from None
+        else:
+            n = sum(2 * (length_of(a) + length_of(b)) for a, b in slot.pairs)
+        lengths[id(slot)] = n
+        return n
 
     def word_of(slot: Slot) -> GroupWord:
         if isinstance(slot, Tip):
-            try:
-                return assignment[slot.tip_id]
-            except KeyError:
-                raise ValidationError(f"no word assigned to tip {slot.tip_id!r}") from None
-        # One reduction over the whole stage: folding pair by pair re-reduces
-        # the growing word each time, which is quadratic in the genus.
-        letters: list[int] = []
-        for a, b in slot.pairs:
-            u, v = word_of(a).letters, word_of(b).letters
-            letters += u
-            letters += v
-            letters.extend(-x for x in reversed(u))
-            letters.extend(-x for x in reversed(v))
-        return GroupWord(tuple(letters))
+            return assignment[slot.tip_id]
+        word = words.get(id(slot))
+        if word is None:
+            # One reduction over the whole stage: folding pair by pair
+            # re-reduces the growing word each time, quadratic in the genus.
+            letters: list[int] = []
+            for a, b in slot.pairs:
+                u, v = word_of(a).letters, word_of(b).letters
+                letters += u
+                letters += v
+                letters.extend(-x for x in reversed(u))
+                letters.extend(-x for x in reversed(v))
+            word = words[id(slot)] = GroupWord(tuple(letters))
+        return word
 
+    _refuse_long(length_of(root))
     return word_of(root)
 
 

@@ -8,10 +8,36 @@ all identity-labeled.  Every other sheet that met the piece is queued, and
 pushoff resolves the queue by replacing each queued point with two parallel
 crossings of the sphere whose labels cancel, again identity.  The net effect
 of contract + pushoff is strictly fewer distinct label values, never more.
+
+After full_split, a grope's pieces are its first-stage pairs, taken in
+order: piece k is contracted as pair 0 of what the k earlier pieces left.
+Calling find_duplicate_pair, contract and pushoff once per piece rescans
+every point for every piece.  run_surgery gets the same husks, trace and
+errors from _sweep, one pass over an index of the split grope's points:
+
+- Each live point sits in the bucket of the first piece its ends touch.  A
+  cap belongs to the first-stage pair it sits on; a BodyRef to path[0][0];
+  the first stage itself, BodyRef(()), to the last piece, the only one for
+  which contract counts it inside; a sphere to no piece.
+- When piece k comes up, bucket k holds every live point that touches it:
+  points touching an earlier piece were used up there, and pushoff files
+  each copy it makes under the later piece whose sheet the copy still
+  touches.  The pair search, the self/queued split and pushoff read bucket
+  k only, sorted by id as the grope's points are.
+- Body paths are never shifted down as pieces go: they reach neither the
+  trace nor the husk, and the index needs only their first step.
+- One dict maps every live point id to its point, so sphere names (sph{n},
+  n counted from the sphere count) and pushoff copies (i.k, i.k.m) skip
+  exactly the ids the per-piece calls would skip.
+
+The husk is built, and its points sorted, once.  The public moves share
+each step with the sweep (pair choice, point classification, pushoff
+naming, trace entries) and stay for the CLI and replay_trace.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Callable, Container, Iterable
 
 from .capped import (
@@ -23,16 +49,19 @@ from .capped import (
     SheetRef,
     SphereRecord,
     SphereRef,
+    _value_keys,
+    derived_id,
     value_keys_by_cap,
 )
 from .errors import (
     LabelMismatchError,
     MoveError,
     NotDyadicError,
+    PigeonholeFailure,
     SplitFirstError,
     ValidationError,
 )
-from .grope import Grope, Slot, Stage, Tip, iter_stages, tips
+from .grope import Grope, Slot, Stage, Tip, is_dyadic, tips
 from .words import IDENTITY, GroupWord
 
 
@@ -58,11 +87,10 @@ def _pair_caps(root: Stage, pair_index: int, by_tip: dict[str, str]) -> list[str
 
 
 def _require_dyadic(pair: tuple[Slot, Slot], pair_index: int) -> None:
-    for slot in pair:
-        if isinstance(slot, Stage) and any(s.genus != 1 for _, s in iter_stages(slot)):
-            raise NotDyadicError(
-                f"pair {pair_index} heads a subtree with genus above 1; split stages first"
-            )
+    if not all(is_dyadic(slot) for slot in pair if isinstance(slot, Stage)):
+        raise NotDyadicError(
+            f"pair {pair_index} heads a subtree with genus above 1; split stages first"
+        )
 
 
 def _refuse_pending(spheres: Iterable[SphereRecord]) -> None:
@@ -84,6 +112,43 @@ def effective_value(cap_id: str, keys: set[tuple[int, ...]]) -> tuple[int, ...]:
             f"cap {cap_id!r} carries {len(keys)} label values; split it first"
         )
     return keys.pop() if keys else ()
+
+
+def find_duplicate_pair(
+    cg: CappedGrope, pair_index: int, *, piece_name: str | None = None
+) -> tuple[str, str]:
+    """Two caps of the piece carrying the same value, deterministically.
+
+    Clean caps (no label value) match each other first; otherwise the first
+    same-value pair in cap traversal order wins.  Raises SplitFirstError if
+    some cap still carries several values, PigeonholeFailure if all values
+    on the piece are distinct.
+    """
+    caps_here = piece_caps(cg, pair_index)
+    return _pick_pair(caps_here, value_keys_by_cap(cg), piece_name or f"pair {pair_index}")
+
+
+def _pick_pair(
+    caps_here: list[str], values: dict[str, set[tuple[int, ...]]], name: str
+) -> tuple[str, str]:
+    """find_duplicate_pair's choice among a piece's caps, given their value sets."""
+    first: dict[tuple[int, ...], str] = {}
+    fallback: tuple[str, str] | None = None
+    for cap in caps_here:
+        key = effective_value(cap, values[cap])
+        if key not in first:
+            first[key] = cap
+        elif key == ():
+            return first[key], cap
+        elif fallback is None:
+            fallback = (first[key], cap)
+    if fallback is not None:
+        return fallback
+    raise PigeonholeFailure(
+        f"{name}: all {len(caps_here)} caps carry distinct values; "
+        "no contraction pair exists",
+        piece=name,
+    )
 
 
 def contract(
@@ -262,7 +327,7 @@ def _push_off(
     """Two identity crossings of the sphere per queued point, added to live.
 
     live maps every point id in use to its point.  The copies of point i
-    are named i.1 and i.2, or i.k.m with the least m >= 1 that is free.
+    take the lineage names derived_id gives: i.1 and i.2 when free.
     Returns the new points and the pushoff log, in queue order.
     """
     new_points: list[Intersection] = []
@@ -270,11 +335,7 @@ def _push_off(
     for q in pending:
         created = []
         for k in (1, 2):
-            name = f"{q.point_id}.{k}"
-            m = 0
-            while name in live:
-                m += 1
-                name = f"{q.point_id}.{k}.{m}"
+            name = derived_id(q.point_id, k, live)
             point = Intersection(name, q.other, sphere_ref, IDENTITY)
             live[name] = point
             new_points.append(point)
@@ -292,3 +353,71 @@ def _push_off(
 
 def _pushoff_entry(sphere_id: str, logged: list[dict]) -> dict:
     return {"op": "pushoff", "sphere": sphere_id, "points": logged}
+
+
+def _sweep(cg: CappedGrope, gi: int, steps: list[dict]) -> CappedGrope:
+    """Contract and push off every piece of a fully split grope, in order.
+
+    Piece k is first-stage pair k of cg; the per-piece loop contracts it as
+    pair 0 after k earlier contractions.  Appends the contract and pushoff
+    trace entries to steps and returns the fully surgered husk.
+    """
+    root = cg.body.root
+    last = root.genus - 1
+    by_tip = cg.tip_to_cap
+    pieces = [_pair_caps(root, k, by_tip) for k in range(root.genus)]
+    piece_of_cap = {cap: k for k, caps in enumerate(pieces) for cap in caps}
+
+    def piece_of(end: SheetRef) -> int | None:
+        if type(end) is CapRef:
+            return piece_of_cap[end.cap_id]
+        if type(end) is BodyRef:
+            return end.path[0][0] if end.path else last
+        return None
+
+    live = {p.point_id: p for p in cg.intersections}
+    buckets: list[list[Intersection]] = [[] for _ in pieces]
+    for p in cg.intersections:
+        a, b = piece_of(p.end_a), piece_of(p.end_b)
+        k = b if a is None else a if b is None else min(a, b)
+        if k is not None:
+            buckets[k].append(p)
+    spheres = list(cg.spheres)
+    sphere_ids = {s.sphere_id for s in spheres}
+    for k, caps_here in enumerate(pieces):
+        bucket = sorted(buckets[k], key=attrgetter("point_id"))
+        buckets[k] = []
+        values = _value_keys(caps_here, bucket)
+        cap_a, cap_b = _pick_pair(caps_here, values, f"grope {gi} piece {k}")
+        if k == 0:
+            # Only an input sphere can be pending: each sphere made here is
+            # pushed off before the next piece.
+            _refuse_pending(spheres)
+        _require_dyadic(root.pairs[k], 0)
+        sphere_id = _sphere_name(len(spheres), live, sphere_ids)
+        sphere_ref = SphereRef(sphere_id)
+        # Every point in the bucket touches piece k, so none is kept.
+        _, selfs, self_log, queued = _absorb(
+            bucket, lambda end: piece_of(end) == k, sphere_ref, _unmoved
+        )
+        for q in queued:
+            del live[q.point_id]
+        for p in selfs:
+            live[p.point_id] = p
+        label = GroupWord(effective_value(cap_a, values[cap_a]))
+        record = SphereRecord(sphere_id, k, cap_a, cap_b, label, ())
+        steps.append(_contract_entry(0, record, self_log, queued))
+        if queued:
+            new_points, logged = _push_off(queued, sphere_ref, live)
+            for p in new_points:
+                j = piece_of(p.end_a)
+                if j is not None:
+                    buckets[j].append(p)
+            steps.append(_pushoff_entry(sphere_id, logged))
+        spheres.append(record)
+        sphere_ids.add(sphere_id)
+    return CappedGrope(None, {}, tuple(live.values()), tuple(spheres))
+
+
+def _unmoved(end: SheetRef) -> SheetRef:
+    return end

@@ -74,6 +74,7 @@ from .capped import (
     CapRef,
     Intersection,
     SheetRef,
+    derived_id,
     value_keys_by_cap,
 )
 from .errors import DualNotCapError, GrowthLimitError, RewriteError, ValidationError
@@ -123,11 +124,7 @@ class _Names:
         self.count = count
 
     def derived(self, base: str, k: int) -> str:
-        name = f"{base}.{k}"
-        m = 0
-        while name in self.count:
-            m += 1
-            name = f"{base}.{k}.{m}"
+        name = derived_id(base, k, self.count)
         self.count[name] = 1
         return name
 

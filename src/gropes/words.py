@@ -16,7 +16,6 @@ degree), never as a product of two general series.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
@@ -122,15 +121,15 @@ def commutator(a: GroupWord, b: GroupWord) -> GroupWord:
     return a * b * a.inverse() * b.inverse()
 
 
-@functools.lru_cache(maxsize=None)
 def unoriented_key(w: GroupWord) -> tuple[int, ...]:
     """Canonical form of a label read with no preferred orientation.
 
     Reversing the direction an intersection is read inverts its label, so
     labels are compared as the lexicographically smaller of the word and its
-    inverse.  Cached: rewrites ask for the same few labels millions of times.
+    inverse.
     """
-    return min(w.letters, w.inverse().letters)
+    letters = w.letters
+    return min(letters, tuple(-x for x in reversed(letters)))
 
 
 class TruncatedSeries:

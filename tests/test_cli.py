@@ -1,5 +1,6 @@
 """The command-line interface: subcommands, exit codes, and I/O conventions."""
 
+import contextlib
 import io
 import json
 import subprocess
@@ -7,6 +8,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gropes import (
     CappedGrope,
@@ -253,6 +256,21 @@ def test_boundary_rejects_bad_assignments(capsys, tmp_path):
     body = Grope(Stage(((Tip("t1"), Tip("t2")),)))
     path = write(tmp_path, "g.json", dumps_grope(body))
     assert run(capsys, "boundary", path, "--assign", "t1:x2")[0] == 65
+
+
+def test_boundary_refuses_a_word_over_the_length_bound(capsys, tmp_path):
+    """A chain doubles its word per stage: 40 stages would spell over 2^40 letters."""
+    chain = write(tmp_path, "chain40.json", chain_grope_text(40))
+    # 15 stages spell 98302 letters with one letter per tip, 1572832 with 16.
+    short = write(tmp_path, "chain15.json", chain_grope_text(15))
+    long_tips = [f"--assign={tip}=x1^16" for tip in ["t0"] + [f"u{k}" for k in range(15)]]
+    for argv in (["boundary", chain], ["boundary", short, *long_tips]):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        elapsed = time.perf_counter() - start
+        assert (code, out) == (65, ""), argv
+        assert err.count("\n") == 1 and "exceeds the bound of 1000000 letters" in err
+        assert elapsed < 1.0, f"{argv[-1]} refused after {elapsed:.2f}s"
 
 
 def test_lcs_of_a_commutator_expression(capsys):
@@ -598,3 +616,96 @@ def test_render_emits_dot(capsys, grope_file, capped_file):
 
 def test_render_rejects_kernels(capsys, kernel_file):
     assert run(capsys, "render", kernel_file)[0] == 65
+
+
+# ---------------------------------------------------------------------------
+# exit-code fuzz: every input ends in a documented code, quickly
+
+EXIT_CODES = {0, 1, 2, 3, 64, 65}
+FUZZ_COMMANDS = (
+    ["validate"],
+    ["class"],
+    ["tips"],
+    ["boundary"],
+    ["render"],
+    ["split"],
+    ["contract", "--pair", "0", "--caps", "c1,c2"],
+    ["pipeline"],
+)
+KERNEL_DOC = json.loads(dumps_kernel(generate_kernel(1, labels=2)))
+CAPPED_DOC = KERNEL_DOC["gropes"][0]
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _nodes(doc, path=()):
+    """(path, value) for every value in a parsed document, the root first."""
+    yield path, doc
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _nodes(value, path + (key,))
+
+
+def _keys(doc):
+    return sorted({k for _, v in _nodes(doc) if isinstance(v, dict) for k in v})
+
+
+def _mutated(doc, path, how, new):
+    """A copy of doc with the value at path replaced, deleted, or its key renamed to new."""
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path
+    holder = doc
+    for key in parents:
+        holder = holder[key]
+    if how == "replace":
+        holder[last] = new
+    elif how == "delete":
+        del holder[last]
+    elif isinstance(holder, dict):  # rename
+        holder[new if isinstance(new, str) else str(new)] = holder.pop(last)
+    return doc
+
+
+@st.composite
+def fuzz_texts(draw):
+    """JSON values, truncations, and key or value mutations of a kernel and a capped grope."""
+    source = draw(st.sampled_from([None, KERNEL_DOC, CAPPED_DOC]))
+    if source is None:
+        keys = _keys(KERNEL_DOC)
+        value = draw(json_values | st.dictionaries(st.sampled_from(keys), json_values, max_size=4))
+        return json.dumps(value)
+    how = draw(st.sampled_from(["truncate", "replace", "delete", "rename"]))
+    if how == "truncate":
+        text = json.dumps(source, indent=2)
+        return text[: draw(st.integers(0, len(text) - 1))]
+    nodes = list(_nodes(source))[1:]
+    path, _ = draw(st.sampled_from(nodes))
+    subtrees = [value for _, value in nodes]
+    words = ["x1^99", "x0", "x1*x2^-1", "[x1,x2]", "1", "", "c1", "t1", "i1", "sph0"]
+    new = draw(
+        json_values
+        | st.sampled_from(subtrees)
+        | st.sampled_from(_keys(source) + words)
+        | st.integers(-3, 3)
+    )
+    return json.dumps(_mutated(source, path, how, new))
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=fuzz_texts())
+def test_cli_ends_every_input_in_a_documented_exit_code(tmp_path_factory, text):
+    """No input makes a subcommand raise, stall, or exit with an undocumented code."""
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(text, encoding="utf-8")
+    for command in FUZZ_COMMANDS:
+        argv = [command[0], str(path), *command[1:]]
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        elapsed = time.perf_counter() - start
+        assert code in EXIT_CODES, (argv, code)
+        assert elapsed < 2.0, f"{argv[0]} took {elapsed:.2f}s on {text[:200]!r}"

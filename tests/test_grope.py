@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import gropes.commutators as commutators_module
 from gropes import (
     IDENTITY,
     Grope,
+    ParseError,
     Stage,
     Tip,
     ValidationError,
@@ -206,6 +208,31 @@ def test_boundary_word_is_linear_in_stage_width():
         x for j in range(n) for x in (2 * j + 1, 2 * j + 2, -(2 * j + 1), -(2 * j + 2))
     )
     assert elapsed < 2.0, f"genus-{n} boundary words took {elapsed:.2f}s, budget 2s"
+
+
+def test_boundary_word_refuses_from_the_predicted_length(monkeypatch):
+    """A tip counts its word's letters and a pair twice the sum of its two sides."""
+    g = Grope(Stage(((Stage(((Tip("t1"), Tip("t2")),)), Tip("t3")),)))
+    asg = {"t1": generator(1) * generator(2), "t2": generator(3), "t3": generator(1)}
+    # [[x1 x2, x3], x1] spells 2 * (2 * (2 + 1) + 1) = 14 letters before reduction.
+    monkeypatch.setattr(commutators_module, "MAX_WORD_LENGTH", 14)
+    assert len(boundary_word(g, asg)) == 14
+    monkeypatch.setattr(commutators_module, "MAX_WORD_LENGTH", 13)
+    with pytest.raises(ParseError, match="exceeds the bound of 13 letters"):
+        boundary_word(g, asg)
+
+
+def test_boundary_word_measures_a_shared_stage_once():
+    """60 levels of (s, s) alias one stage: 2^60 paths, 61 nodes."""
+    stage = Stage(((Tip("a"), Tip("b")),))
+    for _ in range(60):
+        stage = Stage(((stage, stage),))
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="exceeds the bound"):
+        boundary_word(stage, {"a": generator(1), "b": generator(2)})
+    assert boundary_word(stage, {"a": IDENTITY, "b": IDENTITY}) == IDENTITY
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"took {elapsed:.2f}s, budget 1s"
 
 
 def test_default_assignment_in_tip_order():
