@@ -56,7 +56,6 @@ from .grope import (
     Tip,
     boundary_word,
     class_of,
-    count_tips,
     default_assignment,
     grope_from_expression,
     is_dyadic,

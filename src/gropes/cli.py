@@ -27,13 +27,7 @@ from .errors import (
     ValidationError,
 )
 from .grope import Grope, boundary_word, class_of, tips as grope_tips, validate_grope
-from .pipeline import (
-    SurgeryKernel,
-    check_hypotheses,
-    generate_kernel,
-    run_surgery,
-    validate_kernel,
-)
+from .pipeline import check_hypotheses, generate_kernel, run_surgery, validate_kernel
 from .moves import contract, pushoff
 from .render import render_dot
 from .serialize import (

@@ -9,6 +9,12 @@ Stages have no names: a stage is addressed by its path from the root, a
 tuple of (pair index, side) steps where side 0 is the alpha curve of the
 pair and side 1 the beta curve.  The root has path ().
 
+Traversal order is the lexicographic order of paths: pre-order, pair by
+pair, alpha before beta, a slot before everything glued above it.  One
+walker, _slots, writes it down; iter_stages, tips, tip_locations and the
+splitting searches all read it, so every derived id and trace entry that
+depends on the order depends on this walker alone.
+
 The class of a grope measures nested commutator depth: tips have class 1,
 a stage has class min over its pairs of (class(alpha) + class(beta)), and
 the boundary word of a class-k grope lies in the k-th lower central series
@@ -17,6 +23,7 @@ term of the free group on its tips.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Union
 
@@ -82,19 +89,40 @@ def class_of(obj: Grope | Slot) -> int:
     return min(class_of(a) + class_of(b) for a, b in obj.pairs)
 
 
+def _slots(
+    obj: Grope | Stage, start: Path = (), max_depth: float = math.inf
+) -> Iterator[tuple[Path, Slot]]:
+    """Slots at most max_depth deep with their paths, in traversal order from start.
+
+    The stages on the way down to start come first; subtrees wholly before
+    start are skipped without being entered.  The root itself, at path (),
+    is not a slot and is never yielded.
+    """
+
+    def walk(stage: Stage, path: Path, on_start: bool) -> Iterator[tuple[Path, Slot]]:
+        depth = len(path)
+        if depth >= max_depth:
+            return
+        first = start[depth] if on_start and depth < len(start) else (0, ALPHA)
+        for j in range(first[0], stage.genus):
+            for side, slot in enumerate(stage.pairs[j]):
+                step = (j, side)
+                if step < first:
+                    continue
+                child = path + (step,)
+                yield child, slot
+                if type(slot) is Stage:
+                    yield from walk(slot, child, on_start and step == first)
+
+    return walk(obj.root if isinstance(obj, Grope) else obj, (), True)
+
+
 def iter_stages(obj: Grope | Stage) -> Iterator[tuple[Path, Stage]]:
-    """All stages with their paths, depth-first in pair-then-side order."""
-    root = obj.root if isinstance(obj, Grope) else obj
-
-    def walk(stage: Stage, path: Path) -> Iterator[tuple[Path, Stage]]:
-        yield path, stage
-        for j, (a, b) in enumerate(stage.pairs):
-            if isinstance(a, Stage):
-                yield from walk(a, path + ((j, ALPHA),))
-            if isinstance(b, Stage):
-                yield from walk(b, path + ((j, BETA),))
-
-    yield from walk(root, ())
+    """All stages with their paths, the root first, in traversal order."""
+    yield (), obj.root if isinstance(obj, Grope) else obj
+    for path, slot in _slots(obj):
+        if type(slot) is Stage:
+            yield path, slot
 
 
 def stage_at(obj: Grope | Stage, path: Path) -> Stage:
@@ -127,36 +155,15 @@ def with_stage_at(root: Stage, path: Path, new: Stage) -> Stage:
 
 
 def tips(obj: Grope | Stage) -> list[str]:
-    """Tip ids depth-first, alpha before beta within each pair."""
-    root = obj.root if isinstance(obj, Grope) else obj
-    out: list[str] = []
-
-    def walk(stage: Stage) -> None:
-        for a, b in stage.pairs:
-            for slot in (a, b):
-                if isinstance(slot, Tip):
-                    out.append(slot.tip_id)
-                else:
-                    walk(slot)
-
-    walk(root)
-    return out
-
-
-def count_tips(obj: Grope | Stage) -> int:
-    return len(tips(obj))
+    """Tip ids in traversal order."""
+    return [slot.tip_id for _, slot in _slots(obj) if type(slot) is Tip]
 
 
 def tip_locations(obj: Grope | Stage) -> dict[str, tuple[Path, int, int]]:
-    """Map each tip id to (parent stage path, pair index, side)."""
-    out: dict[str, tuple[Path, int, int]] = {}
-    for path, stage in iter_stages(obj):
-        for j, (a, b) in enumerate(stage.pairs):
-            if isinstance(a, Tip):
-                out[a.tip_id] = (path, j, ALPHA)
-            if isinstance(b, Tip):
-                out[b.tip_id] = (path, j, BETA)
-    return out
+    """Map each tip id, in traversal order, to (parent stage path, pair index, side)."""
+    return {
+        slot.tip_id: (path[:-1], *path[-1]) for path, slot in _slots(obj) if type(slot) is Tip
+    }
 
 
 def is_dyadic(obj: Grope | Stage) -> bool:
@@ -180,8 +187,6 @@ def boundary_word(obj: Grope | Stage, assignment: Mapping[str, GroupWord] | None
     MAX_WORD_LENGTH letters before reduction, as evaluate does.
     """
     root = obj.root if isinstance(obj, Grope) else obj
-    if assignment is None:
-        assignment = default_assignment(root)
     # Both walks memoize by node, so a stage shared by several parents (built
     # through the API; documents are trees) is measured and built once.  The
     # tree outlives the call, so no id is reused while the memos are in use.
@@ -193,8 +198,11 @@ def boundary_word(obj: Grope | Stage, assignment: Mapping[str, GroupWord] | None
         if n is not None:
             return n
         if isinstance(slot, Tip):
+            # The default assignment, built only once the length passes,
+            # gives each tip one letter: an aliased stage is measured
+            # without enumerating its paths.
             try:
-                n = len(assignment[slot.tip_id])
+                n = 1 if assignment is None else len(assignment[slot.tip_id])
             except KeyError:
                 raise ValidationError(f"no word assigned to tip {slot.tip_id!r}") from None
         else:
@@ -220,6 +228,8 @@ def boundary_word(obj: Grope | Stage, assignment: Mapping[str, GroupWord] | None
         return word
 
     _refuse_long(length_of(root))
+    if assignment is None:
+        assignment = default_assignment(root)
     return word_of(root)
 
 

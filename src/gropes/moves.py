@@ -120,9 +120,9 @@ def find_duplicate_pair(
     """Two caps of the piece carrying the same value, deterministically.
 
     Clean caps (no label value) match each other first; otherwise the first
-    same-value pair in cap traversal order wins.  Raises SplitFirstError if
-    some cap still carries several values, PigeonholeFailure if all values
-    on the piece are distinct.
+    same-value pair in piece_caps order, the traversal order of gropes.grope,
+    wins.  Raises SplitFirstError if some cap still carries several values,
+    PigeonholeFailure if all values on the piece are distinct.
     """
     caps_here = piece_caps(cg, pair_index)
     return _pick_pair(caps_here, value_keys_by_cap(cg), piece_name or f"pair {pair_index}")

@@ -11,7 +11,7 @@ stored id order.
 from __future__ import annotations
 
 from .capped import BodyRef, CappedGrope, CapRef, SheetRef, value_keys_by_cap
-from .grope import Grope, Path, Stage, Tip, iter_stages
+from .grope import Grope, Path, Tip, iter_stages
 from .words import GroupWord
 
 

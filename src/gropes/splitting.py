@@ -19,10 +19,11 @@ shift by m - 1, and the class of the grope is preserved.
 full_split drives both to a fixed point: afterwards every cap carries at most
 one label value and every stage above the first has genus 1, so all genus is
 concentrated on the first stage.  Its rewrite order is part of the contract,
-because it fixes every derived id and trace entry:
+because it fixes every derived id and trace entry.  Both searches read the
+traversal order defined in gropes.grope, through its one walker:
 
-1. while some cap carries several values, split the first such cap in tip
-   traversal order (depth-first, pair by pair, alpha before beta);
+1. while some cap carries several values, split the first such cap in
+   traversal order;
 2. then, while some stage above the first has genus > 1, split the first such
    stage in traversal order among the deepest ones.
 
@@ -63,10 +64,9 @@ sheets keep their ids, so rewrites are auditable and replayable.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from .capped import (
     BodyRef,
@@ -86,6 +86,7 @@ from .grope import (
     Slot,
     Stage,
     Tip,
+    _slots,
     iter_stages,
     path_doc,
     stage_at,
@@ -239,10 +240,12 @@ def _widen_pair(
     it) are rewritten by remap_mine, and body paths through later pairs of
     the stage shift by len(mine) - 1.
 
-    Only the points in the buckets these changes reach are read: the
-    replaced cap's, the copied caps', and the body paths below ppath through
-    the dual step, the replaced step or a later pair.  They are rewritten in
-    id order, the order in which their lineage names were always derived.
+    Each of these rules is written once, in a table from every moved sheet
+    (the replaced cap, the copied caps, and the body paths below ppath
+    through the dual step, the replaced step or a later pair) to its image.
+    Only the points in the buckets of the table's sheets are read, and they
+    are rewritten in id order, the order in which their lineage names were
+    always derived.
     """
     body, caps, names = state.body, state.caps, state.names
     tip_cap, values = state.tip_cap, state.values
@@ -286,39 +289,37 @@ def _widen_pair(
     if isinstance(old, Tip):
         freed.append(old.tip_id)
 
+    # One ref, one ref per copy, or remap_mine, which also reads the point.
+    image: dict[str | Path, SheetRef | list | Callable] = dict(cap_copies)
+    if mine_cap is not None:
+        image[mine_cap] = remap_mine
     depth = len(ppath)
     mine_step = (pair, side) if isinstance(old, Stage) else None
     dual_step = (pair, 1 - side) if isinstance(dual, Stage) else None
+    for path in state.by_path:
+        if len(path) > depth and path[:depth] == ppath:
+            (j, s), rest = path[depth], path[depth + 1 :]
+            if j > pair:
+                image[path] = BodyRef(ppath + ((j + count - 1, s),) + rest)
+            elif (j, s) == dual_step:
+                image[path] = [BodyRef(ppath + ((pair + k, s),) + rest) for k in range(count)]
+            elif (j, s) == mine_step:
+                image[path] = remap_mine
 
     touched: set[str] = set()
-    by_cap = state.by_cap
-    for cap in (mine_cap, *cap_copies):
-        touched.update(by_cap.get(cap, ()))
-    for path, ids in state.by_path.items():
-        if len(path) > depth and path[:depth] == ppath:
-            step = path[depth]
-            if step[0] > pair or step == dual_step or step == mine_step:
-                touched.update(ids)
+    for key in image:
+        touched.update((state.by_cap if type(key) is str else state.by_path).get(key, ()))
 
     def move(p: Intersection, end: SheetRef) -> SheetRef | list[SheetRef]:
         """The rewritten endpoint, or its list of per-copy endpoints."""
         kind = type(end)
         if kind is CapRef:
-            if end.cap_id == mine_cap:
-                return remap_mine(p, end)
-            return cap_copies.get(end.cap_id, end)
-        if kind is BodyRef:
-            path = end.path
-            if len(path) > depth and path[:depth] == ppath:
-                step = path[depth]
-                if step[0] > pair:
-                    return BodyRef(ppath + ((step[0] + count - 1, step[1]),) + path[depth + 1 :])
-                if step == dual_step:
-                    rest = path[depth + 1 :]
-                    return [BodyRef(ppath + ((pair + k, step[1]),) + rest) for k in range(count)]
-                if step == mine_step:
-                    return remap_mine(p, end)
-        return end
+            moved = image.get(end.cap_id, end)
+        elif kind is BodyRef:
+            moved = image.get(end.path, end)
+        else:
+            return end
+        return remap_mine(p, end) if moved is remap_mine else moved
 
     points = state.points
     for point_id in sorted(touched):
@@ -330,17 +331,15 @@ def _widen_pair(
         if type(a) is list or type(b) is list:
             del points[point_id]
             freed.append(point_id)
-            for k in range(count):
-                q = Intersection(
-                    names.derived(point_id, k + 1),
-                    a[k] if type(a) is list else a,
-                    b[k] if type(b) is list else b,
-                    p.label,
-                )
-                points[q.point_id] = q
-                state.index(q)
+            a, b = (end if type(end) is list else [end] * count for end in (a, b))
+            new = [
+                Intersection(names.derived(point_id, k + 1), a[k], b[k], p.label)
+                for k in range(count)
+            ]
         else:
-            q = points[point_id] = Intersection(point_id, a, b, p.label)
+            new = [Intersection(point_id, a, b, p.label)]
+        for q in new:
+            points[q.point_id] = q
             state.index(q)
     # Freed only now: every id the input held stays taken while deriving.
     names.release(freed)
@@ -488,37 +487,10 @@ def split_stage(
     return state.result()
 
 
-def _slots_from(
-    root: Stage, start: Path, max_depth: float = math.inf
-) -> Iterator[tuple[Path, Slot]]:
-    """Slots at most max_depth deep with their paths, in traversal order from start.
-
-    Traversal order is depth-first, pair by pair, alpha before beta, which
-    is the lexicographic order of paths.  The stages on the way down to start
-    come first; subtrees wholly before start are skipped without being
-    entered.
-    """
-
-    def walk(stage: Stage, path: Path, on_start: bool) -> Iterator[tuple[Path, Slot]]:
-        depth = len(path)
-        first = start[depth] if on_start and depth < len(start) else (0, ALPHA)
-        for j in range(first[0], stage.genus):
-            for side, slot in enumerate(stage.pairs[j]):
-                step = (j, side)
-                if step < first:
-                    continue
-                child = path + (step,)
-                yield child, slot
-                if type(slot) is Stage and depth + 1 < max_depth:
-                    yield from walk(slot, child, on_start and step == first)
-
-    yield from walk(root, (), True)
-
-
 def _next_multi_valued_cap(state: _SplitState, start: Path) -> tuple[str, Path] | None:
-    """The first cap at or after start in traversal order with several values."""
+    """The first cap with several values at or after start, in grope._slots order."""
     tip_cap, values = state.tip_cap, state.values
-    for path, slot in _slots_from(state.body.root, start):
+    for path, slot in _slots(state.body, start):
         if type(slot) is Tip:
             cap = tip_cap.get(slot.tip_id)
             if cap is not None and len(values[cap]) > 1:
@@ -527,8 +499,8 @@ def _next_multi_valued_cap(state: _SplitState, start: Path) -> tuple[str, Path] 
 
 
 def _next_wide_stage(root: Stage, depth: int, start: Path) -> Path | None:
-    """The first genus > 1 stage exactly `depth` deep at or after start."""
-    for path, slot in _slots_from(root, start, depth):
+    """The first genus > 1 stage exactly `depth` deep at or after start, in grope._slots order."""
+    for path, slot in _slots(root, start, depth):
         if len(path) == depth and type(slot) is Stage and slot.genus > 1:
             return path
     return None
@@ -635,11 +607,11 @@ def full_split(
     every pair heads a one-value-per-cap dyadic branch.  The class of the
     grope is unchanged.
 
-    Rewrites run in the module's contract order: first the first
-    multi-valued cap in tip traversal order, repeatedly; then, among the
-    deepest stages of genus > 1 above the first, the first in traversal
-    order.  Each search resumes from where the last rewrite happened, which
-    the two cursor invariants in the module docstring make exact.  Raises
+    Rewrites run in the module's contract order, over the traversal order
+    of gropes.grope: first the first multi-valued cap, repeatedly; then,
+    among the deepest stages of genus > 1 above the first, the first one.
+    Each search resumes from where the last rewrite happened, which the two
+    cursor invariants in the module docstring make exact.  Raises
     GrowthLimitError before any rewrite when the splitting would raise the
     first-stage genus above limits.max_first_stage_genus, or the number of
     intersections (by a lower bound worked out from the input) above

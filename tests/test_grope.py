@@ -7,7 +7,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gropes.commutators as commutators_module
@@ -21,7 +21,6 @@ from gropes import (
     boundary_word,
     class_of,
     commutator,
-    count_tips,
     default_assignment,
     evaluate,
     generator,
@@ -30,6 +29,7 @@ from gropes import (
     iter_stages,
     parse_expression,
     path_doc,
+    random_grope,
     stage_at,
     tip_locations,
     tips,
@@ -37,6 +37,8 @@ from gropes import (
     weight,
     with_stage_at,
 )
+
+from gropes.grope import _slots
 
 from conftest import dyadic_tower, words
 
@@ -95,13 +97,13 @@ def test_cap_count_law_small():
     """Dyadic class-k gropes have exactly k tips."""
     for k in range(2, 9):
         g, _ = dyadic_tower(k)
-        assert count_tips(g) == k
+        assert len(tips(g)) == k
 
 
 def test_genus_two_not_dyadic():
     g = Grope(Stage(((Tip("a1"), Tip("a2")), (Tip("b1"), Tip("b2")))))
     assert not is_dyadic(g)
-    assert count_tips(g) == 4
+    assert len(tips(g)) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +149,100 @@ def test_tip_locations_cover_all_tips():
     for tid, (path, pair, side) in locs.items():
         stage = stage_at(g, path)
         assert stage.pairs[pair][side] == Tip(tid)
+
+
+# The recursive walkers that _slots replaced, kept as oracles.
+
+
+def _oracle_iter_stages(root: Stage) -> list:
+    out = []
+
+    def walk(stage, path):
+        out.append((path, stage))
+        for j, (a, b) in enumerate(stage.pairs):
+            if isinstance(a, Stage):
+                walk(a, path + ((j, 0),))
+            if isinstance(b, Stage):
+                walk(b, path + ((j, 1),))
+
+    walk(root, ())
+    return out
+
+
+def _oracle_tips(root: Stage) -> list[str]:
+    out = []
+
+    def walk(stage):
+        for a, b in stage.pairs:
+            for slot in (a, b):
+                if isinstance(slot, Tip):
+                    out.append(slot.tip_id)
+                else:
+                    walk(slot)
+
+    walk(root)
+    return out
+
+
+def _oracle_tip_locations(root: Stage) -> dict:
+    out = {}
+    for path, stage in _oracle_iter_stages(root):
+        for j, (a, b) in enumerate(stage.pairs):
+            if isinstance(a, Tip):
+                out[a.tip_id] = (path, j, 0)
+            if isinstance(b, Tip):
+                out[b.tip_id] = (path, j, 1)
+    return out
+
+
+@st.composite
+def stage_trees(draw) -> Stage:
+    """Stages of genus 1-3, up to 3 levels deep, whose slots are often both stages."""
+    fresh = itertools.count(1)
+
+    def slot(depth: int):
+        if depth == 0 or draw(st.booleans()):
+            return Tip(f"t{next(fresh)}")
+        return stage(depth - 1)
+
+    def stage(depth: int) -> Stage:
+        return Stage(tuple((slot(depth), slot(depth)) for _ in range(draw(st.integers(1, 3)))))
+
+    return stage(3)
+
+
+walker_roots = st.one_of(
+    stage_trees(),
+    st.builds(
+        lambda seed, c, genus: random_grope(random.Random(seed), c, genus=genus).root,
+        st.integers(0, 10**6),
+        st.integers(2, 6),
+        st.integers(1, 3),
+    ),
+)
+steps = st.tuples(st.integers(0, 3), st.integers(0, 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(walker_roots, st.data())
+def test_slots_is_the_traversal_order(root, data):
+    assert list(iter_stages(root)) == _oracle_iter_stages(root)
+    assert tips(root) == _oracle_tips(root)
+    # The oracle lists keys stage by stage; _slots gives them in tip order.
+    assert tip_locations(root) == _oracle_tip_locations(root)
+    assert list(tip_locations(root)) == tips(root)
+
+    full = list(_slots(root))
+    assert [p for p, _ in full] == sorted(p for p, _ in full)  # lexicographic order of paths
+    assert all(stage_at(root, p[:-1]).pairs[p[-1][0]][p[-1][1]] is slot for p, slot in full)
+    # A start in the tree, or anywhere: past a genus, through a tip.
+    start = data.draw(st.sampled_from([p for p, _ in full]) | st.lists(steps, max_size=4).map(tuple))
+    ancestors = [(p, s) for p, s in full if p < start and p == start[: len(p)]]
+    assert list(_slots(root, start)) == ancestors + [(p, s) for p, s in full if p >= start]
+    for bound in range(6):
+        assert list(_slots(root, start, bound)) == [
+            (p, s) for p, s in _slots(root, start) if len(p) <= bound
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +331,18 @@ def test_boundary_word_measures_a_shared_stage_once():
     assert elapsed < 1.0, f"took {elapsed:.2f}s, budget 1s"
 
 
+def test_boundary_word_measures_a_shared_stage_before_assigning():
+    """The default assignment walks every path, so the length is measured first."""
+    stage = Stage(((Tip("a"), Tip("b")),))
+    for _ in range(40):
+        stage = Stage(((stage, stage),))
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="exceeds the bound"):
+        boundary_word(stage)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"took {elapsed:.2f}s, budget 1s"
+
+
 def test_default_assignment_in_tip_order():
     g, _ = grope_from_expression(parse_expression("[[x1,x2],x3]"))
     asg = default_assignment(g)
@@ -318,7 +426,7 @@ def test_cap_count_all_shapes_up_to_six():
         for root in _dyadic_shapes(k, itertools.count(1)):
             g = Grope(root)
             assert class_of(g) == k
-            assert count_tips(g) == k
+            assert len(tips(g)) == k
             assert is_dyadic(g)
             n += 1
         # Catalan numbers count the shapes: 1, 2, 5, 14, 42.
