@@ -331,15 +331,17 @@ def _widen_pair(
         if type(a) is list or type(b) is list:
             del points[point_id]
             freed.append(point_id)
-            a, b = (end if type(end) is list else [end] * count for end in (a, b))
-            new = [
-                Intersection(names.derived(point_id, k + 1), a[k], b[k], p.label)
-                for k in range(count)
-            ]
+            for k in range(count):
+                q = Intersection(
+                    names.derived(point_id, k + 1),
+                    a[k] if type(a) is list else a,
+                    b[k] if type(b) is list else b,
+                    p.label,
+                )
+                points[q.point_id] = q
+                state.index(q)
         else:
-            new = [Intersection(point_id, a, b, p.label)]
-        for q in new:
-            points[q.point_id] = q
+            q = points[point_id] = Intersection(point_id, a, b, p.label)
             state.index(q)
     # Freed only now: every id the input held stays taken while deriving.
     names.release(freed)
