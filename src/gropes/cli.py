@@ -283,7 +283,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("lcs", cmd_lcs, "lower-central-series depth of an expression's value")
     p.add_argument("expression", help="commutator expression, e.g. '[x1,x2]'")
-    p.add_argument("--cutoff", type=int, default=DEFAULT_CUTOFF)
+    p.add_argument(
+        "--cutoff",
+        type=int,
+        default=DEFAULT_CUTOFF,
+        help="highest degree expanded (default %(default)s); '>=N' means the word is "
+        "deeper than the cutoff",
+    )
     p.add_argument("--word", action="store_true", help="treat the input as a plain word")
 
     p = add("split", cmd_split, "split caps and stages (full split by default)")

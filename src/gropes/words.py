@@ -12,6 +12,17 @@ The expansion is graded and in place: terms are kept one dict per degree, and
 each letter is multiplied in with a single pass over the terms below the
 cutoff (x_g appends g to every term; x_g^-1 solves B = A - B * X_g degree by
 degree), never as a product of two general series.
+
+The depth test expands only the monomials that are prefixes of Lyndon words,
+which is exact for two reasons.  Every update appends a letter to a term, so
+a monomial's coefficient depends only on those of its prefixes, and a
+prefix-closed set of monomials can be expanded on its own.  And when the
+degrees below c vanish, the word lies in the c-th term of the lower central
+series (Magnus), so its degree-c part is a Lie polynomial; a nonzero Lie
+polynomial has a nonzero coefficient on some Lyndon word, because the
+standard bracketing of a Lyndon word l is l plus lexicographically larger
+words (Reutenauer, Free Lie Algebras, sec. 5.1; Lothaire, Combinatorics on
+Words, ch. 5).  magnus keeps the full expansion.
 """
 
 from __future__ import annotations
@@ -205,7 +216,9 @@ class TruncatedSeries:
         return f"TruncatedSeries(cutoff={self.cutoff}, 1 + {body})"
 
 
-def _expand(letters: tuple[int, ...], cutoff: int) -> list[dict[tuple[int, ...], int]]:
+def _expand(
+    letters: tuple[int, ...], cutoff: int, lyndon: bool = False
+) -> list[dict[tuple[int, ...], int]]:
     """Graded expansion of a word: levels[k] maps each degree-k monomial to its coefficient.
 
     levels[0] is the constant term {(): 1}.  Letters are multiplied in one at
@@ -218,24 +231,40 @@ def _expand(letters: tuple[int, ...], cutoff: int) -> list[dict[tuple[int, ...],
 
     Zero coefficients are deleted.  Levels stop at the highest degree a term
     can reach: the word's length when it has no inverse letters, else the cutoff.
+
+    With lyndon=True only monomials that are prefixes of Lyndon words (in the
+    natural order of generator indices) are kept, with the same coefficients
+    as without it (see the module docstring).  They are recognised with
+    Duval's period p: m + (g,) is a prefix iff g >= m[len(m) - p]; the period
+    stays p on equality and becomes len(m) + 1 otherwise, and every single
+    letter is a prefix.
     """
     top = cutoff if any(x < 0 for x in letters) else min(cutoff, len(letters))
     levels: list[dict[tuple[int, ...], int]] = [{(): 1}]
     levels.extend({} for _ in range(top))
+    # rule[m] = (least letter that may follow m, period of m); None keeps all.
+    rule = {(): (0, 0)} if lyndon else None
     for x in letters:
         if x > 0:
-            step, sign, degrees = (x,), 1, range(top, 0, -1)
+            g, sign, degrees = x, 1, range(top, 0, -1)
         else:
-            step, sign, degrees = (-x,), -1, range(1, top + 1)
+            g, sign, degrees = -x, -1, range(1, top + 1)
+        step = (g,)
         for k in degrees:
             src, dst = levels[k - 1], levels[k]
             for mono, coeff in src.items():
+                if rule is not None:
+                    least, p = rule[mono]
+                    if g < least:
+                        continue
                 mono += step
                 c = dst.get(mono, 0) + sign * coeff
                 if c:
                     dst[mono] = c
                 else:
                     del dst[mono]
+                if rule is not None and mono not in rule:
+                    rule[mono] = (mono[-p], p) if g == least else (mono[0], k)
     return levels
 
 
@@ -300,6 +329,13 @@ def lcs_depth(w: GroupWord, cutoff: int = DEFAULT_CUTOFF) -> Depth:
     below c are already known to be zero and only levels[c] is tested.
     Stopping early gives the same answer as expanding at the full cutoff
     directly, while cheap shallow words stay cheap.
+
+    Each expansion keeps only prefixes of Lyndon words, and the test stays
+    exact: the kept set is prefix-closed and every update appends a letter,
+    so the kept coefficients are the full expansion's; and with the degrees
+    below c zero, levels[c] is a Lie polynomial (Magnus), which is nonzero
+    only if its coefficient on some Lyndon word is (Reutenauer, Free Lie
+    Algebras, sec. 5.1; Lothaire, Combinatorics on Words, ch. 5).
     """
     if cutoff < 1:
         raise ValidationError(f"cutoff must be >= 1, got {cutoff}")
@@ -307,6 +343,6 @@ def lcs_depth(w: GroupWord, cutoff: int = DEFAULT_CUTOFF) -> Depth:
         return Depth.infinite()
     for c in range(1, cutoff + 1):
         # levels[c] exists: a word with no inverse letters returns at c = 1.
-        if _expand(w.letters, c)[c]:
+        if _expand(w.letters, c, lyndon=True)[c]:
             return Depth.exact(c)
     return Depth.at_least(cutoff + 1)

@@ -287,6 +287,14 @@ def test_lcs_reports_cutoff_saturation(capsys):
     assert (code, out) == (0, ">=3\n")
 
 
+def test_lcs_help_explains_the_cutoff(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["lcs", "--help"])
+    assert exit_info.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "default 8" in text and "'>=N' means the word is deeper than the cutoff" in text
+
+
 def test_lcs_nesting_bound(capsys):
     at_bound = "(" * MAX_NESTING + "x1" + ")" * MAX_NESTING
     assert run(capsys, "lcs", at_bound)[:2] == (0, "1\n")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 
@@ -244,6 +245,37 @@ def test_graded_expansion_of_unreduced_letters_matches_oracle(raw, cutoff):
     assert merged == magnus_oracle(raw, cutoff)
 
 
+def _is_lyndon(word):
+    """Strictly smaller than each of its proper rotations."""
+    return all(word < word[i:] + word[:i] for i in range(1, len(word)))
+
+
+def _lyndon_prefix(mono):
+    """Brute force: m is a prefix of a Lyndon word iff m + (a larger letter,) is Lyndon."""
+    return not mono or _is_lyndon(mono + (max(mono) + 1,))
+
+
+def test_lyndon_prefix_rule_on_every_short_word():
+    """The period test keeps exactly the Lyndon-word prefixes over {1, 2, 3}, up to length 7.
+
+    A positive word's own letters are its only degree-len embedding, so the
+    word is a top-degree monomial of its expansion with coefficient 1 unless
+    pruning dropped it.
+    """
+    for n in range(1, 8):
+        for u in itertools.product((1, 2, 3), repeat=n):
+            assert (u in _expand(u, n, lyndon=True)[n]) == _lyndon_prefix(u), u
+
+
+@given(inverse_heavy_letters, st.integers(min_value=1, max_value=6))
+@settings(max_examples=100)
+def test_pruned_expansion_is_the_full_one_on_lyndon_prefixes(raw, cutoff):
+    """Truncating to a prefix-closed set is exact on it, even with x x^-1 left in place."""
+    full = _expand(tuple(raw), cutoff)
+    pruned = _expand(tuple(raw), cutoff, lyndon=True)
+    assert pruned == [{m: c for m, c in level.items() if _lyndon_prefix(m)} for level in full]
+
+
 def test_magnus_at_a_huge_cutoff_stays_small_for_positive_words():
     """Levels stop at the word's length when no letter is an inverse."""
     start = time.perf_counter()
@@ -319,6 +351,47 @@ def test_depth_matches_oracle_when_exact(raw):
         assert not d.is_exact and d.bound == 6
     else:
         assert d.is_exact and d.bound == expected
+
+
+def _expect_depth(letters, cutoff):
+    """The oracle's answer as a Depth; the oracle expands the letters as given."""
+    expected = depth_oracle(letters, cutoff)
+    if not reduce_letters(letters):
+        assert expected is None
+        return Depth.infinite()
+    return Depth.at_least(cutoff + 1) if expected is None else Depth.exact(expected)
+
+
+@pytest.mark.parametrize("cutoff", [1, 6])
+def test_depth_matches_oracle_on_every_short_word_in_two_generators(cutoff):
+    """Every freely reduced word of length <= 7 over x1^+-1 and x2^+-1."""
+    letters = [(1,), (-1,), (2,), (-2,)]
+    frontier, count = [()], 0
+    for _ in range(8):
+        for w in frontier:
+            assert lcs_depth(GroupWord(w), cutoff) == _expect_depth(w, cutoff), w
+            count += 1
+        frontier = [w + x for w in frontier for x in letters if not w or w[-1] != -x[0]]
+    assert count == 1 + 4 * sum(3**k for k in range(7))
+
+
+# Iterated commutators of short words in three generators, with inverse
+# letters and repeated generators, so depths pass 1 and leading terms cancel.
+commutator_heavy_letters = st.lists(
+    st.recursive(
+        st.lists(st.sampled_from((1, 2, 3, -1, -2, -3)), min_size=1, max_size=3).map(tuple),
+        lambda inner: st.tuples(inner, inner).map(lambda ab: commutator_letters(*ab)),
+        max_leaves=4,
+    ),
+    min_size=1,
+    max_size=2,
+).map(lambda parts: tuple(x for part in parts for x in part))
+
+
+@given(commutator_heavy_letters, st.integers(min_value=1, max_value=6))
+@settings(max_examples=100, deadline=None)
+def test_depth_matches_oracle_on_commutators_with_repeated_generators(letters, cutoff):
+    assert lcs_depth(reduce(letters), cutoff) == _expect_depth(letters, cutoff)
 
 
 @pytest.mark.parametrize(
