@@ -76,21 +76,16 @@ def _body_of(kind: str, obj) -> Grope:
 
 
 def _limits(args) -> SplitLimits:
-    default = SplitLimits()
+    """The guards from the flags, then GROPE_MAX_GENUS, then SplitLimits' defaults."""
     max_genus = args.max_genus
-    if max_genus is None:
-        env = os.environ.get("GROPE_MAX_GENUS")
-        if env is not None:
-            try:
-                max_genus = int(env)
-            except ValueError:
-                raise ParseError(f"GROPE_MAX_GENUS must be an integer, got {env!r}") from None
-    if max_genus is None:
-        max_genus = default.max_first_stage_genus
-    max_points = args.max_intersections
-    if max_points is None:
-        max_points = default.max_intersections
-    return SplitLimits(max_genus, max_points)
+    env = os.environ.get("GROPE_MAX_GENUS")
+    if max_genus is None and env is not None:
+        try:
+            max_genus = int(env)
+        except ValueError:
+            raise ParseError(f"GROPE_MAX_GENUS must be an integer, got {env!r}") from None
+    given = {"max_first_stage_genus": max_genus, "max_intersections": args.max_intersections}
+    return SplitLimits(**{name: v for name, v in given.items() if v is not None})
 
 
 def _load_valid_capped(path: str) -> CappedGrope:
@@ -133,7 +128,16 @@ def cmd_validate(args) -> int:
     elif kind == "kernel":
         problems = validate_kernel(obj, strict=args.strict)
     else:
-        problems = []
+        problems, held = [], []
+        for gi, husk in enumerate(obj.gropes):
+            problems += [f"grope {gi}: {issue}" for issue in validate_capped(husk)]
+            held.append({s.sphere_id for s in husk.spheres})
+        for k, pair in enumerate(obj.sphere_pairs):
+            for gi, sphere in pair:
+                if not 0 <= gi < len(held):
+                    problems.append(f"sphere pair {k}: no grope {gi}")
+                elif sphere not in held[gi]:
+                    problems.append(f"sphere pair {k}: grope {gi} has no sphere {sphere!r}")
     for issue in problems:
         print(issue)
     if problems:
@@ -256,24 +260,28 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"gropes {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, func, help_: str) -> argparse.ArgumentParser:
+    def add(name: str, func, help_: str, file: bool = True) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_)
         p.set_defaults(func=func)
+        if file:
+            p.add_argument("file", help="JSON document, or - for stdin")
         return p
 
+    def add_trace(p: argparse.ArgumentParser, limits: bool = True) -> None:
+        p.add_argument("--trace", metavar="FILE", help="write one JSON line per rewrite or move")
+        if limits:
+            p.add_argument("--max-genus", type=int, help="first-stage genus guard")
+            p.add_argument("--max-intersections", type=int, help="intersection count guard")
+
     p = add("validate", cmd_validate, "check a document's structural invariants")
-    p.add_argument("file", help="JSON document, or - for stdin")
     p.add_argument("--strict", action="store_true", help="require cap-only endpoints")
 
-    p = add("class", cmd_class, "print the class of a grope")
-    p.add_argument("file")
+    add("class", cmd_class, "print the class of a grope")
 
     p = add("tips", cmd_tips, "list tip ids in traversal order")
-    p.add_argument("file")
     p.add_argument("--count", action="store_true", help="print only the number of tips")
 
     p = add("boundary", cmd_boundary, "print the boundary word of a grope")
-    p.add_argument("file")
     p.add_argument(
         "--assign",
         action="append",
@@ -281,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="assign a word to a tip (default: distinct generators in order)",
     )
 
-    p = add("lcs", cmd_lcs, "lower-central-series depth of an expression's value")
+    p = add("lcs", cmd_lcs, "lower-central-series depth of an expression's value", file=False)
     p.add_argument("expression", help="commutator expression, e.g. '[x1,x2]'")
     p.add_argument(
         "--cutoff",
@@ -293,30 +301,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word", action="store_true", help="treat the input as a plain word")
 
     p = add("split", cmd_split, "split caps and stages (full split by default)")
-    p.add_argument("file")
     p.add_argument("--cap", help="split this cap only")
     p.add_argument("--stage", metavar="PATH", help="split this stage only, e.g. 0a.1b")
-    p.add_argument("--trace", metavar="FILE", help="write one JSON line per rewrite")
-    p.add_argument("--max-genus", type=int, default=None, help="first-stage genus guard")
-    p.add_argument("--max-intersections", type=int, default=None)
+    add_trace(p)
 
     p = add("contract", cmd_contract, "contract a piece along two caps, then push off")
-    p.add_argument("file")
     p.add_argument("--pair", type=int, required=True, help="first-stage pair index")
     p.add_argument("--caps", required=True, metavar="A,B", help="the two caps")
     p.add_argument("--skip-pushoff", action="store_true")
-    p.add_argument("--trace", metavar="FILE")
+    add_trace(p, limits=False)
 
     p = add("pipeline", cmd_pipeline, "run the full surgery on a kernel")
-    p.add_argument("file")
     p.add_argument("--check", action="store_true", help="only report the hypotheses")
     p.add_argument("--force", action="store_true", help="attempt surgery even if unmet")
     p.add_argument("--stats-only", action="store_true")
-    p.add_argument("--trace", metavar="FILE")
-    p.add_argument("--max-genus", type=int, default=None)
-    p.add_argument("--max-intersections", type=int, default=None)
+    add_trace(p)
 
-    p = add("generate", cmd_generate, "generate a reproducible kernel")
+    p = add("generate", cmd_generate, "generate a reproducible kernel", file=False)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--labels", type=int, required=True, metavar="M")
     p.add_argument("--class", dest="grope_class", type=int, default=None)
@@ -328,9 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="class == labels with all-distinct values: surgery must fail",
     )
 
-    p = add("render", cmd_render, "emit Graphviz DOT")
-    p.add_argument("file")
-
+    add("render", cmd_render, "emit Graphviz DOT")
     return parser
 
 

@@ -25,10 +25,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Union
+from typing import Any, Iterator, Mapping, Union
 
 from .commutators import Comm, CommutatorExpr, Gen, Inv, _refuse_long, push_inverses
-from .errors import ValidationError
+from .errors import ParseError, ValidationError
 from .words import GroupWord, generator
 
 Slot = Union["Tip", "Stage"]
@@ -41,6 +41,25 @@ SIDE_NAMES = ("alpha", "beta")
 def path_doc(path: Path) -> list[list]:
     """A path as JSON-ready [[pairIndex, "alpha"|"beta"], ...]."""
     return [[j, SIDE_NAMES[side]] for j, side in path]
+
+
+def _path_from_doc(doc: Any, ctx: str) -> Path:
+    """Read a path written by path_doc, refusing anything else with a ParseError at ctx."""
+    if not isinstance(doc, list):
+        raise ParseError(f"{ctx}: expected list, got {doc!r}")
+    path = []
+    for k, step in enumerate(doc):
+        bad = (
+            not isinstance(step, list)
+            or len(step) != 2
+            or isinstance(step[0], bool)
+            or not isinstance(step[0], int)
+            or step[1] not in SIDE_NAMES
+        )
+        if bad:
+            raise ParseError(f'{ctx}[{k}]: expected [pairIndex, "alpha"|"beta"], got {step!r}')
+        path.append((step[0], SIDE_NAMES.index(step[1])))
+    return tuple(path)
 
 
 @dataclass(frozen=True, slots=True)

@@ -40,7 +40,7 @@ from .capped import (
 )
 from .commutators import MAX_NESTING
 from .errors import HypothesisError, ValidationError
-from .grope import SIDE_NAMES, Grope, Slot, Stage, Tip, class_of, iter_stages, tips
+from .grope import Grope, Slot, Stage, Tip, _path_from_doc, class_of, iter_stages, tips
 from .moves import _sweep, contract, pushoff
 from .splitting import SplitLimits, full_split, split_cap, split_stage
 from .words import IDENTITY, GroupWord, generator
@@ -221,16 +221,17 @@ def replay_trace(kernel: SurgeryKernel, trace: Iterable[dict]) -> tuple[CappedGr
     """Re-execute a recorded trace against the kernel it came from.
 
     Only the rewriting operations are replayed; informational fields in the
-    entries are ignored.  Returns the final state of every grope.
+    entries are ignored.  Returns the final state of every grope.  A stage
+    path that grope.path_doc could not have written raises ParseError.
     """
     states = list(kernel.gropes)
-    for entry in trace:
+    for n, entry in enumerate(trace):
         gi = entry["grope"]
         op = entry["op"]
         if op == "split_cap":
             states[gi] = split_cap(states[gi], entry["cap"], allow_stage_dual=True)
         elif op == "split_stage":
-            path = tuple((j, SIDE_NAMES.index(side)) for j, side in entry["stage"])
+            path = _path_from_doc(entry["stage"], f"trace[{n}].stage")
             states[gi] = split_stage(states[gi], path)
         elif op == "contract":
             states[gi], _ = contract(

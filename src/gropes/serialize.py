@@ -27,7 +27,7 @@ from .capped import (
 )
 from .commutators import MAX_NESTING, parse_word, word_str
 from .errors import ParseError, ValidationError
-from .grope import SIDE_NAMES, Grope, Slot, Stage, Tip, path_doc
+from .grope import Grope, Slot, Stage, Tip, _path_from_doc, path_doc
 from .pipeline import SurgeryKernel, SurgeryResult
 from .words import GroupWord
 
@@ -36,7 +36,14 @@ def canonical_dumps(doc: Any) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _check_keys(doc: dict, allowed: tuple[str, ...], ctx: str) -> None:
+def _check_keys(doc: Any, allowed: tuple[str, ...], ctx: str, what: str) -> None:
+    """Refuse doc unless it is a JSON object whose keys all lie in allowed.
+
+    what is the message for a non-object, after "expected "; a "{!r}" in it
+    shows the value.
+    """
+    if not isinstance(doc, dict):
+        raise ParseError(f"{ctx}: expected {what.format(doc)}")
     extra = set(doc) - set(allowed)
     if extra:
         raise ParseError(f"{ctx}: unknown keys {sorted(extra)}")
@@ -95,9 +102,7 @@ def stage_from_doc(doc: Any, ctx: str, depth: int = 1) -> Stage:
     """
     if depth > MAX_NESTING:
         raise ParseError(f"{ctx.partition('.pairs')[0]}: stages nest deeper than {MAX_NESTING}")
-    if not isinstance(doc, dict):
-        raise ParseError(f"{ctx}: expected a stage object, got {doc!r}")
-    _check_keys(doc, ("pairs",), ctx)
+    _check_keys(doc, ("pairs",), ctx, "a stage object, got {!r}")
     pairs_doc = _get(doc, "pairs", list, ctx)
     if not pairs_doc:
         raise ParseError(f"{ctx}.pairs: a stage must have genus >= 1")
@@ -119,9 +124,7 @@ def grope_to_doc(g: Grope) -> dict:
 
 
 def grope_from_doc(doc: Any, ctx: str = "$") -> Grope:
-    if not isinstance(doc, dict):
-        raise ParseError(f"{ctx}: expected a grope object, got {doc!r}")
-    _check_keys(doc, ("closed", "root"), ctx)
+    _check_keys(doc, ("closed", "root"), ctx, "a grope object, got {!r}")
     closed = _get(doc, "closed", bool, ctx, default=False)
     return Grope(stage_from_doc(_get(doc, "root", dict, ctx), f"{ctx}.root"), closed)
 
@@ -142,22 +145,7 @@ def end_from_doc(doc: Any, ctx: str) -> SheetRef:
     if "sphere" in doc:
         return SphereRef(_get(doc, "sphere", str, ctx))
     if "body" in doc:
-        steps = _get(doc, "body", list, ctx)
-        path = []
-        for k, step in enumerate(steps):
-            bad = (
-                not isinstance(step, list)
-                or len(step) != 2
-                or isinstance(step[0], bool)
-                or not isinstance(step[0], int)
-                or step[1] not in SIDE_NAMES
-            )
-            if bad:
-                raise ParseError(
-                    f'{ctx}.body[{k}]: expected [pairIndex, "alpha"|"beta"], got {step!r}'
-                )
-            path.append((step[0], SIDE_NAMES.index(step[1])))
-        return BodyRef(tuple(path))
+        return BodyRef(_path_from_doc(doc["body"], f"{ctx}.body"))
     raise ParseError(f"{ctx}: an endpoint has exactly one of 'cap', 'body', 'sphere'")
 
 
@@ -171,9 +159,7 @@ def intersection_to_doc(p: Intersection) -> dict:
 
 
 def intersection_from_doc(doc: Any, ctx: str) -> Intersection:
-    if not isinstance(doc, dict):
-        raise ParseError(f"{ctx}: expected an intersection object, got {doc!r}")
-    _check_keys(doc, ("id", "endA", "endB", "label"), ctx)
+    _check_keys(doc, ("id", "endA", "endB", "label"), ctx, "an intersection object, got {!r}")
     try:
         return Intersection(
             _get(doc, "id", str, ctx),
@@ -202,15 +188,13 @@ def sphere_to_doc(s: SphereRecord) -> dict:
 
 
 def sphere_from_doc(doc: Any, ctx: str) -> SphereRecord:
-    if not isinstance(doc, dict):
-        raise ParseError(f"{ctx}: expected a sphere object, got {doc!r}")
-    _check_keys(doc, ("id", "piece", "capA", "capB", "label", "pending"), ctx)
+    _check_keys(
+        doc, ("id", "piece", "capA", "capB", "label", "pending"), ctx, "a sphere object, got {!r}"
+    )
     pending = []
     for k, q in enumerate(_get(doc, "pending", list, ctx, default=[])):
         qctx = f"{ctx}.pending[{k}]"
-        if not isinstance(q, dict):
-            raise ParseError(f"{qctx}: expected an object, got {q!r}")
-        _check_keys(q, ("id", "other", "label"), qctx)
+        _check_keys(q, ("id", "other", "label"), qctx, "an object, got {!r}")
         pending.append(
             PendingPushoff(
                 _get(q, "id", str, qctx),
@@ -241,9 +225,8 @@ def capped_to_doc(cg: CappedGrope) -> dict:
 
 
 def capped_from_doc(doc: Any, ctx: str = "$") -> CappedGrope:
-    if not isinstance(doc, dict):
-        raise ParseError(f"{ctx}: expected a capped grope object, got {doc!r}")
-    _check_keys(doc, ("closed", "root", "caps", "intersections", "spheres"), ctx)
+    keys = ("closed", "root", "caps", "intersections", "spheres")
+    _check_keys(doc, keys, ctx, "a capped grope object, got {!r}")
     root_doc = doc.get("root")
     if root_doc is None:
         body = None
@@ -276,9 +259,7 @@ def kernel_to_doc(k: SurgeryKernel) -> dict:
 
 
 def kernel_from_doc(doc: Any, ctx: str = "$") -> SurgeryKernel:
-    if not isinstance(doc, dict):
-        raise ParseError(f"{ctx}: expected a kernel object, got {doc!r}")
-    _check_keys(doc, ("rank", "gropes", "hyperbolicPairs"), ctx)
+    _check_keys(doc, ("rank", "gropes", "hyperbolicPairs"), ctx, "a kernel object, got {!r}")
     rank = _get(doc, "rank", int, ctx)
     gropes = [
         capped_from_doc(g, f"{ctx}.gropes[{k}]")
@@ -313,9 +294,7 @@ def result_to_doc(r: SurgeryResult) -> dict:
 
 
 def result_from_doc(doc: Any, ctx: str = "$") -> SurgeryResult:
-    if not isinstance(doc, dict):
-        raise ParseError(f"{ctx}: expected a result object, got {doc!r}")
-    _check_keys(doc, ("stats", "spherePairs", "gropes", "trace"), ctx)
+    _check_keys(doc, ("stats", "spherePairs", "gropes", "trace"), ctx, "a result object, got {!r}")
     stats = _get(doc, "stats", dict, ctx)
     gropes = [
         capped_from_doc(g, f"{ctx}.gropes[{k}]")
@@ -328,9 +307,7 @@ def result_from_doc(doc: Any, ctx: str = "$") -> SurgeryResult:
             raise ParseError(f"{pctx}: expected a two-element list")
         ends = []
         for side in pair:
-            if not isinstance(side, dict):
-                raise ParseError(f"{pctx}: expected sphere reference objects")
-            _check_keys(side, ("grope", "sphere"), pctx)
+            _check_keys(side, ("grope", "sphere"), pctx, "sphere reference objects")
             ends.append((_get(side, "grope", int, pctx), _get(side, "sphere", str, pctx)))
         pairs.append((ends[0], ends[1]))
     trace = _get(doc, "trace", list, ctx, default=[])

@@ -21,9 +21,11 @@ from gropes import (
     dumps_capped,
     dumps_grope,
     dumps_kernel,
+    dumps_result,
     generate_kernel,
     generator,
     loads_document,
+    run_surgery,
 )
 import gropes.pipeline as pipeline_module
 from gropes.cli import main
@@ -213,6 +215,33 @@ def test_validate_strict_rejects_body_endpoints(capsys, tmp_path):
     assert run(capsys, "validate", path)[0] == 0
     code, out, _ = run(capsys, "validate", "--strict", path)
     assert code == 1
+
+
+def _seed1_result_doc() -> dict:
+    return json.loads(dumps_result(run_surgery(generate_kernel(1, labels=2))))
+
+
+def test_validate_accepts_a_pipeline_result(capsys, tmp_path):
+    path = write(tmp_path, "r.json", json.dumps(_seed1_result_doc()))
+    assert run(capsys, "validate", path) == (0, "ok: valid result\n", "")
+
+
+def test_validate_checks_the_husks_and_sphere_pairs_of_a_result(capsys, tmp_path):
+    doc = _seed1_result_doc()
+    husk = doc["gropes"][0]
+    sphere = husk["spheres"][0]["id"]
+    ghost = {"id": "zz", "endA": {"sphere": "ghost"}, "endB": {"sphere": sphere}, "label": "1"}
+    husk["intersections"].append(ghost)
+    doc["spherePairs"].append([{"grope": 7, "sphere": sphere}, {"grope": 0, "sphere": "nope"}])
+    path = write(tmp_path, "r.json", json.dumps(doc))
+    code, out, _ = run(capsys, "validate", path)
+    k = len(doc["spherePairs"]) - 1
+    assert code == 1
+    assert out.splitlines() == [
+        "grope 0: intersection zz: unknown sphere 'ghost'",
+        f"sphere pair {k}: no grope 7",
+        f"sphere pair {k}: grope 0 has no sphere 'nope'",
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +458,22 @@ def test_bad_environment_guard_is_a_data_error(capsys, monkeypatch, multivalue_f
     assert run(capsys, "split", multivalue_file)[0] == 65
 
 
+def test_split_cap_growth_guard_exit_code(capsys, multivalue_file):
+    """split --cap checks the guard after its one rewrite, not from a prediction."""
+    code, out, err = run(capsys, "split", "--cap", "c1", "--max-genus", "1", multivalue_file)
+    assert (code, out) == (3, "")
+    assert err == "growth limit: first-stage genus 2 exceeds the limit 1\n"
+
+
+@pytest.mark.parametrize("command", ["split", "pipeline"])
+def test_growth_guard_flags_have_help(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    out = capsys.readouterr().out
+    assert "write one JSON line per rewrite" in out
+    assert "first-stage genus guard" in out and "intersection count guard" in out
+
+
 # ---------------------------------------------------------------------------
 # contract
 
@@ -517,6 +562,15 @@ def test_pipeline_check_fails_on_boundary_kernels(capsys, tmp_path):
     assert code == 1
     doc = json.loads(out)
     assert doc["ok"] is False and doc["boundaryOk"] is True
+
+
+def test_pipeline_check_lists_the_problems_of_an_invalid_kernel(capsys, tmp_path):
+    doc = json.loads(dumps_kernel(generate_kernel(11, labels=2)))
+    del doc["gropes"][0]["caps"]["c1"]
+    path = write(tmp_path, "k.json", json.dumps(doc))
+    code, out, err = run(capsys, "pipeline", "--check", path)
+    assert (code, out) == (1, "")
+    assert "grope 0: tip 't1' has no cap" in err.splitlines()
 
 
 def test_pipeline_unmet_hypotheses_fail_without_force(capsys, tmp_path):

@@ -607,6 +607,18 @@ def test_replay_rejects_unknown_ops():
         replay_trace(kernel, [{"grope": 0, "op": "teleport"}])
 
 
+@pytest.mark.parametrize(
+    "stage, where",
+    [([[0, "gamma"]], "trace[0].stage[0]"), ("0a", "trace[0].stage"), ([[0]], "trace[0].stage[0]")],
+    ids=["unknown-side", "string", "short-step"],
+)
+def test_replay_refuses_a_malformed_stage_path(stage, where):
+    with pytest.raises(GropeError) as exc:
+        replay_trace(small_kernel(), [{"grope": 0, "op": "split_stage", "stage": stage}])
+    message = str(exc.value)
+    assert message.startswith(f"{where}: expected ") and "\n" not in message
+
+
 # ---------------------------------------------------------------------------
 # generators
 

@@ -28,9 +28,12 @@ from gropes import (
     dumps_result,
     generate_kernel,
     generator,
+    grope_from_doc,
     grope_from_expression,
+    kernel_from_doc,
     loads_document,
     parse_expression,
+    result_from_doc,
     run_surgery,
 )
 
@@ -240,6 +243,69 @@ def test_unknown_keys_rejected_everywhere():
     with pytest.raises(ParseError) as exc:
         loads_document(text)
     assert "unknown keys" in str(exc.value)
+
+
+TWO_TIPS = {"root": {"pairs": [[{"tip": "t1"}, {"tip": "t2"}]]}, "caps": {"c1": "t1", "c2": "t2"}}
+SPHERE = {"id": "s", "piece": 0, "capA": "a", "capB": "b", "label": "1"}
+BAD_STEP = 'expected [pairIndex, "alpha"|"beta"], got'
+
+
+def _point_to(body) -> dict:
+    return {"id": "p", "endA": {"cap": "c1"}, "endB": {"body": body}, "label": "1"}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (
+            {"root": {"pairs": [[{"tip": "a"}, {"stage": 3}]]}},
+            "$.root.pairs[0][1].stage: expected a stage object, got 3",
+        ),
+        (
+            {"rank": 2, "hyperbolicPairs": [], "gropes": [5]},
+            "$.gropes[0]: expected a capped grope object, got 5",
+        ),
+        (
+            {**TWO_TIPS, "intersections": [[1]]},
+            "$.intersections[0]: expected an intersection object, got [1]",
+        ),
+        ({**TWO_TIPS, "spheres": ["s"]}, "$.spheres[0]: expected a sphere object, got 's'"),
+        (
+            {**TWO_TIPS, "spheres": [{**SPHERE, "pending": [3]}]},
+            "$.spheres[0].pending[0]: expected an object, got 3",
+        ),
+        (
+            {"stats": {}, "gropes": [], "spherePairs": [[{"grope": 0, "sphere": "s"}, 4]]},
+            "$.spherePairs[0]: expected sphere reference objects",
+        ),
+        (
+            {**TWO_TIPS, "intersections": [_point_to([[0, "gamma"]])]},
+            f"$.intersections[0].endB.body[0]: {BAD_STEP} [0, 'gamma']",
+        ),
+        (
+            {**TWO_TIPS, "intersections": [_point_to("0a")]},
+            "$.intersections[0].endB.body: expected list, got '0a'",
+        ),
+        (
+            {**TWO_TIPS, "intersections": [_point_to([[True, "beta"]])]},
+            f"$.intersections[0].endB.body[0]: {BAD_STEP} [True, 'beta']",
+        ),
+    ],
+)
+def test_malformed_parts_are_named_with_their_location(doc, message):
+    with pytest.raises(ParseError) as exc:
+        loads_document(json.dumps(doc))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "parse, what",
+    [(grope_from_doc, "a grope"), (kernel_from_doc, "a kernel"), (result_from_doc, "a result")],
+)
+def test_top_level_parsers_name_the_object_they_expected(parse, what):
+    with pytest.raises(ParseError) as exc:
+        parse([1])
+    assert str(exc.value) == f"$: expected {what} object, got [1]"
 
 
 # ---------------------------------------------------------------------------

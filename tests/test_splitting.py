@@ -19,6 +19,8 @@ from gropes import (
     Grope,
     Intersection,
     RewriteError,
+    SphereRecord,
+    SphereRef,
     SplitLimits,
     Stage,
     SurgeryKernel,
@@ -639,6 +641,35 @@ def test_each_rewrite_checks_the_point_count():
     with pytest.raises(GrowthLimitError, match="6 intersections exceed the limit 5"):
         split_cap(cg, "c1", limits=SplitLimits(max_intersections=5))
     assert len(split_cap(cg, "c1", limits=SplitLimits(max_intersections=6)).intersections) == 6
+
+
+def test_each_rewrite_checks_the_genus_guard():
+    cg = _two_value_cap()  # splitting c1 widens the first stage to genus 2
+    with pytest.raises(GrowthLimitError, match="first-stage genus 2 exceeds the limit 1"):
+        split_cap(cg, "c1", limits=SplitLimits(max_first_stage_genus=1))
+    assert split_cap(cg, "c1", limits=SplitLimits(max_first_stage_genus=2)).body.root.genus == 2
+
+
+def test_full_split_moves_points_that_end_on_a_sphere():
+    """Points from a multi-valued cap and from a shifted stage to sphere s keep that end."""
+    wide = Stage(((Tip("t1"), Tip("t2")), (Stage(((Tip("t3"), Tip("t4")),)), Tip("t6"))))
+    body = Grope(Stage(((wide, Tip("t5")),)))
+    caps = {f"c{k}": f"t{k}" for k in range(1, 7)}
+    s = SphereRef("s")
+    pts = (
+        Intersection("i1", CapRef("c1"), CapRef("c1"), F),
+        Intersection("i2", CapRef("c1"), s, G),
+        Intersection("i3", BodyRef(((0, 0), (1, 0))), s, F),
+        Intersection("i4", s, CapRef("c5"), H),
+    )
+    cg = CappedGrope(body, caps, pts, (SphereRecord("s", 0, "ca", "cb", IDENTITY),))
+    trace: list = []
+    out = full_split(cg, trace=trace)
+    assert _split_text(full_split, cg) == _split_text(_oracle_full_split, cg)
+    assert validate_capped(out) == []
+    assert sum(p.end_b == s for p in out.intersections) == 2
+    assert sum(p.end_a == s for p in out.intersections) == 3  # i4 on each copy of c5
+    assert replay_trace(SurgeryKernel(3, (cg,), ()), [{"grope": 0, **e} for e in trace]) == (out,)
 
 
 def test_split_refuses_duplicate_point_ids():
