@@ -221,31 +221,48 @@ def replay_trace(kernel: SurgeryKernel, trace: Iterable[dict]) -> tuple[CappedGr
     """Re-execute a recorded trace against the kernel it came from.
 
     Only the rewriting operations are replayed; informational fields in the
-    entries are ignored.  Returns the final state of every grope.  A stage
-    path that grope.path_doc could not have written raises ParseError.
+    entries are ignored.  Returns the final state of every grope.  A field
+    the replay reads that a trace could not hold raises ValidationError, and
+    a stage path that grope.path_doc could not have written ParseError.
     """
     states = list(kernel.gropes)
     for n, entry in enumerate(trace):
-        gi = entry["grope"]
-        op = entry["op"]
+        ctx = f"trace[{n}]"
+        if not isinstance(entry, dict):
+            raise ValidationError(f"{ctx}: expected an entry object, got {entry!r}")
+        gi = _entry_field(entry, "grope", int, ctx)
+        if not 0 <= gi < len(states):
+            raise ValidationError(f"{ctx}.grope: no grope {gi} in a kernel of {len(states)}")
+        op = entry.get("op")
         if op == "split_cap":
-            states[gi] = split_cap(states[gi], entry["cap"], allow_stage_dual=True)
+            cap = _entry_field(entry, "cap", str, ctx)
+            states[gi] = split_cap(states[gi], cap, allow_stage_dual=True)
         elif op == "split_stage":
-            path = _path_from_doc(entry["stage"], f"trace[{n}].stage")
+            path = _path_from_doc(entry.get("stage"), f"{ctx}.stage")
             states[gi] = split_stage(states[gi], path)
         elif op == "contract":
             states[gi], _ = contract(
                 states[gi],
-                entry["pairIndex"],
-                entry["capA"],
-                entry["capB"],
-                piece=entry["piece"],
+                _entry_field(entry, "pairIndex", int, ctx),
+                _entry_field(entry, "capA", str, ctx),
+                _entry_field(entry, "capB", str, ctx),
+                piece=_entry_field(entry, "piece", int, ctx),
             )
         elif op == "pushoff":
-            states[gi] = pushoff(states[gi], entry["sphere"])
+            states[gi] = pushoff(states[gi], _entry_field(entry, "sphere", str, ctx))
         else:
-            raise ValidationError(f"unknown trace op {op!r}")
+            raise ValidationError(f"{ctx}.op: unknown trace op {op!r}")
     return tuple(states)
+
+
+def _entry_field(entry: dict, key: str, kind: type, ctx: str):
+    """entry[key], refused unless it is exactly of type kind (so no bool for int)."""
+    if key not in entry:
+        raise ValidationError(f"{ctx}.{key}: missing")
+    value = entry[key]
+    if type(value) is not kind:
+        raise ValidationError(f"{ctx}.{key}: expected {kind.__name__}, got {value!r}")
+    return value
 
 
 # The generators' shape odds: a stage above the first has genus 2 with

@@ -2,9 +2,12 @@
 
 Serialization is byte-stable: object -> text -> object -> text produces
 identical bytes.  Emitters write keys in a fixed order, cap tables sorted by
-cap id, intersections in their stored (id-sorted) order, and two-space
-indentation with a trailing newline.  Parsers reject unknown keys so format
-mistakes surface early, and report a JSON-path-style location on errors.
+cap id and intersections in their stored (id-sorted) order.  The text of a
+document is exactly json.dumps(doc, indent=2) plus a newline: ASCII only,
+with \\uXXXX escapes, "," at line end, ": " between key and value, and {} or
+[] for an empty container.  canonical_dumps writes that text without the
+pure-Python encoder.  Parsers reject unknown keys so format mistakes
+surface early, and report a JSON-path-style location on errors.
 
 Labels use word syntax ("1", "x1*x2^-1"); body endpoints use explicit paths
 [[pairIndex, "alpha"|"beta"], ...] from the root stage.
@@ -32,8 +35,82 @@ from .pipeline import SurgeryKernel, SurgeryResult
 from .words import GroupWord
 
 
+_str = json.encoder.encode_basestring_ascii
+_int = int.__repr__
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+class _Uncovered(Exception):
+    """A value the fast emitter does not write; json.dumps writes the document."""
+
+
 def canonical_dumps(doc: Any) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """json.dumps(doc, indent=2) plus a newline, without the pure-Python encoder.
+
+    json.dumps leaves its C encoder whenever indent is set, so this writes
+    the same text in one pass over str, int, float, bool, None, list, tuple
+    and dict (str keys) of exactly those types.  Anything else, subclasses
+    included, and a document too deep for the emitter (a cycle is one) goes
+    to json.dumps whole, which writes it or raises what it raises.
+    """
+    out: list[str] = []
+    try:
+        _emit(doc, "\n", out.append)
+    except (_Uncovered, RecursionError):
+        return json.dumps(doc, indent=2) + "\n"
+    out.append("\n")
+    return "".join(out)
+
+
+def _emit(o: Any, nl: str, put) -> None:
+    """Append the text of o, whose lines start at nl (a newline and indent)."""
+    t = type(o)
+    if t is dict:
+        if not o:
+            put("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k, v in o.items():
+            if type(k) is not str:
+                raise _Uncovered
+            tv = type(v)
+            if tv is str:
+                put(sep + _str(k) + ": " + _str(v))
+            elif tv is int:
+                put(sep + _str(k) + ": " + _int(v))
+            else:
+                put(sep + _str(k) + ": ")
+                _emit(v, inner, put)
+            sep = "," + inner
+        put(nl + "}")
+    elif t is list or t is tuple:
+        if not o:
+            put("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for v in o:
+            tv = type(v)
+            if tv is str:
+                put(sep + _str(v))
+            elif tv is int:
+                put(sep + _int(v))
+            else:
+                put(sep)
+                _emit(v, inner, put)
+            sep = "," + inner
+        put(nl + "]")
+    elif t is str:
+        put(_str(o))
+    elif t is int:
+        put(_int(o))
+    elif t is float:
+        put(json.dumps(o))
+    elif t is bool or o is None:
+        put(_CONSTANTS[o])
+    else:
+        raise _Uncovered
 
 
 def _check_keys(doc: Any, allowed: tuple[str, ...], ctx: str, what: str) -> None:

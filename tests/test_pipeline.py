@@ -619,6 +619,59 @@ def test_replay_refuses_a_malformed_stage_path(stage, where):
     assert message.startswith(f"{where}: expected ") and "\n" not in message
 
 
+_CONTRACT = {"grope": 1, "op": "contract", "pairIndex": 0, "capA": "c1", "capB": "c3", "piece": 0}
+
+
+@pytest.mark.parametrize(
+    "entry, where",
+    [
+        (5, "trace[0]"),
+        ({"op": "pushoff", "sphere": "sph0"}, "trace[0].grope"),
+        ({"grope": "0", "op": "pushoff", "sphere": "sph0"}, "trace[0].grope"),
+        ({"grope": True, "op": "pushoff", "sphere": "sph0"}, "trace[0].grope"),
+        ({"grope": 9, "op": "pushoff", "sphere": "sph0"}, "trace[0].grope"),
+        ({"grope": -1, "op": "pushoff", "sphere": "sph0"}, "trace[0].grope"),
+        ({"grope": 0}, "trace[0].op"),
+        ({"grope": 0, "op": "split_cap"}, "trace[0].cap"),
+        ({"grope": 0, "op": "split_cap", "cap": 3}, "trace[0].cap"),
+        ({**_CONTRACT, "pairIndex": "0"}, "trace[0].pairIndex"),
+        ({**_CONTRACT, "capA": None}, "trace[0].capA"),
+        ({**_CONTRACT, "capB": ["c3"]}, "trace[0].capB"),
+        ({k: v for k, v in _CONTRACT.items() if k != "piece"}, "trace[0].piece"),
+        ({"grope": 0, "op": "pushoff", "sphere": {}}, "trace[0].sphere"),
+    ],
+    ids=[
+        "not-an-object",
+        "no-grope",
+        "string-grope",
+        "bool-grope",
+        "grope-past-the-end",
+        "negative-grope",
+        "no-op",
+        "no-cap",
+        "int-cap",
+        "string-pair-index",
+        "null-cap-a",
+        "list-cap-b",
+        "no-piece",
+        "object-sphere",
+    ],
+)
+def test_replay_refuses_a_malformed_entry(entry, where):
+    kernel = small_kernel()
+    assert len(kernel.gropes) == 2
+    with pytest.raises(ValidationError) as exc:
+        replay_trace(kernel, [entry])
+    message = str(exc.value)
+    assert message.startswith(f"{where}: ") and "\n" not in message
+
+
+def test_replay_names_the_entry_it_refuses():
+    result = run_surgery(small_kernel())
+    with pytest.raises(ValidationError, match=r"^trace\[2\]\.grope: "):
+        replay_trace(small_kernel(), [*result.trace[:2], {**result.trace[0], "grope": -1}])
+
+
 # ---------------------------------------------------------------------------
 # generators
 

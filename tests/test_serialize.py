@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import enum
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
@@ -82,9 +85,81 @@ def test_empty_sections_omitted():
     assert "pending" not in sph  # empty pushoff queue omitted
 
 
-def test_canonical_dumps_stable():
-    doc = {"b": 1, "a": [1, 2]}
-    assert canonical_dumps(doc) == canonical_dumps(doc)
+def _indent_dumps(doc) -> str:
+    """The definition of the canonical form, and the oracle for canonical_dumps."""
+    return json.dumps(doc, indent=2) + "\n"
+
+
+# Text with non-ASCII letters, control characters, quotes, backslashes and
+# lone surrogates, each of which json escapes in its own way.
+json_text = st.text(
+    st.one_of(
+        st.characters(),
+        st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "\x7f", "\ud800", "\udfff", "\u2028"]),
+    )
+)
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**40), max_value=10**40),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 1e16, 1e-7, float("nan"), float("inf"), float("-inf")]),
+    json_text,
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(json_text, inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@given(json_values)
+def test_canonical_dumps_matches_indent_encoder(doc):
+    assert canonical_dumps(doc) == _indent_dumps(doc)
+
+
+class _Name(str):
+    pass
+
+
+class _Colour(enum.IntEnum):
+    RED = 1
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {1: "int key"},
+        {"a": [{2.5: None, True: 1, None: []}]},
+        {"a": _Name("sub")},
+        {_Name("key"): 1},
+        [_Colour.RED, {"c": _Colour.RED}],
+    ],
+    ids=["int-key", "float-bool-none-keys", "str-subclass", "str-subclass-key", "int-enum"],
+)
+def test_canonical_dumps_falls_back_to_the_indent_encoder(doc):
+    assert canonical_dumps(doc) == _indent_dumps(doc)
+
+
+@pytest.mark.parametrize("doc", [{"a": [1, object()]}, {"a": {1, 2}}, {(1, 2): 3}, b"bytes"])
+def test_canonical_dumps_raises_what_the_indent_encoder_raises(doc):
+    with pytest.raises(TypeError) as want:
+        _indent_dumps(doc)
+    with pytest.raises(TypeError) as got:
+        canonical_dumps(doc)
+    assert str(got.value) == str(want.value)
+
+
+def test_canonical_dumps_refuses_a_cycle_as_the_indent_encoder_does():
+    doc: dict = {"a": []}
+    doc["a"].append(doc)
+    with pytest.raises(ValueError, match="Circular reference detected"):
+        canonical_dumps(doc)
 
 
 # ---------------------------------------------------------------------------
