@@ -36,7 +36,6 @@ from .commutators import (
     word_str,
 )
 from .errors import (
-    DualNotCapError,
     GropeError,
     GrowthLimitError,
     HypothesisError,

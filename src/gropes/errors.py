@@ -25,10 +25,6 @@ class RewriteError(GropeError):
     """A splitting move was applied where its preconditions fail."""
 
 
-class DualNotCapError(RewriteError):
-    """The dual slot of the cap being split is a stage, not a cap."""
-
-
 class MoveError(GropeError):
     """A contraction or pushoff was applied where its preconditions fail."""
 

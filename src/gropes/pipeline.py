@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable
 
 from .capped import (
@@ -39,10 +40,10 @@ from .capped import (
     validate_capped,
 )
 from .commutators import MAX_NESTING
-from .errors import HypothesisError, ValidationError
+from .errors import GropeError, HypothesisError, ValidationError
 from .grope import Grope, Slot, Stage, Tip, _path_from_doc, class_of, iter_stages, tips
 from .moves import _sweep, contract, pushoff
-from .splitting import SplitLimits, full_split, split_cap, split_stage
+from .splitting import SplitLimits, _split_cap_at, _split_stage_at, _SplitState, full_split
 from .words import IDENTITY, GroupWord, generator
 
 
@@ -223,9 +224,16 @@ def replay_trace(kernel: SurgeryKernel, trace: Iterable[dict]) -> tuple[CappedGr
     Only the rewriting operations are replayed; informational fields in the
     entries are ignored.  Returns the final state of every grope.  A field
     the replay reads that a trace could not hold raises ValidationError, and
-    a stage path that grope.path_doc could not have written ParseError.
+    a stage path that grope.path_doc could not have written ParseError.  An
+    error raised by the replayed move keeps its type, and its message gains
+    the prefix trace[N]: that names the entry.
+
+    A run of split entries on one grope rewrites one split state, as
+    full_split does; a split_cap entry is applied at its recorded stage and
+    pair, which the move checks against the grope.  The state becomes a
+    CappedGrope again before a contract or pushoff entry and at the end.
     """
-    states = list(kernel.gropes)
+    states: list[CappedGrope | _SplitState] = list(kernel.gropes)
     for n, entry in enumerate(trace):
         ctx = f"trace[{n}]"
         if not isinstance(entry, dict):
@@ -236,23 +244,37 @@ def replay_trace(kernel: SurgeryKernel, trace: Iterable[dict]) -> tuple[CappedGr
         op = entry.get("op")
         if op == "split_cap":
             cap = _entry_field(entry, "cap", str, ctx)
-            states[gi] = split_cap(states[gi], cap, allow_stage_dual=True)
+            stage = _path_from_doc(entry.get("stage"), f"{ctx}.stage")
+            where = (stage, _entry_field(entry, "pair", int, ctx))
+            move = partial(_split_cap_at, cap_id=cap, where=where)
         elif op == "split_stage":
             path = _path_from_doc(entry.get("stage"), f"{ctx}.stage")
-            states[gi] = split_stage(states[gi], path)
+            move = partial(_split_stage_at, path=path)
         elif op == "contract":
-            states[gi], _ = contract(
-                states[gi],
-                _entry_field(entry, "pairIndex", int, ctx),
-                _entry_field(entry, "capA", str, ctx),
-                _entry_field(entry, "capB", str, ctx),
+            move = partial(
+                contract,
+                pair_index=_entry_field(entry, "pairIndex", int, ctx),
+                cap_a=_entry_field(entry, "capA", str, ctx),
+                cap_b=_entry_field(entry, "capB", str, ctx),
                 piece=_entry_field(entry, "piece", int, ctx),
             )
         elif op == "pushoff":
-            states[gi] = pushoff(states[gi], _entry_field(entry, "sphere", str, ctx))
+            move = partial(pushoff, sphere_id=_entry_field(entry, "sphere", str, ctx))
         else:
             raise ValidationError(f"{ctx}.op: unknown trace op {op!r}")
-    return tuple(states)
+        state = states[gi]
+        try:
+            if op.startswith("split_"):
+                if type(state) is not _SplitState:
+                    state = states[gi] = _SplitState(state, None, None)
+                move(state)
+            else:
+                out = move(state.result() if type(state) is _SplitState else state)
+                states[gi] = out[0] if op == "contract" else out
+        except GropeError as error:
+            error.args = (f"{ctx}: {error}",)
+            raise
+    return tuple(s.result() if type(s) is _SplitState else s for s in states)
 
 
 def _entry_field(entry: dict, key: str, kind: type, ctx: str):

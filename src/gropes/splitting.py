@@ -11,7 +11,8 @@ shift by m - 1, and the class of the grope is preserved.
   two pairs and divides the cap between them: one new cap takes the
   intersections whose unoriented value is lexicographically least, the
   other takes the rest.  Iterating peels off one value at a time, so a cap
-  with n values ends as n caps of one value each.
+  with n values ends as n caps of one value each.  The dual slot may be a
+  cap's tip or a whole stage subtree; either way it is copied.
 
 * split_stage widens the pair holding a genus-g stage (g >= 2) above the
   first stage into g pairs, each holding one genus-1 piece of that stage.
@@ -27,20 +28,23 @@ traversal order defined in gropes.grope, through its one walker:
 2. then, while some stage above the first has genus > 1, split the first such
    stage in traversal order among the deepest ones.
 
-Both moves and full_split run on a _SplitState, which holds the grope
-under rewriting with its points indexed by sheet: every point by id, the
-ids of the points on each cap, and the ids of the points on each stage
-surface, keyed by the stage's path.  A rewrite at pair j of the stage at
-path P reads only the buckets it changes: the replaced cap's, those of the
-caps copied with the dual slot, and those of the stage paths below P whose
-step at P is the dual slot, the replaced slot, or a later pair (which shift
-by the number of new pairs less one).  Every other point is untouched and
-never visited.  The touched points are rewritten in id order, because a
-copied point's lineage name depends on the names taken before it, and that
-order is the one in which a scan of the sorted points always derived them.
-The value set of each cap, the tip-to-cap map and the ids in use are kept
-current the same way.  The CappedGrope, with its points sorted, is built
-once, after the last rewrite.
+Both moves, full_split and gropes.pipeline.replay_trace apply a rewrite
+through the same two cores, _split_cap_at and _split_stage_at, which alone
+check each move's preconditions.  They run on a _SplitState: the public
+moves open one for a single rewrite, full_split and replay keep one across
+many.  It holds the grope under rewriting with its points indexed by sheet:
+every point by id, the ids of the points on each cap, and the ids of the
+points on each stage surface, keyed by the stage's path.  A rewrite at
+pair j of the stage at path P reads only the buckets it changes: the
+replaced cap's, those of the caps copied with the dual slot, and those of
+the stage paths below P whose step at P is the dual slot, the replaced slot,
+or a later pair (which shift by the number of new pairs less one).  Every
+other point is untouched and never visited.  The touched points are
+rewritten in id order, because a copied point's lineage name depends on the
+names taken before it, and that order is the one in which a scan of the
+sorted points always derived them.  The value set of each cap, the
+tip-to-cap map and the ids in use are kept current the same way.  The
+CappedGrope, with its points sorted, is built once, after the last rewrite.
 
 full_split also resumes each search from a cursor, relying on two
 invariants.  split_cap at pair j of the stage at path P leaves every cap
@@ -77,7 +81,7 @@ from .capped import (
     derived_id,
     value_keys_by_cap,
 )
-from .errors import DualNotCapError, GrowthLimitError, RewriteError, ValidationError
+from .errors import GrowthLimitError, RewriteError, ValidationError
 from .grope import (
     ALPHA,
     BETA,
@@ -359,13 +363,27 @@ def _widen_pair(
         )
 
 
-def _split_cap_at(state: _SplitState, cap_id: str, ppath: Path, pair: int, side: int) -> None:
-    """split_cap on a multi-valued cap whose tip sits at (ppath, pair, side)."""
-    names = state.names
-    keys = state.values[cap_id]
-    least = min(keys)
+def _split_cap_at(state: _SplitState, cap_id: str, where: tuple[Path, int] | None = None) -> None:
+    """split_cap on the state: where is (stage path, pair) of the cap's tip, or None to find it.
+
+    A given location is checked, not trusted: the tip must sit in that pair,
+    and its side there is the side split.
+    """
+    if cap_id not in state.caps:
+        raise ValidationError(f"unknown cap {cap_id!r}")
+    if len(keys := state.values[cap_id]) <= 1:
+        return
     tip_id = state.caps[cap_id]
-    genus = stage_at(state.body, ppath).genus
+    # A tip outside the body is looked up as pair -1, which holds no slots.
+    ppath, pair = where or tip_locations(state.body).get(tip_id, ((), -1))[:2]
+    parent = stage_at(state.body, ppath)
+    slots = parent.pairs[pair] if 0 <= pair < parent.genus else ()
+    if (tip := Tip(tip_id)) not in slots:
+        place = f"pair {pair} of the stage at {path_doc(ppath)}" if where else "the body"
+        raise ValidationError(f"cap {cap_id!r} sits on tip {tip_id!r}, which is not in {place}")
+    side = slots.index(tip)
+    names = state.names
+    least = min(keys)
 
     new_tips = (names.derived(tip_id, 1), names.derived(tip_id, 2))
     new_caps = (names.derived(cap_id, 1), names.derived(cap_id, 2))
@@ -374,15 +392,8 @@ def _split_cap_at(state: _SplitState, cap_id: str, ppath: Path, pair: int, side:
     def remap_mine(p: Intersection, end: SheetRef) -> SheetRef:
         return least_ref if unoriented_key(p.label) == least else rest_ref
 
-    _widen_pair(
-        state,
-        ppath,
-        pair,
-        side,
-        [Tip(t) for t in new_tips],
-        [(new_caps[0], new_tips[0], {least}), (new_caps[1], new_tips[1], keys - {least})],
-        remap_mine,
-    )
+    mine_caps = [(new_caps[0], new_tips[0], {least}), (new_caps[1], new_tips[1], keys - {least})]
+    _widen_pair(state, ppath, pair, side, [Tip(t) for t in new_tips], mine_caps, remap_mine)
     if state.trace is not None:
         state.trace.append(
             {
@@ -392,19 +403,21 @@ def _split_cap_at(state: _SplitState, cap_id: str, ppath: Path, pair: int, side:
                 "pair": pair,
                 "least": str(GroupWord(least)),
                 "into": list(new_caps),
-                "genusBefore": genus,
-                "genusAfter": genus + 1,
+                "genusBefore": parent.genus,
+                "genusAfter": parent.genus + 1,
             }
         )
 
 
 def _split_stage_at(state: _SplitState, path: Path) -> None:
-    """split_stage on a genus >= 2 stage above the first."""
-    body = state.body
-    stage = stage_at(body, path)
-    g = stage.genus
+    """split_stage on the state: refuses the first stage, leaves a genus-1 stage alone."""
+    if not path:
+        raise RewriteError("the first stage is never split; it absorbs the genus")
+    stage = stage_at(state.body, path)
+    if (g := stage.genus) == 1:
+        return
     ppath, (pair, side) = path[:-1], path[-1]
-    genus = stage_at(body, ppath).genus
+    genus = stage_at(state.body, ppath).genus
     depth = len(path)
 
     def remap_mine(p: Intersection, end: SheetRef) -> SheetRef:
@@ -434,35 +447,19 @@ def split_cap(
     *,
     limits: SplitLimits | None = None,
     trace: list | None = None,
-    allow_stage_dual: bool = False,
 ) -> CappedGrope:
     """Divide a cap carrying several label values into two caps.
 
     The cap's pair gains a twin: one new cap takes the intersections whose
     unoriented value is lexicographically least, the other takes the rest,
     and the dual slot is replaced by two parallel copies inheriting all of
-    its intersections.  A cap with at most one value is returned unchanged.
-
-    By default the dual slot must be a cap (a tip); pass allow_stage_dual to
-    parallel-copy a whole dual subtree instead, which is how full_split
-    splits caps deep in the tree.
+    its intersections.  The dual slot may be a cap's tip or a whole stage
+    subtree, which is copied with every cap and point on it.  A cap with at
+    most one value is returned unchanged.  full_split and replay_trace apply
+    the same rewrite to a split state they keep across rewrites.
     """
     state = _SplitState(cg, limits, trace)
-    if cap_id not in cg.caps:
-        raise ValidationError(f"unknown cap {cap_id!r}")
-    if len(state.values[cap_id]) <= 1:
-        return cg
-
-    tip_id = cg.caps[cap_id]
-    if (location := tip_locations(cg.body).get(tip_id)) is None:
-        raise ValidationError(f"cap {cap_id!r} sits on tip {tip_id!r}, which is not in the body")
-    ppath, pair, side = location
-    parent = stage_at(cg.body, ppath)
-    if isinstance(parent.pairs[pair][1 - side], Stage) and not allow_stage_dual:
-        raise DualNotCapError(
-            f"the dual of cap {cap_id!r} is a stage; split the dual subtree first"
-        )
-    _split_cap_at(state, cap_id, ppath, pair, side)
+    _split_cap_at(state, cap_id)
     return state.result()
 
 
@@ -481,10 +478,6 @@ def split_stage(
     unchanged.
     """
     state = _SplitState(cg, limits, trace)
-    if not path:
-        raise RewriteError("the first stage is never split; it absorbs the genus")
-    if stage_at(cg.body, path).genus == 1:
-        return cg
     _split_stage_at(state, path)
     return state.result()
 
@@ -637,9 +630,8 @@ def full_split(
     start: Path = ()
     while (found := _next_multi_valued_cap(state, start)) is not None:
         cap, path = found
-        ppath, (pair, side) = path[:-1], path[-1]
-        _split_cap_at(state, cap, ppath, pair, side)
-        start = ppath + ((pair, ALPHA),)
+        _split_cap_at(state, cap, (path[:-1], path[-1][0]))
+        start = path[:-1] + ((path[-1][0], ALPHA),)
 
     depth = max((len(p) for p, s in iter_stages(state.body) if s.genus > 1), default=0)
     for depth in range(depth, 0, -1):

@@ -70,6 +70,20 @@ def ghost_tip_grope() -> CappedGrope:
     return CappedGrope(body, caps, tuple(points))
 
 
+def stage_dual_grope() -> CappedGrope:
+    """Genus-1 class-3 grope whose cap c3 carries two values and faces a stage.
+
+    c3 sits on tip t3, the beta slot of pair 0 of the first stage; the alpha
+    slot is the genus-1 stage holding t1 and t2.
+    """
+    body = Grope(Stage(((Stage(((Tip("t1"), Tip("t2")),)), Tip("t3")),)))
+    points = (
+        Intersection("i1", CapRef("c3"), CapRef("c3"), generator(1)),
+        Intersection("i2", CapRef("c3"), CapRef("c3"), generator(2)),
+    )
+    return CappedGrope(body, {"c1": "t1", "c2": "t2", "c3": "t3"}, points)
+
+
 def chain_stage_text(depth: int) -> str:
     """JSON text of a stage whose stages nest depth deep along the alpha slots.
 

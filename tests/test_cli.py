@@ -17,6 +17,7 @@ from gropes import (
     Grope,
     Intersection,
     Stage,
+    SurgeryKernel,
     Tip,
     dumps_capped,
     dumps_grope,
@@ -25,6 +26,7 @@ from gropes import (
     generate_kernel,
     generator,
     loads_document,
+    replay_trace,
     run_surgery,
 )
 import gropes.pipeline as pipeline_module
@@ -383,6 +385,28 @@ def test_split_single_cap(capsys, multivalue_file):
     assert code == 0
     _, cg = loads_document(out)
     assert "c1.1" in cg.caps and "c1.2" in cg.caps
+
+
+def test_split_cap_copies_a_stage_dual(capsys, tmp_path):
+    """split --cap c3 makes the rewrite a full split starts with: c3's dual is a genus-2 stage."""
+    dual = Stage(((Tip("t1"), Tip("t2")), (Tip("t4"), Tip("t5"))))
+    caps = {f"c{k}": f"t{k}" for k in (1, 2, 3, 4, 5)}
+    points = (
+        Intersection("i1", CapRef("c3"), CapRef("c3"), F),
+        Intersection("i2", CapRef("c3"), CapRef("c3"), G),
+    )
+    cg = CappedGrope(Grope(Stage(((dual, Tip("t3")),))), caps, points)
+    path = write(tmp_path, "dual.json", dumps_capped(cg))
+    full, one = tmp_path / "full.jsonl", tmp_path / "one.jsonl"
+    assert run(capsys, "split", "--trace", str(full), path)[0] == 0
+    code, out, err = run(capsys, "split", "--cap", "c3", "--trace", str(one), path)
+    assert (code, err) == (0, "")
+    first, *rest = full.read_text().splitlines()
+    assert one.read_text().splitlines() == [first] and rest  # the full split goes on
+    entry = json.loads(first)
+    assert (entry["op"], entry["cap"]) == ("split_cap", "c3")
+    (after,) = replay_trace(SurgeryKernel(2, (cg,), ()), [{"grope": 0, **entry}])
+    assert out == dumps_capped(after)
 
 
 def test_split_unknown_cap_fails(capsys, multivalue_file):

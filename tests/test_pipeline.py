@@ -35,6 +35,7 @@ from gropes import (
     random_grope,
     replay_trace,
     run_surgery,
+    split_cap,
     tips,
     validate_kernel,
 )
@@ -42,7 +43,9 @@ from gropes.errors import (
     GropeError,
     HypothesisError,
     MoveError,
+    ParseError,
     PigeonholeFailure,
+    RewriteError,
     SplitFirstError,
     ValidationError,
 )
@@ -50,7 +53,7 @@ from gropes.grope import Grope, Stage, Tip
 import gropes.pipeline as pipeline_module
 from gropes.pipeline import _expected_tips
 
-from conftest import dyadic_tower, two_cap_grope
+from conftest import dyadic_tower, stage_dual_grope, two_cap_grope
 
 F = generator(1)
 G = generator(2)
@@ -622,6 +625,26 @@ def test_replay_refuses_a_malformed_stage_path(stage, where):
 _CONTRACT = {"grope": 1, "op": "contract", "pairIndex": 0, "capA": "c1", "capB": "c3", "piece": 0}
 
 
+def _two_valued_kernel() -> SurgeryKernel:
+    """Two copies of a grope whose cap c3 carries two values; its dual is a stage."""
+    cg = stage_dual_grope()
+    return SurgeryKernel(2, (cg, cg), ((0, 1),))
+
+
+# The split of c3 as full_split records it: its tip t3 is the beta slot of
+# pair 0 of the first stage.
+_SPLIT_CAP = {"grope": 0, "op": "split_cap", "cap": "c3", "stage": [], "pair": 0}
+
+
+def test_replay_applies_split_cap_at_its_recorded_pair():
+    """The entry the malformed-entry cases mutate is the one full_split writes first."""
+    kernel = _two_valued_kernel()
+    trace: list = []
+    full_split(kernel.gropes[0], trace=trace)
+    assert {**trace[0], "grope": 0} == {**trace[0], **_SPLIT_CAP}
+    assert replay_trace(kernel, [_SPLIT_CAP])[0] == split_cap(kernel.gropes[0], "c3")
+
+
 @pytest.mark.parametrize(
     "entry, where",
     [
@@ -634,6 +657,17 @@ _CONTRACT = {"grope": 1, "op": "contract", "pairIndex": 0, "capA": "c1", "capB":
         ({"grope": 0}, "trace[0].op"),
         ({"grope": 0, "op": "split_cap"}, "trace[0].cap"),
         ({"grope": 0, "op": "split_cap", "cap": 3}, "trace[0].cap"),
+        ({**_SPLIT_CAP, "pair": 1}, "trace[0]"),
+        ({**_SPLIT_CAP, "pair": -1}, "trace[0]"),
+        ({**_SPLIT_CAP, "stage": [[0, "alpha"]]}, "trace[0]"),
+        ({**_SPLIT_CAP, "stage": [[0, "beta"]]}, "trace[0]"),
+        ({**_SPLIT_CAP, "stage": [[1, "alpha"]]}, "trace[0]"),
+        ({**_SPLIT_CAP, "stage": [[0, "alpha"], [0, "alpha"], [0, "beta"]]}, "trace[0]"),
+        ({k: v for k, v in _SPLIT_CAP.items() if k != "stage"}, "trace[0].stage"),
+        ({**_SPLIT_CAP, "stage": 0}, "trace[0].stage"),
+        ({k: v for k, v in _SPLIT_CAP.items() if k != "pair"}, "trace[0].pair"),
+        ({**_SPLIT_CAP, "pair": "0"}, "trace[0].pair"),
+        ({**_SPLIT_CAP, "pair": False}, "trace[0].pair"),
         ({**_CONTRACT, "pairIndex": "0"}, "trace[0].pairIndex"),
         ({**_CONTRACT, "capA": None}, "trace[0].capA"),
         ({**_CONTRACT, "capB": ["c3"]}, "trace[0].capB"),
@@ -650,6 +684,17 @@ _CONTRACT = {"grope": 1, "op": "contract", "pairIndex": 0, "capA": "c1", "capB":
         "no-op",
         "no-cap",
         "int-cap",
+        "pair-past-the-end",
+        "negative-pair",
+        "pair-without-the-tip",
+        "stage-at-a-tip",
+        "stage-off-the-tree",
+        "stage-through-a-tip",
+        "no-stage",
+        "int-stage",
+        "no-pair",
+        "string-pair",
+        "bool-pair",
         "string-pair-index",
         "null-cap-a",
         "list-cap-b",
@@ -658,9 +703,11 @@ _CONTRACT = {"grope": 1, "op": "contract", "pairIndex": 0, "capA": "c1", "capB":
     ],
 )
 def test_replay_refuses_a_malformed_entry(entry, where):
-    kernel = small_kernel()
+    kernel = _two_valued_kernel()
     assert len(kernel.gropes) == 2
-    with pytest.raises(ValidationError) as exc:
+    # A stage path is read as a document path; every other refusal is a ValidationError.
+    error = ParseError if where.startswith("trace[0].stage") else ValidationError
+    with pytest.raises(error) as exc:
         replay_trace(kernel, [entry])
     message = str(exc.value)
     assert message.startswith(f"{where}: ") and "\n" not in message
@@ -670,6 +717,48 @@ def test_replay_names_the_entry_it_refuses():
     result = run_surgery(small_kernel())
     with pytest.raises(ValidationError, match=r"^trace\[2\]\.grope: "):
         replay_trace(small_kernel(), [*result.trace[:2], {**result.trace[0], "grope": -1}])
+
+
+@pytest.mark.parametrize(
+    "entry, error, message",
+    [
+        (
+            {**_CONTRACT, "grope": 0, "pairIndex": -1},
+            ValidationError,
+            "no pair -1 at a genus-1 first stage",
+        ),
+        (
+            {"grope": 0, "op": "pushoff", "sphere": "nope"},
+            ValidationError,
+            "unknown sphere 'nope'",
+        ),
+        ({**_SPLIT_CAP, "cap": "zz"}, ValidationError, "unknown cap 'zz'"),
+        (
+            {"grope": 0, "op": "split_stage", "stage": [[5, "alpha"]]},
+            ValidationError,
+            "no pair 5 at a genus-1 stage",
+        ),
+        (
+            {"grope": 0, "op": "split_stage", "stage": []},
+            RewriteError,
+            "the first stage is never split; it absorbs the genus",
+        ),
+    ],
+    ids=[
+        "contract-negative-pair",
+        "pushoff-unknown-sphere",
+        "split-unknown-cap",
+        "split-stage-off-the-tree",
+        "split-first-stage",
+    ],
+)
+def test_replay_names_the_entry_of_a_failing_move(entry, error, message):
+    """A move's own error keeps its type and gains the entry's index, on one line."""
+    kernel = small_kernel()
+    trace = [run_surgery(kernel).trace[1], entry]  # grope 1's contraction replays first
+    with pytest.raises(error) as exc:
+        replay_trace(kernel, trace)
+    assert type(exc.value) is error and str(exc.value) == f"trace[1]: {message}"
 
 
 # ---------------------------------------------------------------------------

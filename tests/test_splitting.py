@@ -14,7 +14,6 @@ from gropes import (
     BodyRef,
     CapRef,
     CappedGrope,
-    DualNotCapError,
     GrowthLimitError,
     Grope,
     Intersection,
@@ -47,7 +46,7 @@ from gropes import (
 )
 from gropes.splitting import _predicted_genus, _predicted_points
 
-from conftest import dyadic_tower, ghost_tip_grope, report, seeded
+from conftest import dyadic_tower, ghost_tip_grope, report, seeded, stage_dual_grope
 
 F, G, H = generator(1), generator(2), generator(3)
 
@@ -129,19 +128,9 @@ def test_split_cap_on_a_tip_outside_the_body():
         split_cap(ghost_tip_grope(), "cx")
 
 
-def test_split_cap_stage_dual_rejected_by_default():
-    body = Grope(Stage(((Stage(((Tip("t1"), Tip("t2")),)), Tip("t3")),)))
-    cg = CappedGrope(
-        body,
-        {"c1": "t1", "c2": "t2", "c3": "t3"},
-        (
-            Intersection("i1", CapRef("c3"), CapRef("c3"), F),
-            Intersection("i2", CapRef("c3"), CapRef("c3"), G),
-        ),
-    )
-    with pytest.raises(DualNotCapError):
-        split_cap(cg, "c3")
-    out = split_cap(cg, "c3", allow_stage_dual=True)
+def test_split_cap_copies_a_stage_dual():
+    cg = stage_dual_grope()
+    out = split_cap(cg, "c3")
     # the dual subtree was parallel-copied wholesale
     assert sorted(out.caps) == ["c1.1", "c1.2", "c2.1", "c2.2", "c3.1", "c3.2"]
     assert class_of(out.body) == class_of(cg.body)
@@ -298,15 +287,8 @@ def test_full_split_trace_replays():
     cg = random_capped_grope(rng, 4, [F, G, H], density=1.2)
     trace: list = []
     out = full_split(cg, trace=trace)
-    # replay the recorded splits one by one
-    state = cg
-    for entry in trace:
-        if entry["op"] == "split_cap":
-            state = split_cap(state, entry["cap"], allow_stage_dual=True)
-        else:
-            path = tuple((p, ["alpha", "beta"].index(s)) for p, s in entry["stage"])
-            state = split_stage(state, path)
-    assert state == out
+    kernel = SurgeryKernel(3, (cg,), ())
+    assert replay_trace(kernel, [{"grope": 0, **e} for e in trace]) == (out,)
 
 
 def test_full_split_growth_limit():
@@ -483,7 +465,7 @@ def _oracle_full_split(cg: CappedGrope, trace: list) -> CappedGrope:
         keys, by_tip = value_keys_by_cap(cg), cg.tip_to_cap
         for cap in [by_tip[t] for t in tips(cg.body) if t in by_tip]:
             if len(keys[cap]) > 1:
-                cg = split_cap(cg, cap, trace=trace, allow_stage_dual=True)
+                cg = split_cap(cg, cap, trace=trace)
                 break
         else:
             deepest = None
@@ -699,6 +681,25 @@ def test_full_split_skips_untouched_points(capsys):
         elapsed < 1.0,
         f"{len(trace)} rewrites of c1 beside {len(pts) - 100} points on pair 1 "
         f"[{elapsed:.2f}s < 1s]",
+    )
+
+
+def test_full_split_replays_within_3x_its_time(capsys):
+    """The 1107 rewrites of a genus-1024 tower replay on one split state, as full_split runs."""
+    cg = _uniform_tower(4, 5)
+    start = time.perf_counter()
+    trace: list = []
+    out = full_split(cg, trace=trace)
+    split_s = time.perf_counter() - start
+    start = time.perf_counter()
+    replayed = replay_trace(SurgeryKernel(4, (cg,), ()), [{"grope": 0, **e} for e in trace])
+    replay_s = time.perf_counter() - start
+    assert (len(trace), out.body.root.genus, replayed) == (1107, 1024, (out,))
+    report(
+        capsys,
+        "replay of a full split",
+        replay_s < 3 * split_s,
+        f"{len(trace)} rewrites to genus 1024 [{replay_s:.2f}s < 3 x {split_s:.2f}s]",
     )
 
 
