@@ -9,36 +9,43 @@ pushoff resolves the queue by replacing each queued point with two parallel
 crossings of the sphere whose labels cancel, again identity.  The net effect
 of contract + pushoff is strictly fewer distinct label values, never more.
 
-After full_split, a grope's pieces are its first-stage pairs, taken in
-order: piece k is contracted as pair 0 of what the k earlier pieces left.
-Calling find_duplicate_pair, contract and pushoff once per piece rescans
-every point for every piece.  run_surgery gets the same husks, trace and
-errors from _sweep, one pass over an index of the split grope's points:
+A piece is a first-stage pair with the subtree above it.  Two cores,
+_contract_at and _pushoff_at, alone check each move's preconditions and
+build the sphere, its self-points and the pushoff copies.  They run on a
+_PieceState: contract and pushoff open one for a single move, while the
+surgery sweep (_sweep, which run_surgery uses) and
+gropes.pipeline.replay_trace keep one across every piece of a grope.  The
+state holds:
 
-- Each live point sits in the bucket of the first piece its ends touch.  A
-  cap belongs to the first-stage pair it sits on; a BodyRef to path[0][0];
-  the first stage itself, BodyRef(()), to the last piece, the only one for
-  which contract counts it inside; a sphere to no piece.
-- When piece k comes up, bucket k holds every live point that touches it:
-  points touching an earlier piece were used up there, and pushoff files
-  each copy it makes under the later piece whose sheet the copy still
-  touches.  The pair search, the self/queued split and pushoff read bucket
-  k only, sorted by id as the grope's points are.
-- Body paths are never shifted down as pieces go: they reach neither the
-  trace nor the husk, and the index needs only their first step.
-- One dict maps every live point id to its point, so sphere names (sph{n},
-  n counted from the sphere count) and pushoff copies (i.k, i.k.m) skip
-  exactly the ids the per-piece calls would skip.
+- each piece's caps in traversal order, and whether it has a tip without a
+  cap or a stage of genus above 1, read in one walk when it opens;
+- every live point by id, and in the bucket of each piece it touches: a cap
+  of the piece or a body path through it.  A point on the first stage
+  itself, BodyRef(()), goes in a bucket of its own, which a contraction
+  counts inside only when one piece is left.  A consumed point stays in
+  the other buckets it was filed in, and a read of a bucket keeps only the
+  point that is live under each id;
+- the spheres by id, with a count of those whose pushoff queue is pending.
 
-The husk is built, and its points sorted, once.  The public moves share
-each step with the sweep (pair choice, point classification, pushoff
-naming, trace entries) and stay for the CLI and replay_trace.
+Pieces keep the numbers the first-stage pairs had when the state opened,
+and so do body paths: pair i of the current grope is the i-th piece not yet
+contracted.  result() renumbers the body paths of the points and of the
+pending queues once, and builds the CappedGrope, its points sorted, once.
+
+After full_split, the sweep contracts a grope's pieces in order, each as
+pair 0 of what the earlier ones left.  A contraction reads only its piece's
+bucket, sorted by id as the grope's points are: points touching an earlier
+piece were used up there, and each pushoff copy is filed under the piece
+its surviving sheet lies on.  So the husk, trace and errors are those of
+calling find_duplicate_pair, contract and pushoff once per piece, and no
+point is read for a piece it does not touch.
 """
 
 from __future__ import annotations
 
-from operator import attrgetter
-from typing import Callable, Container, Iterable
+from bisect import bisect_left
+from dataclasses import replace
+from typing import Container
 
 from .capped import (
     BodyRef,
@@ -61,7 +68,7 @@ from .errors import (
     SplitFirstError,
     ValidationError,
 )
-from .grope import Grope, Slot, Stage, Tip, is_dyadic, tips
+from .grope import Grope, Stage, Tip, _slots, tips
 from .words import IDENTITY, GroupWord
 
 
@@ -72,10 +79,7 @@ def piece_caps(cg: CappedGrope, pair_index: int) -> list[str]:
     root = cg.body.root
     if not 0 <= pair_index < root.genus:
         raise ValidationError(f"no pair {pair_index} at a genus-{root.genus} first stage")
-    return _pair_caps(root, pair_index, cg.tip_to_cap)
-
-
-def _pair_caps(root: Stage, pair_index: int, by_tip: dict[str, str]) -> list[str]:
+    by_tip = cg.tip_to_cap
     out = []
     for slot in root.pairs[pair_index]:
         for t in ([slot.tip_id] if isinstance(slot, Tip) else tips(slot)):
@@ -84,19 +88,6 @@ def _pair_caps(root: Stage, pair_index: int, by_tip: dict[str, str]) -> list[str
             except KeyError:
                 raise ValidationError(f"tip {t!r} has no cap") from None
     return out
-
-
-def _require_dyadic(pair: tuple[Slot, Slot], pair_index: int) -> None:
-    if not all(is_dyadic(slot) for slot in pair if isinstance(slot, Stage)):
-        raise NotDyadicError(
-            f"pair {pair_index} heads a subtree with genus above 1; split stages first"
-        )
-
-
-def _refuse_pending(spheres: Iterable[SphereRecord]) -> None:
-    for s in spheres:
-        if s.pending:
-            raise MoveError(f"sphere {s.sphere_id!r} has a pending pushoff queue")
 
 
 def effective_value(cap_id: str, keys: set[tuple[int, ...]]) -> tuple[int, ...]:
@@ -151,6 +142,237 @@ def _pick_pair(
     )
 
 
+class _PieceState:
+    """A capped grope under contraction, with its live points indexed by piece.
+
+    Piece j is first-stage pair j of the grope the state opened on; alive
+    lists the pieces not yet contracted, in order.  caps_of[j] holds piece
+    j's caps in traversal order, uncapped maps a piece to its first tip
+    without a cap, and wide holds the pieces with a stage of genus above 1.
+    buckets[j] holds the points with an end on piece j, and buckets[-1]
+    those with an end on a body path through no piece.  sphere_at maps each
+    sphere id to its place in spheres, pending counts the spheres with a
+    pushoff queue, and moves the moves applied.
+    """
+
+    __slots__ = (
+        "source", "pairs", "alive", "caps", "caps_of", "uncapped", "wide", "piece_of_cap",
+        "live", "buckets", "spheres", "sphere_at", "pending", "moves", "read",
+    )
+
+    def __init__(self, cg: CappedGrope):
+        self.source = cg
+        self.pairs = cg.body.root.pairs if cg.body is not None else ()
+        self.alive = list(range(len(self.pairs)))
+        self.caps = dict(cg.caps)
+        self.caps_of: list[list[str]] = [[] for _ in self.pairs]
+        self.uncapped: dict[int, str] = {}
+        self.wide: set[int] = set()
+        by_tip = cg.tip_to_cap
+        for path, slot in _slots(cg.body) if cg.body is not None else ():
+            j = path[0][0]
+            if type(slot) is Stage:
+                if slot.genus > 1:
+                    self.wide.add(j)
+            elif (cap := by_tip.get(slot.tip_id)) is None:
+                self.uncapped.setdefault(j, slot.tip_id)
+            else:
+                self.caps_of[j].append(cap)
+        self.piece_of_cap = {cap: j for j, caps in enumerate(self.caps_of) for cap in caps}
+        self.live = {p.point_id: p for p in cg.intersections}
+        if len(self.live) != len(cg.intersections):
+            raise ValidationError("cannot contract a capped grope with duplicate intersection ids")
+        self.buckets: list[list[Intersection]] = [[] for _ in range(len(self.pairs) + 1)]
+        for p in cg.intersections:
+            a, b = self.piece_of(p.end_a), self.piece_of(p.end_b)
+            if a is not None:
+                self.buckets[a].append(p)
+            if b is not None and b != a:
+                self.buckets[b].append(p)
+        self.spheres = list(cg.spheres)
+        # The first sphere of an id wins, as in CappedGrope.sphere.
+        self.sphere_at = {s.sphere_id: i for i, s in reversed(list(enumerate(self.spheres)))}
+        self.pending = sum(1 for s in self.spheres if s.pending)
+        self.moves = 0
+        self.read: tuple = (None,)
+
+    def piece_of(self, end: SheetRef) -> int | None:
+        """The piece an end lies on: -1 for a body path through no piece, None off the body."""
+        kind = type(end)
+        if kind is CapRef:
+            return self.piece_of_cap.get(end.cap_id)
+        if kind is BodyRef:
+            j = end.path[0][0] if end.path else -1
+            return j if j < len(self.pairs) else -1
+        return None
+
+    def points_on(self, j: int) -> tuple[list[Intersection], dict[str, set]]:
+        """The live points on piece j, by id, and the value sets of its caps.
+
+        The points are those of piece j's bucket, and of buckets[-1] when j
+        is the last piece.  The answer is kept until the next move.
+        """
+        if self.read[0] != (j, self.moves):
+            bucket = self.buckets[j] + self.buckets[-1] if len(self.alive) == 1 else self.buckets[j]
+            live = self.live
+            found = {p.point_id: p for p in bucket if live.get(p.point_id) is p}
+            points = [found[k] for k in sorted(found)]
+            self.read = ((j, self.moves), points, _value_keys(self.caps_of[j], points))
+        return self.read[1:]
+
+    def result(self) -> CappedGrope:
+        """The grope now, body paths renumbered and points sorted once; the input if unchanged."""
+        if not self.moves:
+            return self.source
+        pairs, alive, body = self.pairs, self.alive, self.source.body
+        if len(alive) < len(pairs):
+            body = Grope(Stage(tuple(pairs[j] for j in alive)), body.closed) if alive else None
+        gone = sorted(set(range(len(pairs))).difference(alive))
+
+        def renumber(end: SheetRef) -> SheetRef:
+            if type(end) is not BodyRef or not end.path:
+                return end
+            (j, side), rest = end.path[0], end.path[1:]
+            shift = bisect_left(gone, j)
+            return BodyRef(((j - shift, side),) + rest) if shift else end
+
+        points = []
+        for p in self.live.values():
+            if BodyRef in (type(p.end_a), type(p.end_b)):
+                p = Intersection(p.point_id, renumber(p.end_a), renumber(p.end_b), p.label)
+            points.append(p)
+        spheres = [
+            replace(s, pending=tuple(replace(q, other=renumber(q.other)) for q in s.pending))
+            if s.pending else s
+            for s in self.spheres
+        ]
+        return CappedGrope(body, self.caps, tuple(points), tuple(spheres))
+
+
+def _sphere_name(n: int, point_ids: Container[str], sphere_ids: Container[str]) -> str:
+    """sph{n}, counting up from n (the sphere count) past every id in use."""
+    while f"sph{n}" in point_ids or f"sph{n}" in sphere_ids:
+        n += 1
+    return f"sph{n}"
+
+
+def _contract_at(
+    state: _PieceState,
+    pair_index: int,
+    cap_a: str,
+    cap_b: str,
+    piece: int | None,
+    trace: list | None,
+) -> SphereRecord:
+    """contract on the state, at pair pair_index of the grope the state holds now.
+
+    A point with both ends on the piece becomes an identity self-point of
+    the sphere (logged with the label it had); one with a single end there
+    is queued from its other end.  Both are handled in id order.
+    """
+    alive = state.alive
+    if not alive:
+        raise MoveError("nothing to contract: the body is fully surgered")
+    if state.pending:
+        sphere = next(s for s in state.spheres if s.pending)
+        raise MoveError(f"sphere {sphere.sphere_id!r} has a pending pushoff queue")
+    if not 0 <= pair_index < len(alive):
+        raise ValidationError(f"no pair {pair_index} at a genus-{len(alive)} first stage")
+    j = alive[pair_index]
+    if j in state.uncapped:
+        raise ValidationError(f"tip {state.uncapped[j]!r} has no cap")
+    if j in state.wide:
+        raise NotDyadicError(
+            f"pair {pair_index} heads a subtree with genus above 1; split stages first"
+        )
+    if cap_a == cap_b:
+        raise MoveError("contraction needs two distinct caps")
+    for c in (cap_a, cap_b):
+        if c not in state.caps_of[j]:
+            raise MoveError(f"cap {c!r} is not on the piece at pair {pair_index}")
+    points, values = state.points_on(j)
+    key_a = effective_value(cap_a, values[cap_a])
+    key_b = effective_value(cap_b, values[cap_b])
+    if key_a != key_b:
+        raise LabelMismatchError(
+            f"caps {cap_a!r} and {cap_b!r} carry different values "
+            f"({GroupWord(key_a)} vs {GroupWord(key_b)})"
+        )
+
+    live, spheres, piece_of = state.live, state.spheres, state.piece_of
+    sphere_id = _sphere_name(len(spheres), live, state.sphere_at)
+    ref = SphereRef(sphere_id)
+    inside = (j, -1) if len(alive) == 1 else (j,)
+    self_log, queued = [], []
+    for p in points:
+        a_in, b_in = piece_of(p.end_a) in inside, piece_of(p.end_b) in inside
+        if a_in and b_in:
+            live[p.point_id] = Intersection(p.point_id, ref, ref, IDENTITY)
+            self_log.append({"point": p.point_id, "was": str(p.label), "result": "1"})
+        else:
+            other = p.end_b if a_in else p.end_a
+            queued.append(PendingPushoff(p.point_id, other, p.label_from(other)))
+            del live[p.point_id]
+    del alive[pair_index]
+    for cap in state.caps_of[j]:
+        del state.caps[cap]
+    state.buckets[j] = []
+    piece = pair_index if piece is None else piece
+    record = SphereRecord(sphere_id, piece, cap_a, cap_b, GroupWord(key_a), tuple(queued))
+    state.sphere_at[sphere_id] = len(spheres)
+    spheres.append(record)
+    state.pending += bool(queued)
+    state.moves += 1
+    if trace is not None:
+        trace.append(
+            {
+                "op": "contract",
+                "pairIndex": pair_index,
+                "piece": piece,
+                "capA": cap_a,
+                "capB": cap_b,
+                "label": str(record.label),
+                "sphere": sphere_id,
+                "selfPoints": self_log,
+                "queued": [q.point_id for q in queued],
+            }
+        )
+    return record
+
+
+def _pushoff_at(state: _PieceState, sphere_id: str, trace: list | None) -> None:
+    """pushoff on the state.
+
+    The copies of queued point i take the lineage names derived_id gives
+    against every live id (i.1 and i.2 when free), in queue order, and each
+    is filed under the piece its surviving sheet lies on.
+    """
+    i = state.sphere_at.get(sphere_id)
+    if i is None:
+        raise ValidationError(f"unknown sphere {sphere_id!r}")
+    record = state.spheres[i]
+    if not record.pending:
+        return
+    ref, live, buckets = SphereRef(sphere_id), state.live, state.buckets
+    logged = []
+    for q in record.pending:
+        j, created = state.piece_of(q.other), []
+        for k in (1, 2):
+            name = derived_id(q.point_id, k, live)
+            live[name] = point = Intersection(name, q.other, ref, IDENTITY)
+            if j is not None:
+                buckets[j].append(point)
+            created.append(name)
+        logged.append(
+            {"from": q.point_id, "hadLabel": str(q.label), "created": created, "result": "1"}
+        )
+    state.spheres[i] = replace(record, pending=())
+    state.pending -= 1
+    state.moves += 1
+    if trace is not None:
+        trace.append({"op": "pushoff", "sphere": sphere_id, "points": logged})
+
+
 def contract(
     cg: CappedGrope,
     pair_index: int,
@@ -172,128 +394,10 @@ def contract(
     piece tags the sphere record with the caller's piece ordinal (defaults
     to the pair index).
     """
-    if cg.body is None:
-        raise MoveError("nothing to contract: the body is fully surgered")
-    _refuse_pending(cg.spheres)
-    root = cg.body.root
-    caps_here = piece_caps(cg, pair_index)
-    _require_dyadic(root.pairs[pair_index], pair_index)
-    if cap_a == cap_b:
-        raise MoveError("contraction needs two distinct caps")
-    for c in (cap_a, cap_b):
-        if c not in caps_here:
-            raise MoveError(f"cap {c!r} is not on the piece at pair {pair_index}")
-    values = value_keys_by_cap(cg)
-    key_a = effective_value(cap_a, values[cap_a])
-    key_b = effective_value(cap_b, values[cap_b])
-    if key_a != key_b:
-        raise LabelMismatchError(
-            f"caps {cap_a!r} and {cap_b!r} carry different values "
-            f"({GroupWord(key_a)} vs {GroupWord(key_b)})"
-        )
-
-    last_pair = root.genus == 1
-    piece_cap_set = set(caps_here)
-    prefixes = tuple((pair_index, side) for side in (0, 1))
-
-    def in_piece(end: SheetRef) -> bool:
-        if isinstance(end, CapRef):
-            return end.cap_id in piece_cap_set
-        if isinstance(end, BodyRef):
-            if last_pair:
-                return True
-            return bool(end.path) and end.path[0] in prefixes
-        return False
-
-    def remap(end: SheetRef) -> SheetRef:
-        if isinstance(end, BodyRef) and end.path and end.path[0][0] > pair_index:
-            (j, side), rest = end.path[0], end.path[1:]
-            return BodyRef(((j - 1, side),) + rest)
-        return end
-
-    sphere_id = _sphere_name(
-        len(cg.spheres),
-        {p.point_id for p in cg.intersections},
-        {s.sphere_id for s in cg.spheres},
-    )
-    kept, selfs, self_log, queued = _absorb(
-        cg.intersections, in_piece, SphereRef(sphere_id), remap
-    )
-    if last_pair:
-        body = None
-    else:
-        body = Grope(Stage(root.pairs[:pair_index] + root.pairs[pair_index + 1 :]), cg.body.closed)
-    caps = {c: t for c, t in cg.caps.items() if c not in piece_cap_set}
-    record = SphereRecord(
-        sphere_id,
-        pair_index if piece is None else piece,
-        cap_a,
-        cap_b,
-        GroupWord(key_a),
-        tuple(queued),
-    )
-    out = CappedGrope(body, caps, tuple(kept + selfs), cg.spheres + (record,))
-    if trace is not None:
-        trace.append(_contract_entry(pair_index, record, self_log, queued))
-    return out, record
-
-
-def _sphere_name(n: int, point_ids: Container[str], sphere_ids: Container[str]) -> str:
-    """sph{n}, counting up from n (the sphere count) past every id in use."""
-    while f"sph{n}" in point_ids or f"sph{n}" in sphere_ids:
-        n += 1
-    return f"sph{n}"
-
-
-def _absorb(
-    points: Iterable[Intersection],
-    in_piece: Callable[[SheetRef], bool],
-    sphere_ref: SphereRef,
-    remap: Callable[[SheetRef], SheetRef],
-) -> tuple[list[Intersection], list[Intersection], list[dict], list[PendingPushoff]]:
-    """Sort points against a piece being contracted into the sphere.
-
-    A point with both ends on the piece becomes an identity self-point of
-    the sphere (logged with the label it had); one with a single end there
-    is queued from its other end, read through remap; the rest are kept,
-    and a kept point whose ends remap to themselves is kept as is.  Returns
-    (kept, selfs, self log, queued), each in the order of points.
-    """
-    kept: list[Intersection] = []
-    selfs: list[Intersection] = []
-    self_log: list[dict] = []
-    queued: list[PendingPushoff] = []
-    for p in points:
-        a_in, b_in = in_piece(p.end_a), in_piece(p.end_b)
-        if a_in and b_in:
-            selfs.append(Intersection(p.point_id, sphere_ref, sphere_ref, IDENTITY))
-            self_log.append({"point": p.point_id, "was": str(p.label), "result": "1"})
-        elif a_in or b_in:
-            other = p.end_b if a_in else p.end_a
-            queued.append(PendingPushoff(p.point_id, remap(other), p.label_from(other)))
-        else:
-            a, b = remap(p.end_a), remap(p.end_b)
-            if a is p.end_a and b is p.end_b:
-                kept.append(p)
-            else:
-                kept.append(Intersection(p.point_id, a, b, p.label))
-    return kept, selfs, self_log, queued
-
-
-def _contract_entry(
-    pair_index: int, record: SphereRecord, self_log: list[dict], queued: list[PendingPushoff]
-) -> dict:
-    return {
-        "op": "contract",
-        "pairIndex": pair_index,
-        "piece": record.piece,
-        "capA": record.cap_a,
-        "capB": record.cap_b,
-        "label": str(record.label),
-        "sphere": record.sphere_id,
-        "selfPoints": self_log,
-        "queued": [q.point_id for q in queued],
-    }
+    state = _PieceState(cg)
+    _contract_at(state, pair_index, cap_a, cap_b, piece, trace)
+    out = state.result()
+    return out, out.spheres[-1]
 
 
 def pushoff(cg: CappedGrope, sphere_id: str, *, trace: list | None = None) -> CappedGrope:
@@ -304,120 +408,22 @@ def pushoff(cg: CappedGrope, sphere_id: str, *, trace: list | None = None) -> Ca
     cancel to the identity, which is what gets recorded.  A sphere with an
     empty queue is returned unchanged.
     """
-    record = cg.sphere(sphere_id)
-    if not record.pending:
-        return cg
-    live = {p.point_id: p for p in cg.intersections}
-    new_points, logged = _push_off(record.pending, SphereRef(sphere_id), live)
-    spheres = tuple(
-        SphereRecord(s.sphere_id, s.piece, s.cap_a, s.cap_b, s.label, ())
-        if s.sphere_id == sphere_id
-        else s
-        for s in cg.spheres
-    )
-    out = CappedGrope(cg.body, cg.caps, cg.intersections + tuple(new_points), spheres)
-    if trace is not None:
-        trace.append(_pushoff_entry(sphere_id, logged))
-    return out
-
-
-def _push_off(
-    pending: Iterable[PendingPushoff], sphere_ref: SphereRef, live: dict[str, Intersection]
-) -> tuple[list[Intersection], list[dict]]:
-    """Two identity crossings of the sphere per queued point, added to live.
-
-    live maps every point id in use to its point.  The copies of point i
-    take the lineage names derived_id gives: i.1 and i.2 when free.
-    Returns the new points and the pushoff log, in queue order.
-    """
-    new_points: list[Intersection] = []
-    logged = []
-    for q in pending:
-        created = []
-        for k in (1, 2):
-            name = derived_id(q.point_id, k, live)
-            point = Intersection(name, q.other, sphere_ref, IDENTITY)
-            live[name] = point
-            new_points.append(point)
-            created.append(name)
-        logged.append(
-            {
-                "from": q.point_id,
-                "hadLabel": str(q.label),
-                "created": created,
-                "result": "1",
-            }
-        )
-    return new_points, logged
-
-
-def _pushoff_entry(sphere_id: str, logged: list[dict]) -> dict:
-    return {"op": "pushoff", "sphere": sphere_id, "points": logged}
+    state = _PieceState(cg)
+    _pushoff_at(state, sphere_id, trace)
+    return state.result()
 
 
 def _sweep(cg: CappedGrope, gi: int, steps: list[dict]) -> CappedGrope:
     """Contract and push off every piece of a fully split grope, in order.
 
-    Piece k is first-stage pair k of cg; the per-piece loop contracts it as
-    pair 0 after k earlier contractions.  Appends the contract and pushoff
-    trace entries to steps and returns the fully surgered husk.
+    Piece k is first-stage pair k of cg, contracted as pair 0 after k earlier
+    contractions.  Appends the contract and pushoff trace entries to steps
+    and returns the fully surgered husk.
     """
-    root = cg.body.root
-    last = root.genus - 1
-    by_tip = cg.tip_to_cap
-    pieces = [_pair_caps(root, k, by_tip) for k in range(root.genus)]
-    piece_of_cap = {cap: k for k, caps in enumerate(pieces) for cap in caps}
-
-    def piece_of(end: SheetRef) -> int | None:
-        if type(end) is CapRef:
-            return piece_of_cap[end.cap_id]
-        if type(end) is BodyRef:
-            return end.path[0][0] if end.path else last
-        return None
-
-    live = {p.point_id: p for p in cg.intersections}
-    buckets: list[list[Intersection]] = [[] for _ in pieces]
-    for p in cg.intersections:
-        a, b = piece_of(p.end_a), piece_of(p.end_b)
-        k = b if a is None else a if b is None else min(a, b)
-        if k is not None:
-            buckets[k].append(p)
-    spheres = list(cg.spheres)
-    sphere_ids = {s.sphere_id for s in spheres}
-    for k, caps_here in enumerate(pieces):
-        bucket = sorted(buckets[k], key=attrgetter("point_id"))
-        buckets[k] = []
-        values = _value_keys(caps_here, bucket)
+    state = _PieceState(cg)
+    for k, caps_here in enumerate(state.caps_of):
+        _, values = state.points_on(k)
         cap_a, cap_b = _pick_pair(caps_here, values, f"grope {gi} piece {k}")
-        if k == 0:
-            # Only an input sphere can be pending: each sphere made here is
-            # pushed off before the next piece.
-            _refuse_pending(spheres)
-        _require_dyadic(root.pairs[k], 0)
-        sphere_id = _sphere_name(len(spheres), live, sphere_ids)
-        sphere_ref = SphereRef(sphere_id)
-        # Every point in the bucket touches piece k, so none is kept.
-        _, selfs, self_log, queued = _absorb(
-            bucket, lambda end: piece_of(end) == k, sphere_ref, _unmoved
-        )
-        for q in queued:
-            del live[q.point_id]
-        for p in selfs:
-            live[p.point_id] = p
-        label = GroupWord(effective_value(cap_a, values[cap_a]))
-        record = SphereRecord(sphere_id, k, cap_a, cap_b, label, ())
-        steps.append(_contract_entry(0, record, self_log, queued))
-        if queued:
-            new_points, logged = _push_off(queued, sphere_ref, live)
-            for p in new_points:
-                j = piece_of(p.end_a)
-                if j is not None:
-                    buckets[j].append(p)
-            steps.append(_pushoff_entry(sphere_id, logged))
-        spheres.append(record)
-        sphere_ids.add(sphere_id)
-    return CappedGrope(None, {}, tuple(live.values()), tuple(spheres))
-
-
-def _unmoved(end: SheetRef) -> SheetRef:
-    return end
+        record = _contract_at(state, 0, cap_a, cap_b, k, steps)
+        _pushoff_at(state, record.sphere_id, steps)
+    return state.result()

@@ -42,7 +42,7 @@ from .capped import (
 from .commutators import MAX_NESTING
 from .errors import GropeError, HypothesisError, ValidationError
 from .grope import Grope, Slot, Stage, Tip, _path_from_doc, class_of, iter_stages, tips
-from .moves import _sweep, contract, pushoff
+from .moves import _contract_at, _PieceState, _pushoff_at, _sweep
 from .splitting import SplitLimits, _split_cap_at, _split_stage_at, _SplitState, full_split
 from .words import IDENTITY, GroupWord, generator
 
@@ -228,12 +228,15 @@ def replay_trace(kernel: SurgeryKernel, trace: Iterable[dict]) -> tuple[CappedGr
     error raised by the replayed move keeps its type, and its message gains
     the prefix trace[N]: that names the entry.
 
-    A run of split entries on one grope rewrites one split state, as
-    full_split does; a split_cap entry is applied at its recorded stage and
-    pair, which the move checks against the grope.  The state becomes a
-    CappedGrope again before a contract or pushoff entry and at the end.
+    Each grope is rewritten on one state across a run of entries, as
+    run_surgery does: a _SplitState across split entries and a _PieceState
+    across contract and pushoff entries, which apply the moves through the
+    cores full_split and the surgery sweep use.  A split_cap entry is applied
+    at its recorded stage and pair, which the move checks against the grope.
+    The state becomes a CappedGrope again when the kind of entry changes and
+    at the end.
     """
-    states: list[CappedGrope | _SplitState] = list(kernel.gropes)
+    states: list[CappedGrope | _SplitState | _PieceState] = list(kernel.gropes)
     for n, entry in enumerate(trace):
         ctx = f"trace[{n}]"
         if not isinstance(entry, dict):
@@ -241,40 +244,39 @@ def replay_trace(kernel: SurgeryKernel, trace: Iterable[dict]) -> tuple[CappedGr
         gi = _entry_field(entry, "grope", int, ctx)
         if not 0 <= gi < len(states):
             raise ValidationError(f"{ctx}.grope: no grope {gi} in a kernel of {len(states)}")
-        op = entry.get("op")
+        op, kind = entry.get("op"), _PieceState
         if op == "split_cap":
             cap = _entry_field(entry, "cap", str, ctx)
             stage = _path_from_doc(entry.get("stage"), f"{ctx}.stage")
             where = (stage, _entry_field(entry, "pair", int, ctx))
-            move = partial(_split_cap_at, cap_id=cap, where=where)
+            move, kind = partial(_split_cap_at, cap_id=cap, where=where), _SplitState
         elif op == "split_stage":
             path = _path_from_doc(entry.get("stage"), f"{ctx}.stage")
-            move = partial(_split_stage_at, path=path)
+            move, kind = partial(_split_stage_at, path=path), _SplitState
         elif op == "contract":
             move = partial(
-                contract,
+                _contract_at,
                 pair_index=_entry_field(entry, "pairIndex", int, ctx),
                 cap_a=_entry_field(entry, "capA", str, ctx),
                 cap_b=_entry_field(entry, "capB", str, ctx),
                 piece=_entry_field(entry, "piece", int, ctx),
+                trace=None,
             )
         elif op == "pushoff":
-            move = partial(pushoff, sphere_id=_entry_field(entry, "sphere", str, ctx))
+            sphere = _entry_field(entry, "sphere", str, ctx)
+            move = partial(_pushoff_at, sphere_id=sphere, trace=None)
         else:
             raise ValidationError(f"{ctx}.op: unknown trace op {op!r}")
         state = states[gi]
         try:
-            if op.startswith("split_"):
-                if type(state) is not _SplitState:
-                    state = states[gi] = _SplitState(state, None, None)
-                move(state)
-            else:
-                out = move(state.result() if type(state) is _SplitState else state)
-                states[gi] = out[0] if op == "contract" else out
+            if type(state) is not kind:
+                cg = state if isinstance(state, CappedGrope) else state.result()
+                state = states[gi] = kind(cg)
+            move(state)
         except GropeError as error:
             error.args = (f"{ctx}: {error}",)
             raise
-    return tuple(s.result() if type(s) is _SplitState else s for s in states)
+    return tuple(s if isinstance(s, CappedGrope) else s.result() for s in states)
 
 
 def _entry_field(entry: dict, key: str, kind: type, ctx: str):

@@ -160,7 +160,9 @@ class _SplitState:
         "values", "tip_cap", "names", "limits", "trace", "rewrites",
     )
 
-    def __init__(self, cg: CappedGrope, limits: SplitLimits | None, trace: list | None):
+    def __init__(
+        self, cg: CappedGrope, limits: SplitLimits | None = None, trace: list | None = None
+    ):
         if cg.body is None:
             raise ValidationError("cannot split a fully surgered grope")
         self.source = cg
@@ -366,12 +368,13 @@ def _widen_pair(
 def _split_cap_at(state: _SplitState, cap_id: str, where: tuple[Path, int] | None = None) -> None:
     """split_cap on the state: where is (stage path, pair) of the cap's tip, or None to find it.
 
-    A given location is checked, not trusted: the tip must sit in that pair,
-    and its side there is the side split.
+    A given location is checked, not trusted, even for a cap with one value,
+    which is left alone: the tip must sit in that pair, and its side there
+    is the side split.
     """
     if cap_id not in state.caps:
         raise ValidationError(f"unknown cap {cap_id!r}")
-    if len(keys := state.values[cap_id]) <= 1:
+    if len(keys := state.values[cap_id]) <= 1 and where is None:
         return
     tip_id = state.caps[cap_id]
     # A tip outside the body is looked up as pair -1, which holds no slots.
@@ -381,6 +384,8 @@ def _split_cap_at(state: _SplitState, cap_id: str, where: tuple[Path, int] | Non
     if (tip := Tip(tip_id)) not in slots:
         place = f"pair {pair} of the stage at {path_doc(ppath)}" if where else "the body"
         raise ValidationError(f"cap {cap_id!r} sits on tip {tip_id!r}, which is not in {place}")
+    if len(keys) <= 1:
+        return
     side = slots.index(tip)
     names = state.names
     least = min(keys)

@@ -7,11 +7,14 @@ import random
 from hypothesis import strategies as st
 
 from gropes import (
+    BodyRef,
     CappedGrope,
     CapRef,
     Grope,
     GroupWord,
     Intersection,
+    SphereRecord,
+    SphereRef,
     Stage,
     Tip,
     generator,
@@ -82,6 +85,43 @@ def stage_dual_grope() -> CappedGrope:
         Intersection("i2", CapRef("c3"), CapRef("c3"), generator(2)),
     )
     return CappedGrope(body, {"c1": "t1", "c2": "t2", "c3": "t3"}, points)
+
+
+def split_genus3_grope() -> CappedGrope:
+    """A fully split genus-3 grope with points on the body of later pieces.
+
+    Piece 0 is (t1, t2), piece 1 ([t3, t4], t5) and piece 2
+    (t6, [t7, [t8, t9]]); cap ck sits on tk.  The caps of pieces 0 and 2
+    carry x1 and those of piece 1 carry x2, each on a self point, so every
+    piece has a contraction pair.  b1-b4 reach from a cap to a stage of a
+    later piece or to the first stage, x1 joins pieces 0 and 2, and y1 and
+    z1 meet the input sphere sph0.
+    """
+    f, g = generator(1), generator(2)
+    body = Grope(
+        Stage(
+            (
+                (Tip("t1"), Tip("t2")),
+                (Stage(((Tip("t3"), Tip("t4")),)), Tip("t5")),
+                (Tip("t6"), Stage(((Tip("t7"), Stage(((Tip("t8"), Tip("t9")),))),))),
+            )
+        )
+    )
+    caps = {f"c{k}": f"t{k}" for k in range(1, 10)}
+    points = [
+        Intersection(f"s{k}", CapRef(f"c{k}"), CapRef(f"c{k}"), g if k in (3, 4, 5) else f)
+        for k in range(1, 10)
+    ]
+    points += [
+        Intersection("b1", CapRef("c1"), BodyRef(((1, 0),)), f),
+        Intersection("b2", BodyRef(((2, 1), (0, 1))), CapRef("c2"), f.inverse()),
+        Intersection("b3", CapRef("c5"), BodyRef(((2, 1),)), g),
+        Intersection("b4", CapRef("c6"), BodyRef(()), f),
+        Intersection("x1", CapRef("c2"), CapRef("c7"), f),
+        Intersection("y1", CapRef("c8"), SphereRef("sph0"), f),
+        Intersection("z1", SphereRef("sph0"), SphereRef("sph0"), g),
+    ]
+    return CappedGrope(body, caps, tuple(points), (SphereRecord("sph0", 0, "a", "b", g),))
 
 
 def chain_stage_text(depth: int) -> str:

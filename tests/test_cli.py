@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gropes import (
+    BodyRef,
     CappedGrope,
     CapRef,
     Grope,
@@ -33,7 +34,7 @@ import gropes.pipeline as pipeline_module
 from gropes.cli import main
 from gropes.commutators import MAX_NESTING
 
-from conftest import chain_stage_text, ghost_tip_grope
+from conftest import chain_stage_text, ghost_tip_grope, split_genus3_grope
 
 F = generator(1)
 G = generator(2)
@@ -529,6 +530,25 @@ def test_contract_skip_pushoff_keeps_the_queue(capsys, tmp_path):
     assert code == 0
     _, mid = loads_document(out)
     assert [q.point_id for q in mid.spheres[0].pending] == ["i3"]
+
+
+def test_contract_at_a_later_pair_shifts_the_body_paths_after_it(capsys, tmp_path):
+    cg = split_genus3_grope()
+    path = write(tmp_path, "c.json", dumps_capped(cg))
+    trace_path = tmp_path / "t.jsonl"
+    code, out, err = run(
+        capsys, "contract", "--pair", "1", "--caps", "c3,c4", "--trace", str(trace_path), path
+    )
+    assert (code, err) == (0, "")
+    _, after = loads_document(out)
+    assert len(after.body.root.pairs) == 2 and "c5" not in after.caps
+    # b3 joined c5 to the stage at 2b, which is 1b once pair 1 is gone.
+    copies = {p.point_id: p.end_a for p in after.intersections if p.point_id.startswith("b3.")}
+    assert copies == {"b3.1": BodyRef(((1, 1),)), "b3.2": BodyRef(((1, 1),))}
+    entries = [json.loads(line) for line in trace_path.read_text().splitlines()]
+    assert [(e["op"], e.get("pairIndex")) for e in entries] == [("contract", 1), ("pushoff", None)]
+    kernel = SurgeryKernel(2, (cg,), ())
+    assert replay_trace(kernel, [{"grope": 0, **e} for e in entries]) == (after,)
 
 
 def test_contract_rejects_malformed_cap_pairs(capsys, capped_file):

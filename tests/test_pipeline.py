@@ -1,7 +1,9 @@
 """Kernel validation, hypothesis counting, and the full surgery pipeline."""
 
 import hashlib
+import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -24,12 +26,15 @@ from gropes import (
     dumps_capped,
     dumps_kernel,
     dumps_result,
+    effective_value,
     find_duplicate_pair,
     full_split,
     generate_kernel,
     generator,
+    is_dyadic,
     is_pi1_null,
     label_keys,
+    piece_caps,
     pushoff,
     random_capped_grope,
     random_grope,
@@ -38,11 +43,14 @@ from gropes import (
     split_cap,
     tips,
     validate_kernel,
+    value_keys_by_cap,
 )
 from gropes.errors import (
     GropeError,
     HypothesisError,
+    LabelMismatchError,
     MoveError,
+    NotDyadicError,
     ParseError,
     PigeonholeFailure,
     RewriteError,
@@ -52,8 +60,9 @@ from gropes.errors import (
 from gropes.grope import Grope, Stage, Tip
 import gropes.pipeline as pipeline_module
 from gropes.pipeline import _expected_tips
+from gropes.words import IDENTITY, GroupWord
 
-from conftest import dyadic_tower, stage_dual_grope, two_cap_grope
+from conftest import dyadic_tower, report, split_genus3_grope, stage_dual_grope, two_cap_grope
 
 F = generator(1)
 G = generator(2)
@@ -297,6 +306,25 @@ def test_replay_reproduces_the_surgery_exactly():
     ]
 
 
+def test_surgery_replays_within_3x_its_time(capsys):
+    """Replay keeps one state per grope across the sweep's contract and pushoff entries."""
+    kernel = generate_kernel(26, labels=5, pair_count=1, density=1.2)
+    start = time.perf_counter()
+    result = run_surgery(kernel)
+    surgery_s = time.perf_counter() - start
+    start = time.perf_counter()
+    replayed = replay_trace(kernel, result.trace)
+    replay_s = time.perf_counter() - start
+    points = sum(len(g.intersections) for g in result.gropes)
+    assert (result.stats["pieceCount"], points, replayed) == (240, 6186, result.gropes)
+    report(
+        capsys,
+        "replay of a surgery",
+        replay_s < 3 * surgery_s,
+        f"240 pieces, {points} points [{replay_s:.2f}s < 3 x {surgery_s:.2f}s]",
+    )
+
+
 def _forced_random_kernel(seed: int) -> SurgeryKernel:
     """Class-3 random gropes over two labels, each paired with itself."""
     rng = random.Random(seed)
@@ -368,8 +396,121 @@ def test_run_surgery_golden(name):
 # the sweep against the per-piece loop
 
 
+def _oracle_contract(cg, pair_index, cap_a, cap_b, *, piece=None, trace=None):
+    """contract as a whole scan: every point is classified against the piece and remapped.
+
+    Body paths through later pairs shift down by one at each contraction.
+    """
+    if cg.body is None:
+        raise MoveError("nothing to contract: the body is fully surgered")
+    for s in cg.spheres:
+        if s.pending:
+            raise MoveError(f"sphere {s.sphere_id!r} has a pending pushoff queue")
+    root = cg.body.root
+    caps_here = piece_caps(cg, pair_index)
+    if not all(is_dyadic(slot) for slot in root.pairs[pair_index] if isinstance(slot, Stage)):
+        raise NotDyadicError(
+            f"pair {pair_index} heads a subtree with genus above 1; split stages first"
+        )
+    if cap_a == cap_b:
+        raise MoveError("contraction needs two distinct caps")
+    for c in (cap_a, cap_b):
+        if c not in caps_here:
+            raise MoveError(f"cap {c!r} is not on the piece at pair {pair_index}")
+    values = value_keys_by_cap(cg)
+    key_a = effective_value(cap_a, values[cap_a])
+    key_b = effective_value(cap_b, values[cap_b])
+    if key_a != key_b:
+        raise LabelMismatchError(
+            f"caps {cap_a!r} and {cap_b!r} carry different values "
+            f"({GroupWord(key_a)} vs {GroupWord(key_b)})"
+        )
+    last_pair = root.genus == 1
+
+    def in_piece(end):
+        if isinstance(end, CapRef):
+            return end.cap_id in caps_here
+        if isinstance(end, BodyRef):
+            return last_pair or (bool(end.path) and end.path[0][0] == pair_index)
+        return False
+
+    def remap(end):
+        if isinstance(end, BodyRef) and end.path and end.path[0][0] > pair_index:
+            (j, side), rest = end.path[0], end.path[1:]
+            return BodyRef(((j - 1, side),) + rest)
+        return end
+
+    n = len(cg.spheres)
+    taken = {p.point_id for p in cg.intersections} | {s.sphere_id for s in cg.spheres}
+    while f"sph{n}" in taken:
+        n += 1
+    ref = SphereRef(f"sph{n}")
+    kept, self_log, queued = [], [], []
+    for p in cg.intersections:
+        a_in, b_in = in_piece(p.end_a), in_piece(p.end_b)
+        if a_in and b_in:
+            kept.append(Intersection(p.point_id, ref, ref, IDENTITY))
+            self_log.append({"point": p.point_id, "was": str(p.label), "result": "1"})
+        elif a_in or b_in:
+            other = p.end_b if a_in else p.end_a
+            queued.append(PendingPushoff(p.point_id, remap(other), p.label_from(other)))
+        else:
+            kept.append(Intersection(p.point_id, remap(p.end_a), remap(p.end_b), p.label))
+    pairs = root.pairs[:pair_index] + root.pairs[pair_index + 1 :]
+    body = Grope(Stage(pairs), cg.body.closed) if pairs else None
+    caps = {c: t for c, t in cg.caps.items() if c not in caps_here}
+    piece = pair_index if piece is None else piece
+    record = SphereRecord(ref.sphere_id, piece, cap_a, cap_b, GroupWord(key_a), tuple(queued))
+    if trace is not None:
+        trace.append(
+            {
+                "op": "contract",
+                "pairIndex": pair_index,
+                "piece": piece,
+                "capA": cap_a,
+                "capB": cap_b,
+                "label": str(record.label),
+                "sphere": ref.sphere_id,
+                "selfPoints": self_log,
+                "queued": [q.point_id for q in queued],
+            }
+        )
+    return CappedGrope(body, caps, tuple(kept), cg.spheres + (record,)), record
+
+
+def _oracle_pushoff(cg, sphere_id, *, trace=None):
+    """pushoff as a whole scan: two identity copies per queued point, named past every id."""
+    record = cg.sphere(sphere_id)
+    if not record.pending:
+        return cg
+    taken = {p.point_id for p in cg.intersections}
+    made, logged = [], []
+    for q in record.pending:
+        created = []
+        for k in (1, 2):
+            name, m = f"{q.point_id}.{k}", 0
+            while name in taken:
+                m += 1
+                name = f"{q.point_id}.{k}.{m}"
+            taken.add(name)
+            made.append(Intersection(name, q.other, SphereRef(sphere_id), IDENTITY))
+            created.append(name)
+        logged.append(
+            {"from": q.point_id, "hadLabel": str(q.label), "created": created, "result": "1"}
+        )
+    spheres = tuple(
+        SphereRecord(s.sphere_id, s.piece, s.cap_a, s.cap_b, s.label, ())
+        if s.sphere_id == sphere_id
+        else s
+        for s in cg.spheres
+    )
+    if trace is not None:
+        trace.append({"op": "pushoff", "sphere": sphere_id, "points": logged})
+    return CappedGrope(cg.body, cg.caps, cg.intersections + tuple(made), spheres)
+
+
 def _oracle_run_surgery(kernel, *, force=False, limits=None):
-    """run_surgery as the per-piece loop over the public moves.
+    """run_surgery as the per-piece loop over find_duplicate_pair and the oracle moves.
 
     Every piece is found, contracted and pushed off as pair 0 of the grope
     left by the previous piece, rescanning every point each time.
@@ -393,8 +534,8 @@ def _oracle_run_surgery(kernel, *, force=False, limits=None):
             cap_a, cap_b = find_duplicate_pair(
                 work, 0, piece_name=f"grope {gi} piece {ordinal}"
             )
-            work, sphere = contract(work, 0, cap_a, cap_b, piece=ordinal, trace=steps)
-            work = pushoff(work, sphere.sphere_id, trace=steps)
+            work, sphere = _oracle_contract(work, 0, cap_a, cap_b, piece=ordinal, trace=steps)
+            work = _oracle_pushoff(work, sphere.sphere_id, trace=steps)
         husks.append(work)
         trace.extend({"grope": gi, **entry} for entry in steps)
     pairs = []
@@ -534,6 +675,23 @@ def test_sweep_names_around_ids_already_in_use():
     assert _husk_points(result)["sph0"] == (SphereRef("sph1"), SphereRef("sph1"))
 
 
+def test_sweep_reads_a_reused_id_as_its_newest_point():
+    """Piece 0 queues i1.1, and a copy of i1 takes its id; the old point stays in a bucket."""
+    kernel = _genus2_kernel(
+        [
+            Intersection("i1", CapRef("c1"), CapRef("c3"), F),
+            Intersection("i1.1", CapRef("c2"), BodyRef(()), F),
+            _self("i3", "c3"),
+            _self("i4", "c4"),
+        ]
+    )
+    _matches_oracle(kernel)
+    first, last = _grope0_steps(run_surgery(kernel), "contract")
+    assert first["queued"] == ["i1", "i1.1"]
+    assert last["queued"] == ["i1.1", "i1.1.1", "i1.1.2", "i1.2"]
+    assert [p["point"] for p in last["selfPoints"]] == ["i3", "i4"]
+
+
 def test_sweep_numbers_spheres_after_the_input_spheres():
     old = SphereRecord("sph1", 0, "a", "b", F)
     kernel = _genus2_kernel(
@@ -604,6 +762,45 @@ def test_sweep_leaves_its_input_unchanged():
     }
 
 
+def _contract_and_push(moves, cg, pair_index, trace):
+    """The grope after contracting pair pair_index along its first duplicate pair, and after pushoff."""
+    contract_move, pushoff_move = moves
+    cap_a, cap_b = find_duplicate_pair(cg, pair_index)
+    mid, sphere = contract_move(cg, pair_index, cap_a, cap_b, trace=trace)
+    return mid, pushoff_move(mid, sphere.sphere_id, trace=trace)
+
+
+@pytest.mark.parametrize("pair_index", [0, 1, 2])
+def test_contract_at_every_pair_matches_the_whole_scan(pair_index):
+    cg = split_genus3_grope()
+    assert full_split(cg) is cg
+    got_trace, want_trace = [], []
+    got = _contract_and_push((contract, pushoff), cg, pair_index, got_trace)
+    want = _contract_and_push((_oracle_contract, _oracle_pushoff), cg, pair_index, want_trace)
+    assert [dumps_capped(g) for g in got] == [dumps_capped(g) for g in want]
+    assert got_trace == want_trace
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(3))), ids=str)
+def test_replay_contracts_the_pieces_in_any_order_on_one_state(order):
+    """Every prefix of a trace that contracts the pieces in this order replays to the oracle's grope."""
+    work = split_genus3_grope()
+    kernel = SurgeryKernel(2, (work,), ())
+    trace, left, want = [], list(range(3)), {0: work}
+    for piece in order:
+        pair_index = left.index(piece)
+        left.remove(piece)
+        cap_a, cap_b = find_duplicate_pair(work, pair_index)
+        work, sphere = _oracle_contract(work, pair_index, cap_a, cap_b, piece=piece, trace=trace)
+        want[len(trace)] = work
+        work = _oracle_pushoff(work, sphere.sphere_id, trace=trace)
+        want[len(trace)] = work
+    assert work.body is None and len(trace) == 6
+    entries = [{"grope": 0, **e} for e in trace]
+    for n, grope in want.items():
+        assert [dumps_capped(g) for g in replay_trace(kernel, entries[:n])] == [dumps_capped(grope)]
+
+
 def test_replay_rejects_unknown_ops():
     kernel = small_kernel()
     with pytest.raises(ValidationError, match="unknown trace op"):
@@ -663,6 +860,7 @@ def test_replay_applies_split_cap_at_its_recorded_pair():
         ({**_SPLIT_CAP, "stage": [[0, "beta"]]}, "trace[0]"),
         ({**_SPLIT_CAP, "stage": [[1, "alpha"]]}, "trace[0]"),
         ({**_SPLIT_CAP, "stage": [[0, "alpha"], [0, "alpha"], [0, "beta"]]}, "trace[0]"),
+        ({**_SPLIT_CAP, "cap": "c1", "stage": [[9, "beta"]], "pair": 7}, "trace[0]"),
         ({k: v for k, v in _SPLIT_CAP.items() if k != "stage"}, "trace[0].stage"),
         ({**_SPLIT_CAP, "stage": 0}, "trace[0].stage"),
         ({k: v for k, v in _SPLIT_CAP.items() if k != "pair"}, "trace[0].pair"),
@@ -690,6 +888,7 @@ def test_replay_applies_split_cap_at_its_recorded_pair():
         "stage-at-a-tip",
         "stage-off-the-tree",
         "stage-through-a-tip",
+        "one-valued-cap-off-the-tree",
         "no-stage",
         "int-stage",
         "no-pair",
