@@ -239,5 +239,7 @@ def validate_capped(cg: CappedGrope, strict: bool = False, rank: int | None = No
                 problems.append(f"pending {q.point_id}: unknown cap {q.other.cap_id!r}")
             if isinstance(q.other, SphereRef) and q.other.sphere_id not in sphere_ids:
                 problems.append(f"pending {q.point_id}: unknown sphere {q.other.sphere_id!r}")
+            if isinstance(q.other, BodyRef) and q.other.path not in known_paths:
+                problems.append(f"pending {q.point_id}: no stage at path {list(q.other.path)}")
 
     return problems

@@ -54,4 +54,4 @@ class PigeonholeFailure(GropeError):
 
 
 class GrowthLimitError(GropeError):
-    """A rewrite would exceed the configured size guards."""
+    """A rewrite or a depth computation would exceed its size guard."""

@@ -13,16 +13,30 @@ each letter is multiplied in with a single pass over the terms below the
 cutoff (x_g appends g to every term; x_g^-1 solves B = A - B * X_g degree by
 degree), never as a product of two general series.
 
-The depth test expands only the monomials that are prefixes of Lyndon words,
-which is exact for two reasons.  Every update appends a letter to a term, so
-a monomial's coefficient depends only on those of its prefixes, and a
+The depth is found in two steps.  A witness first bounds it from above.  It
+multiplies a row vector through the word in the unitriangular representation
+x_g -> I + sum_t a_{g,t} E_{t,t+1} with fixed pseudo-random entries mod a
+prime, the expansion's in-place update on scalars, so K degrees cost
+O(len * K).  Entry d is the degree-d part evaluated at independent values,
+so a nonzero entry certifies a nonzero degree-d part and depth <= d.  A word
+with s syllables x_{i1}^{e1} ... x_{is}^{es} has coefficient e1 * ... * es
+on X_{i1} ... X_{is}, so its depth is at most s and the witness never needs
+more than min(cutoff, s) degrees.
+
+Then one expansion runs below the certified degree and keeps only the
+monomials that are prefixes of Lyndon words; its lowest non-empty level is
+the exact depth, for two reasons.  Every update appends a letter to a term,
+so a monomial's coefficient depends only on those of its prefixes, and a
 prefix-closed set of monomials can be expanded on its own.  And when the
 degrees below c vanish, the word lies in the c-th term of the lower central
 series (Magnus), so its degree-c part is a Lie polynomial; a nonzero Lie
 polynomial has a nonzero coefficient on some Lyndon word, because the
 standard bracketing of a Lyndon word l is l plus lexicographically larger
 words (Reutenauer, Free Lie Algebras, sec. 5.1; Lothaire, Combinatorics on
-Words, ch. 5).  magnus keeps the full expansion.
+Words, ch. 5).  Applied level by level from degree 1, this makes the lowest
+non-empty pruned level the lowest non-empty level of the full expansion.
+If every level is empty, the depth is the certified degree.  magnus keeps
+the full expansion.
 """
 
 from __future__ import annotations
@@ -31,9 +45,16 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-from .errors import ValidationError
+from .errors import GrowthLimitError, ValidationError
 
 DEFAULT_CUTOFF = 8
+# Most terms one expansion may visit (about a microsecond each), and most
+# updates one depth witness may make: past it they raise GrowthLimitError,
+# so no cutoff makes a call run for minutes.
+MAX_EXPANSION_TERMS = 2_000_000
+# The witness computes modulo this prime (2^31 - 1) with 64-bit splitmix entries.
+_PRIME = 2**31 - 1
+_MASK64 = 2**64 - 1
 
 
 def _reduced(letters: Iterable[int]) -> tuple[int, ...]:
@@ -231,6 +252,8 @@ def _expand(
 
     Zero coefficients are deleted.  Levels stop at the highest degree a term
     can reach: the word's length when it has no inverse letters, else the cutoff.
+    Raises GrowthLimitError once the terms read, one pass per level and
+    letter, pass MAX_EXPANSION_TERMS.
 
     With lyndon=True only monomials that are prefixes of Lyndon words (in the
     natural order of generator indices) are kept, with the same coefficients
@@ -244,6 +267,7 @@ def _expand(
     levels.extend({} for _ in range(top))
     # rule[m] = (least letter that may follow m, period of m); None keeps all.
     rule = {(): (0, 0)} if lyndon else None
+    visited = 0
     for x in letters:
         if x > 0:
             g, sign, degrees = x, 1, range(top, 0, -1)
@@ -252,6 +276,7 @@ def _expand(
         step = (g,)
         for k in degrees:
             src, dst = levels[k - 1], levels[k]
+            visited += len(src)
             for mono, coeff in src.items():
                 if rule is not None:
                     least, p = rule[mono]
@@ -265,6 +290,11 @@ def _expand(
                     del dst[mono]
                 if rule is not None and mono not in rule:
                     rule[mono] = (mono[-p], p) if g == least else (mono[0], k)
+        if visited > MAX_EXPANSION_TERMS:
+            raise GrowthLimitError(
+                f"expanding to degree {cutoff} visits more than {MAX_EXPANSION_TERMS} terms; "
+                "lower the cutoff"
+            )
     return levels
 
 
@@ -272,7 +302,8 @@ def magnus(w: GroupWord, cutoff: int = DEFAULT_CUTOFF) -> TruncatedSeries:
     """Expansion of w under x_i -> 1 + X_i, truncated above the cutoff.
 
     The map is a homomorphism into the units of the truncated tensor algebra:
-    magnus(a * b) == magnus(a) * magnus(b) at any shared cutoff.
+    magnus(a * b) == magnus(a) * magnus(b) at any shared cutoff.  Raises
+    GrowthLimitError past MAX_EXPANSION_TERMS, as _expand does.
     """
     series = TruncatedSeries(cutoff)
     for level in _expand(w.letters, cutoff)[1:]:
@@ -318,31 +349,93 @@ class Depth:
         return str(self.bound) if self.is_exact else f">={self.bound}"
 
 
+def _entry(g: int, t: int) -> int:
+    """a_{g,t} of the witness: splitmix64 of (g, t), reduced mod _PRIME."""
+    z = ((g << 32 | t) + 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return (z ^ (z >> 31)) % _PRIME
+
+
+def _witness(letters: tuple[int, ...], top: int) -> int | None:
+    """Least degree d <= top at which the word's expansion is certified nonzero, or None.
+
+    Multiplies the row vector e_0 through the word in the unitriangular
+    representation x_g -> I + sum_t a_{g,t} E_{t,t+1} of size top + 1, mod
+    _PRIME, with the same in-place updates as _expand on scalars: x_g adds
+    v[t] a_{g,t} to v[t+1] walking t from high to low, x_g^-1 subtracts it
+    walking from low to high, so that it reads the entry already updated.
+    Entry d is then the word's degree-d part with each monomial
+    X_{m1}...X_{md} replaced by a_{m1,0} a_{m2,1} ... a_{md,d-1}.  Distinct
+    monomials give distinct products of the independent a_{g,t}, so a
+    nonzero entry proves a nonzero degree-d part (depth <= d).  A zero entry
+    proves nothing, but a nonzero part vanishes at pseudo-random a_{g,t}
+    only by accident (Schwartz-Zippel: probability d / _PRIME at random
+    points).  The a_{g,t} must vary independently with t: entries of the
+    form c_g * lam^t evaluate every commutator to zero.
+
+    Its cost, len(letters) * top updates, is refused before it starts when
+    it passes MAX_EXPANSION_TERMS.
+    """
+    if len(letters) * top > MAX_EXPANSION_TERMS:
+        raise GrowthLimitError(
+            f"a depth witness to degree {top} makes more than {MAX_EXPANSION_TERMS} "
+            "updates; lower the cutoff"
+        )
+    steps: dict[int, list[tuple[int, int, int]]] = {}
+    for g in {abs(x) for x in letters}:
+        a = [_entry(g, t) for t in range(top)]
+        steps[g] = [(t + 1, t, a[t]) for t in range(top - 1, -1, -1)]
+        steps[-g] = [(t + 1, t, _PRIME - a[t]) for t in range(top)]
+    p = _PRIME
+    v = [1] + [0] * top
+    for x in letters:
+        for s, t, a in steps[x]:
+            v[s] = (v[s] + v[t] * a) % p
+    return next((d for d in range(1, top + 1) if v[d]), None)
+
+
 def lcs_depth(w: GroupWord, cutoff: int = DEFAULT_CUTOFF) -> Depth:
     """Depth of w in the lower central series, resolved up to the cutoff.
 
     A nontrivial word's expansion acquires its first terms exactly in degree
     equal to its depth, so the answer is exact whenever it is at most the
-    cutoff.  Computation deepens the cutoff one degree at a time with the
-    graded in-place expansion: degree-k terms of a product of unit series
-    depend only on degree-<=k terms of the factors, so at cutoff c the degrees
-    below c are already known to be zero and only levels[c] is tested.
-    Stopping early gives the same answer as expanding at the full cutoff
-    directly, while cheap shallow words stay cheap.
+    cutoff.  It is found in two steps.
 
-    Each expansion keeps only prefixes of Lyndon words, and the test stays
-    exact: the kept set is prefix-closed and every update appends a letter,
-    so the kept coefficients are the full expansion's; and with the degrees
-    below c zero, levels[c] is a Lie polynomial (Magnus), which is nonzero
-    only if its coefficient on some Lyndon word is (Reutenauer, Free Lie
-    Algebras, sec. 5.1; Lothaire, Combinatorics on Words, ch. 5).
+    First a witness (_witness) bounds the depth from above: it evaluates
+    every degree up to K at once in O(len(w) * K), and a nonzero degree d
+    proves depth <= d.  K doubles from 2 up to min(cutoff, s), where s is the
+    number of syllables: a word x_{i1}^{e1} ... x_{is}^{es} has coefficient
+    e1 * ... * es != 0 on X_{i1} ... X_{is}, so its depth is at most s.  A
+    shallow word therefore stays O(len(w)) at any cutoff.
+
+    Then one expansion, kept to prefixes of Lyndon words, runs below the
+    least degree d* the witness certified (or up to min(cutoff, s) when none
+    was), and its lowest non-empty level is the exact depth.  The pruned
+    levels hold the full expansion's coefficients on the kept monomials (the
+    kept set is prefix-closed and every update appends a letter).  By
+    induction on the degree, their lowest non-empty level is the full
+    expansion's: with the degrees below c zero, levels[c] is a Lie
+    polynomial (Magnus), nonzero only if its coefficient on some Lyndon
+    word is (Reutenauer, Free Lie Algebras, sec. 5.1; Lothaire,
+    Combinatorics on Words, ch. 5).  If every level is empty the depth is
+    d*, or more than the cutoff when no degree was certified.
+
+    Raises GrowthLimitError when a witness pass or the expansion would pass
+    MAX_EXPANSION_TERMS.
     """
     if cutoff < 1:
         raise ValidationError(f"cutoff must be >= 1, got {cutoff}")
     if w.is_identity:
         return Depth.infinite()
-    for c in range(1, cutoff + 1):
-        # levels[c] exists: a word with no inverse letters returns at c = 1.
-        if _expand(w.letters, c, lyndon=True)[c]:
-            return Depth.exact(c)
-    return Depth.at_least(cutoff + 1)
+    letters = w.letters
+    bound = min(cutoff, sum(1 for _ in w.syllables()))
+    k = 2
+    while (certified := _witness(letters, min(k, bound))) is None and k < bound:
+        k *= 2
+    top = bound if certified is None else certified - 1
+    if top:
+        for d, level in enumerate(_expand(letters, top, lyndon=True)[1:], 1):
+            if level:
+                return Depth.exact(d)
+    return Depth.at_least(cutoff + 1) if certified is None else Depth.exact(certified)

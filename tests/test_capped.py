@@ -15,6 +15,7 @@ from gropes import (
     Grope,
     IDENTITY,
     Intersection,
+    PendingPushoff,
     SphereRecord,
     SphereRef,
     Stage,
@@ -272,3 +273,18 @@ def test_validate_sphere_refs():
         (Intersection("p", SphereRef("ghost"), CapRef("c1"), IDENTITY),),
     )
     assert any("sphere" in p for p in validate_capped(missing))
+
+
+def test_validate_pending_pushoff_body_ends():
+    body, caps = _base()
+    x1 = generator(1)
+    queue = (PendingPushoff("q", BodyRef(((5, 0),)), x1),)
+    sphere = SphereRecord("sph0", 0, "ca", "cb", x1, queue)
+    assert validate_capped(CappedGrope(body, caps, spheres=(sphere,))) == [
+        "pending q: no stage at path [(5, 0)]"
+    ]
+    assert validate_capped(CappedGrope(None, {}, spheres=(sphere,))) == [
+        "pending q: no stage at path [(5, 0)]"
+    ]
+    on_body = SphereRecord("sph0", 0, "ca", "cb", x1, (PendingPushoff("q", BodyRef(()), x1),))
+    assert validate_capped(CappedGrope(body, caps, spheres=(on_body,))) == []

@@ -319,6 +319,17 @@ def test_lcs_reports_cutoff_saturation(capsys):
     assert (code, out) == (0, ">=3\n")
 
 
+def test_lcs_refuses_a_cutoff_that_needs_too_many_terms(capsys):
+    """Weight 12 at cutoff 14 must expand to degree 11: exit 3 after about 2M terms."""
+    text = "[" * 11 + "x1" + "".join(f",x{i}]" for i in range(2, 13))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "lcs", "--cutoff", "14", text)
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1 and err.startswith("growth limit:") and "terms" in err
+    assert elapsed < 20, f"refused after {elapsed:.2f}s"
+
+
 def test_lcs_help_explains_the_cutoff(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["lcs", "--help"])

@@ -14,6 +14,7 @@ from gropes import (
     DEFAULT_CUTOFF,
     Depth,
     GroupWord,
+    GrowthLimitError,
     IDENTITY,
     TruncatedSeries,
     ValidationError,
@@ -25,7 +26,8 @@ from gropes import (
     unoriented_key,
 )
 
-from gropes.words import _expand
+import gropes.words as words_module
+from gropes.words import _PRIME, _expand, _witness
 
 from conftest import raw_letter_lists, words
 from magnus_oracle import (
@@ -286,6 +288,44 @@ def test_magnus_at_a_huge_cutoff_stays_small_for_positive_words():
     assert elapsed < 0.5, f"took {elapsed:.2f}s"
 
 
+def _random_reduced(rng, n):
+    letters = []
+    while len(letters) < n:
+        x = rng.choice((1, 2, 3, -1, -2, -3))
+        if not letters or letters[-1] != -x:
+            letters.append(x)
+    return GroupWord(tuple(letters))
+
+
+def test_depth_of_long_shallow_words_at_a_huge_cutoff_is_fast():
+    """The witness certifies a shallow depth in O(len) whatever the cutoff.
+
+    With this seed the long word's exponent sums are nonzero (depth 1), and
+    u's are not proportional to those of x1*x2 (depth 2).
+    """
+    rng = random.Random(20261018)
+    long_word = _random_reduced(rng, 200_000)
+    u = _random_reduced(rng, 50_000)
+    for w, depth in ((long_word, 1), (commutator(u, generator(1) * generator(2)), 2)):
+        start = time.perf_counter()
+        assert lcs_depth(w, 10**6) == Depth.exact(depth)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 1.0, f"{len(w)} letters took {elapsed:.2f}s"
+
+
+def test_expansion_and_witness_refuse_past_the_term_budget(monkeypatch):
+    """The budget is counted inside _expand and predicted for the witness."""
+    monkeypatch.setattr(words_module, "MAX_EXPANSION_TERMS", 5000)
+    deep = reduce(left_normed_letters([1, 2, 1, 1, 2, 2, 1, 2]))  # 310 letters, depth 8
+    assert lcs_depth(commutator(generator(1), generator(2))) == Depth.exact(2)
+    with pytest.raises(GrowthLimitError, match="visits more than 5000 terms"):
+        lcs_depth(deep, 8)  # the witness makes at most 310 * 8 updates a pass
+    with pytest.raises(GrowthLimitError, match="visits more than 5000 terms"):
+        magnus(deep, 8)
+    with pytest.raises(GrowthLimitError, match="makes more than 5000 updates"):
+        lcs_depth(generator(1) ** 3000 * generator(2) ** 3000, 8)  # 2 syllables: 6000 * 2
+
+
 @given(words, words)
 @settings(max_examples=60)
 def test_magnus_homomorphism(a, b):
@@ -362,6 +402,12 @@ def _expect_depth(letters, cutoff):
     return Depth.at_least(cutoff + 1) if expected is None else Depth.exact(expected)
 
 
+def _assert_witness_sound(letters, cutoff, depth):
+    """The witness never certifies a degree below the depth."""
+    certified = _witness(reduce_letters(letters), cutoff)
+    assert certified is None or (depth.bound is not None and certified >= depth.bound), letters
+
+
 @pytest.mark.parametrize("cutoff", [1, 6])
 def test_depth_matches_oracle_on_every_short_word_in_two_generators(cutoff):
     """Every freely reduced word of length <= 7 over x1^+-1 and x2^+-1."""
@@ -369,7 +415,9 @@ def test_depth_matches_oracle_on_every_short_word_in_two_generators(cutoff):
     frontier, count = [()], 0
     for _ in range(8):
         for w in frontier:
-            assert lcs_depth(GroupWord(w), cutoff) == _expect_depth(w, cutoff), w
+            expected = _expect_depth(w, cutoff)
+            assert lcs_depth(GroupWord(w), cutoff) == expected, w
+            _assert_witness_sound(w, cutoff, expected)
             count += 1
         frontier = [w + x for w in frontier for x in letters if not w or w[-1] != -x[0]]
     assert count == 1 + 4 * sum(3**k for k in range(7))
@@ -391,22 +439,24 @@ commutator_heavy_letters = st.lists(
 @given(commutator_heavy_letters, st.integers(min_value=1, max_value=6))
 @settings(max_examples=100, deadline=None)
 def test_depth_matches_oracle_on_commutators_with_repeated_generators(letters, cutoff):
-    assert lcs_depth(reduce(letters), cutoff) == _expect_depth(letters, cutoff)
+    expected = _expect_depth(letters, cutoff)
+    assert lcs_depth(reduce(letters), cutoff) == expected
+    _assert_witness_sound(letters, cutoff, expected)
 
 
-@pytest.mark.parametrize(
-    "letters",
-    [
-        commutator_letters([1], [1]),  # [x1, x1]
-        commutator_letters([1, 2, -1, -2], [1, 2, -1, -2]),  # [[x1,x2],[x1,x2]]
-        (-1,) * 5,  # x1^-5
-        (1, -2, 3, -3, 2, -1),  # w * w^-1 with w = x1 x2^-1 x3
-        commutator_letters([1], [2]) + commutator_letters([-1], [2]),  # degree 2 cancels
-        commutator_letters([1], [2]) + commutator_letters([2], [3]) + commutator_letters([3], [1]),
-        left_normed_letters([1, 2, 2, 1, 3]),  # depth 5, beyond cutoffs 1-4
-        left_normed_letters([2, 1, 1]) + left_normed_letters([1, 2, 2]),
-    ],
-)
+CANCELLING_LETTERS = [
+    commutator_letters([1], [1]),  # [x1, x1]
+    commutator_letters([1, 2, -1, -2], [1, 2, -1, -2]),  # [[x1,x2],[x1,x2]]
+    (-1,) * 5,  # x1^-5
+    (1, -2, 3, -3, 2, -1),  # w * w^-1 with w = x1 x2^-1 x3
+    commutator_letters([1], [2]) + commutator_letters([-1], [2]),  # degree 2 cancels
+    commutator_letters([1], [2]) + commutator_letters([2], [3]) + commutator_letters([3], [1]),
+    left_normed_letters([1, 2, 2, 1, 3]),  # depth 5, beyond cutoffs 1-4
+    left_normed_letters([2, 1, 1]) + left_normed_letters([1, 2, 2]),
+]
+
+
+@pytest.mark.parametrize("letters", CANCELLING_LETTERS)
 @pytest.mark.parametrize("cutoff", [1, 3, 4, 5])
 def test_depth_of_cancelling_inputs_matches_oracle(letters, cutoff):
     """The oracle expands the unreduced letters, so cancellation happens in the series."""
@@ -420,22 +470,68 @@ def test_depth_of_cancelling_inputs_matches_oracle(letters, cutoff):
         assert d == Depth.exact(expected)
 
 
+def _left_normed_indices(rng, k):
+    """k indices over {1, 2, 3} whose first two differ, so the commutator has depth k."""
+    seq = [rng.choice((1, 2, 3))]
+    while True:
+        nxt = rng.choice((1, 2, 3))
+        if nxt != seq[0]:
+            seq.append(nxt)
+            break
+    while len(seq) < k:
+        seq.append(rng.choice((1, 2, 3)))
+    return seq
+
+
 def test_depth_left_normed_table():
     """Left-normed commutators [x_{i1},x_{i2},...,x_{ik}] have depth exactly k."""
     rng = random.Random(20260814)
     for k in range(2, 7):
         for _ in range(12):
-            seq = [rng.choice((1, 2, 3))]
-            while True:
-                nxt = rng.choice((1, 2, 3))
-                if nxt != seq[0]:
-                    seq.append(nxt)
-                    break
-            while len(seq) < k:
-                seq.append(rng.choice((1, 2, 3)))
+            seq = _left_normed_indices(rng, k)
             letters = left_normed_letters(seq)
             d = lcs_depth(reduce(letters), cutoff=8)
             assert (d.bound, d.is_exact) == (k, True), seq
+
+
+def _left_normed_witness_misses():
+    """Left-normed commutators of weight 2-9 on which the witness to degree 9 is not the weight."""
+    rng = random.Random(20261018)
+    misses = []
+    for k in range(2, 10):
+        for _ in range(8):
+            seq = _left_normed_indices(rng, k)
+            if _witness(left_normed_letters(seq), 9) != k:
+                misses.append(seq)
+    return misses
+
+
+def test_witness_is_exact_on_left_normed_commutators():
+    assert _left_normed_witness_misses() == []
+
+
+def test_witness_fails_with_entries_proportional_across_positions(monkeypatch):
+    """a_{g,t} = c_g * lam^(t+1) evaluates every commutator to zero, so the test above has teeth."""
+    monkeypatch.setattr(words_module, "_entry", lambda g, t: 7919 * g * pow(3, t + 1, _PRIME) % _PRIME)
+    assert len(_left_normed_witness_misses()) == 8 * 8
+
+
+@pytest.mark.parametrize("fires", ["never", "at its top degree"])
+def test_depth_stays_exact_when_the_witness_misses_or_fires_high(monkeypatch, fires):
+    """The expansion, not the witness, decides the depth below the certified degree."""
+    real = words_module._witness
+
+    def witness(letters, top):
+        if fires == "never" or real(letters, top) is None:
+            return None
+        return top  # sound: the real witness certified a degree <= top
+
+    monkeypatch.setattr(words_module, "_witness", witness)
+    for cutoff in (1, 6):
+        test_depth_matches_oracle_on_every_short_word_in_two_generators(cutoff)
+    for letters, cutoff in itertools.product(CANCELLING_LETTERS, (1, 3, 4, 5)):
+        test_depth_of_cancelling_inputs_matches_oracle(letters, cutoff)
+    test_depth_beyond_cutoff_reports_lower_bound()
 
 
 def test_commutator_letters_oracle_agrees():
