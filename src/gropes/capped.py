@@ -151,7 +151,7 @@ def _value_keys(
     """The given caps' value sets, read from the given points only.
 
     Ends on other caps are skipped, so a caller that knows which points can
-    touch the caps (the surgery sweep's per-piece buckets) scans only those.
+    touch the caps (the points the sweep reads for one piece) scans only those.
     """
     out: dict[str, set[tuple[int, ...]]] = {cap: set() for cap in caps}
     get = out.get

@@ -11,39 +11,35 @@ of contract + pushoff is strictly fewer distinct label values, never more.
 
 A piece is a first-stage pair with the subtree above it.  Two cores,
 _contract_at and _pushoff_at, alone check each move's preconditions and
-build the sphere, its self-points and the pushoff copies.  They run on a
-_PieceState: contract and pushoff open one for a single move, while the
-surgery sweep (_sweep, which run_surgery uses) and
-gropes.pipeline.replay_trace keep one across every piece of a grope.  The
-state holds:
+build the sphere, its self-points and the pushoff copies.  They run on the
+_RewriteState of gropes.splitting, the state the split cores run on:
+contract and pushoff open one for a single move, while run_surgery and
+gropes.pipeline.replay_trace keep one per grope across its splits,
+contractions and pushoffs.  The state indexes every live point by the caps
+and body paths it has an end on, and holds the spheres by id, with a count
+of those whose pushoff queue is pending.
 
-- each piece's caps in traversal order, and whether it has a tip without a
-  cap or a stage of genus above 1, read in one walk when it opens;
-- every live point by id, and in the bucket of each piece it touches: a cap
-  of the piece or a body path through it.  A point on the first stage
-  itself, BodyRef(()), goes in a bucket of its own, which a contraction
-  counts inside only when one piece is left.  A consumed point stays in
-  the other buckets it was filed in, and a read of a bucket keeps only the
-  point that is live under each id;
-- the spheres by id, with a count of those whose pushoff queue is pending.
-
-Pieces keep the numbers the first-stage pairs had when the state opened,
-and so do body paths: pair i of the current grope is the i-th piece not yet
-contracted.  result() renumbers the body paths of the points and of the
-pending queues once, and builds the CappedGrope, its points sorted, once.
+A contraction reads its piece in one walk of the first-stage pair: the
+piece's caps in traversal order, its first tip without a cap, whether it
+has a stage of genus above 1, and its stage paths.  Its points are those
+the index files under these caps and paths, and, at the last piece, under
+the first stage itself, BodyRef(()); it takes them sorted by id, as the
+grope's points are.  Pieces keep the numbers the first-stage pairs had
+after the last split, and so do body paths: pair i of the current grope is
+the i-th piece not yet contracted.  The state renumbers the body paths of
+the points and of the pending queues once, when it builds the grope or
+before the next split.
 
 After full_split, the sweep contracts a grope's pieces in order, each as
-pair 0 of what the earlier ones left.  A contraction reads only its piece's
-bucket, sorted by id as the grope's points are: points touching an earlier
-piece were used up there, and each pushoff copy is filed under the piece
-its surviving sheet lies on.  So the husk, trace and errors are those of
-calling find_duplicate_pair, contract and pushoff once per piece, and no
-point is read for a piece it does not touch.
+pair 0 of what the earlier ones left.  Points touching an earlier piece
+were used up there, and each pushoff copy is indexed under its surviving
+sheet.  So the husk, trace and errors are those of calling
+find_duplicate_pair, contract and pushoff once per piece, and no point is
+read for a piece it does not touch.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import replace
 from typing import Container
 
@@ -68,7 +64,8 @@ from .errors import (
     SplitFirstError,
     ValidationError,
 )
-from .grope import Grope, Stage, Tip, _slots, tips
+from .grope import ALPHA, Path, Stage, _slots
+from .splitting import _RewriteState
 from .words import IDENTITY, GroupWord
 
 
@@ -79,15 +76,33 @@ def piece_caps(cg: CappedGrope, pair_index: int) -> list[str]:
     root = cg.body.root
     if not 0 <= pair_index < root.genus:
         raise ValidationError(f"no pair {pair_index} at a genus-{root.genus} first stage")
-    by_tip = cg.tip_to_cap
-    out = []
-    for slot in root.pairs[pair_index]:
-        for t in ([slot.tip_id] if isinstance(slot, Tip) else tips(slot)):
-            try:
-                out.append(by_tip[t])
-            except KeyError:
-                raise ValidationError(f"tip {t!r} has no cap") from None
-    return out
+    caps, uncapped, _, _ = _walk_piece(root, pair_index, cg.tip_to_cap)
+    if uncapped is not None:
+        raise ValidationError(f"tip {uncapped!r} has no cap")
+    return caps
+
+
+def _walk_piece(
+    root: Stage, j: int, tip_cap: dict[str, str]
+) -> tuple[list[str], str | None, bool, set[Path]]:
+    """One walk of first-stage pair j: its caps and its first tip without a cap.
+
+    Returns the caps in traversal order, that tip (None when every tip is
+    capped), whether a stage of genus above 1 is on the pair, and the paths
+    of the pair's stages.
+    """
+    caps, uncapped, wide, paths = [], None, False, set()
+    for path, slot in _slots(root, ((j, ALPHA),)):
+        if path[0][0] != j:
+            break
+        if type(slot) is Stage:
+            paths.add(path)
+            wide = wide or slot.genus > 1
+        elif (cap := tip_cap.get(slot.tip_id)) is not None:
+            caps.append(cap)
+        elif uncapped is None:
+            uncapped = slot.tip_id
+    return caps, uncapped, wide, paths
 
 
 def effective_value(cap_id: str, keys: set[tuple[int, ...]]) -> tuple[int, ...]:
@@ -142,111 +157,21 @@ def _pick_pair(
     )
 
 
-class _PieceState:
-    """A capped grope under contraction, with its live points indexed by piece.
+def _read_piece(state: _RewriteState, j: int) -> tuple:
+    """_walk_piece of piece j, its live points sorted by id, and its caps' value sets.
 
-    Piece j is first-stage pair j of the grope the state opened on; alive
-    lists the pieces not yet contracted, in order.  caps_of[j] holds piece
-    j's caps in traversal order, uncapped maps a piece to its first tip
-    without a cap, and wide holds the pieces with a stage of genus above 1.
-    buckets[j] holds the points with an end on piece j, and buckets[-1]
-    those with an end on a body path through no piece.  sphere_at maps each
-    sphere id to its place in spheres, pending counts the spheres with a
-    pushoff queue, and moves the moves applied.
+    The body paths returned include the first stage's, (), at the last piece.
     """
-
-    __slots__ = (
-        "source", "pairs", "alive", "caps", "caps_of", "uncapped", "wide", "piece_of_cap",
-        "live", "buckets", "spheres", "sphere_at", "pending", "moves", "read",
-    )
-
-    def __init__(self, cg: CappedGrope):
-        self.source = cg
-        self.pairs = cg.body.root.pairs if cg.body is not None else ()
-        self.alive = list(range(len(self.pairs)))
-        self.caps = dict(cg.caps)
-        self.caps_of: list[list[str]] = [[] for _ in self.pairs]
-        self.uncapped: dict[int, str] = {}
-        self.wide: set[int] = set()
-        by_tip = cg.tip_to_cap
-        for path, slot in _slots(cg.body) if cg.body is not None else ():
-            j = path[0][0]
-            if type(slot) is Stage:
-                if slot.genus > 1:
-                    self.wide.add(j)
-            elif (cap := by_tip.get(slot.tip_id)) is None:
-                self.uncapped.setdefault(j, slot.tip_id)
-            else:
-                self.caps_of[j].append(cap)
-        self.piece_of_cap = {cap: j for j, caps in enumerate(self.caps_of) for cap in caps}
-        self.live = {p.point_id: p for p in cg.intersections}
-        if len(self.live) != len(cg.intersections):
-            raise ValidationError("cannot contract a capped grope with duplicate intersection ids")
-        self.buckets: list[list[Intersection]] = [[] for _ in range(len(self.pairs) + 1)]
-        for p in cg.intersections:
-            a, b = self.piece_of(p.end_a), self.piece_of(p.end_b)
-            if a is not None:
-                self.buckets[a].append(p)
-            if b is not None and b != a:
-                self.buckets[b].append(p)
-        self.spheres = list(cg.spheres)
-        # The first sphere of an id wins, as in CappedGrope.sphere.
-        self.sphere_at = {s.sphere_id: i for i, s in reversed(list(enumerate(self.spheres)))}
-        self.pending = sum(1 for s in self.spheres if s.pending)
-        self.moves = 0
-        self.read: tuple = (None,)
-
-    def piece_of(self, end: SheetRef) -> int | None:
-        """The piece an end lies on: -1 for a body path through no piece, None off the body."""
-        kind = type(end)
-        if kind is CapRef:
-            return self.piece_of_cap.get(end.cap_id)
-        if kind is BodyRef:
-            j = end.path[0][0] if end.path else -1
-            return j if j < len(self.pairs) else -1
-        return None
-
-    def points_on(self, j: int) -> tuple[list[Intersection], dict[str, set]]:
-        """The live points on piece j, by id, and the value sets of its caps.
-
-        The points are those of piece j's bucket, and of buckets[-1] when j
-        is the last piece.  The answer is kept until the next move.
-        """
-        if self.read[0] != (j, self.moves):
-            bucket = self.buckets[j] + self.buckets[-1] if len(self.alive) == 1 else self.buckets[j]
-            live = self.live
-            found = {p.point_id: p for p in bucket if live.get(p.point_id) is p}
-            points = [found[k] for k in sorted(found)]
-            self.read = ((j, self.moves), points, _value_keys(self.caps_of[j], points))
-        return self.read[1:]
-
-    def result(self) -> CappedGrope:
-        """The grope now, body paths renumbered and points sorted once; the input if unchanged."""
-        if not self.moves:
-            return self.source
-        pairs, alive, body = self.pairs, self.alive, self.source.body
-        if len(alive) < len(pairs):
-            body = Grope(Stage(tuple(pairs[j] for j in alive)), body.closed) if alive else None
-        gone = sorted(set(range(len(pairs))).difference(alive))
-
-        def renumber(end: SheetRef) -> SheetRef:
-            if type(end) is not BodyRef or not end.path:
-                return end
-            (j, side), rest = end.path[0], end.path[1:]
-            shift = bisect_left(gone, j)
-            return BodyRef(((j - shift, side),) + rest) if shift else end
-
-        points = []
-        for p in self.live.values():
-            if BodyRef in (type(p.end_a), type(p.end_b)):
-                p = Intersection(p.point_id, renumber(p.end_a), renumber(p.end_b), p.label)
-            points.append(p)
-        spheres = [
-            replace(s, pending=tuple(replace(q, other=renumber(q.other)) for q in s.pending))
-            if s.pending else s
-            for s in self.spheres
-        ]
-        return CappedGrope(body, self.caps, tuple(points), tuple(spheres))
+    caps, uncapped, wide, paths = _walk_piece(state.body.root, j, state.tip_cap)
+    if len(state.alive) == 1:
+        paths.add(())
+    by_cap, by_path, ids = state.by_cap, state.by_path, set()
+    for cap in caps:
+        ids.update(by_cap.get(cap, ()))
+    for path in paths:
+        ids.update(by_path.get(path, ()))
+    points = [state.points[i] for i in sorted(ids)]
+    return caps, uncapped, wide, paths, points, _value_keys(caps, points)
 
 
 def _sphere_name(n: int, point_ids: Container[str], sphere_ids: Container[str]) -> str:
@@ -257,18 +182,19 @@ def _sphere_name(n: int, point_ids: Container[str], sphere_ids: Container[str]) 
 
 
 def _contract_at(
-    state: _PieceState,
+    state: _RewriteState,
     pair_index: int,
     cap_a: str,
     cap_b: str,
     piece: int | None,
-    trace: list | None,
+    read: tuple | None = None,
 ) -> SphereRecord:
     """contract on the state, at pair pair_index of the grope the state holds now.
 
-    A point with both ends on the piece becomes an identity self-point of
-    the sphere (logged with the label it had); one with a single end there
-    is queued from its other end.  Both are handled in id order.
+    read is the piece's _read_piece, when the caller has it.  A point with
+    both ends on the piece becomes an identity self-point of the sphere
+    (logged with the label it had); one with a single end there is queued
+    from its other end.  Both are handled in id order.
     """
     alive = state.alive
     if not alive:
@@ -278,19 +204,18 @@ def _contract_at(
         raise MoveError(f"sphere {sphere.sphere_id!r} has a pending pushoff queue")
     if not 0 <= pair_index < len(alive):
         raise ValidationError(f"no pair {pair_index} at a genus-{len(alive)} first stage")
-    j = alive[pair_index]
-    if j in state.uncapped:
-        raise ValidationError(f"tip {state.uncapped[j]!r} has no cap")
-    if j in state.wide:
+    caps, uncapped, wide, paths, points, values = read or _read_piece(state, alive[pair_index])
+    if uncapped is not None:
+        raise ValidationError(f"tip {uncapped!r} has no cap")
+    if wide:
         raise NotDyadicError(
             f"pair {pair_index} heads a subtree with genus above 1; split stages first"
         )
     if cap_a == cap_b:
         raise MoveError("contraction needs two distinct caps")
     for c in (cap_a, cap_b):
-        if c not in state.caps_of[j]:
+        if c not in values:
             raise MoveError(f"cap {c!r} is not on the piece at pair {pair_index}")
-    points, values = state.points_on(j)
     key_a = effective_value(cap_a, values[cap_a])
     key_b = effective_value(cap_b, values[cap_b])
     if key_a != key_b:
@@ -299,13 +224,21 @@ def _contract_at(
             f"({GroupWord(key_a)} vs {GroupWord(key_b)})"
         )
 
-    live, spheres, piece_of = state.live, state.spheres, state.piece_of
+    live, spheres = state.points, state.spheres
     sphere_id = _sphere_name(len(spheres), live, state.sphere_at)
     ref = SphereRef(sphere_id)
-    inside = (j, -1) if len(alive) == 1 else (j,)
+
+    def inside(end: SheetRef) -> bool:  # values has a key for each of the piece's caps
+        kind = type(end)
+        return end.cap_id in values if kind is CapRef else kind is BodyRef and end.path in paths
+
+    # The piece's sheets go with it; a queued point leaves its other sheet's bucket too.
+    for buckets, keys in ((state.by_cap, caps), (state.by_path, paths)):
+        for key in keys:
+            buckets.pop(key, None)
     self_log, queued = [], []
     for p in points:
-        a_in, b_in = piece_of(p.end_a) in inside, piece_of(p.end_b) in inside
+        a_in, b_in = inside(p.end_a), inside(p.end_b)
         if a_in and b_in:
             live[p.point_id] = Intersection(p.point_id, ref, ref, IDENTITY)
             self_log.append({"point": p.point_id, "was": str(p.label), "result": "1"})
@@ -313,18 +246,18 @@ def _contract_at(
             other = p.end_b if a_in else p.end_a
             queued.append(PendingPushoff(p.point_id, other, p.label_from(other)))
             del live[p.point_id]
+            state.unindex(p)
     del alive[pair_index]
-    for cap in state.caps_of[j]:
-        del state.caps[cap]
-    state.buckets[j] = []
+    for cap in caps:
+        del state.tip_cap[state.caps.pop(cap)]
     piece = pair_index if piece is None else piece
     record = SphereRecord(sphere_id, piece, cap_a, cap_b, GroupWord(key_a), tuple(queued))
     state.sphere_at[sphere_id] = len(spheres)
     spheres.append(record)
     state.pending += bool(queued)
-    state.moves += 1
-    if trace is not None:
-        trace.append(
+    state.moved()
+    if state.trace is not None:
+        state.trace.append(
             {
                 "op": "contract",
                 "pairIndex": pair_index,
@@ -340,12 +273,12 @@ def _contract_at(
     return record
 
 
-def _pushoff_at(state: _PieceState, sphere_id: str, trace: list | None) -> None:
+def _pushoff_at(state: _RewriteState, sphere_id: str) -> None:
     """pushoff on the state.
 
     The copies of queued point i take the lineage names derived_id gives
     against every live id (i.1 and i.2 when free), in queue order, and each
-    is filed under the piece its surviving sheet lies on.
+    is indexed under its surviving sheet.
     """
     i = state.sphere_at.get(sphere_id)
     if i is None:
@@ -353,24 +286,23 @@ def _pushoff_at(state: _PieceState, sphere_id: str, trace: list | None) -> None:
     record = state.spheres[i]
     if not record.pending:
         return
-    ref, live, buckets = SphereRef(sphere_id), state.live, state.buckets
+    ref, live = SphereRef(sphere_id), state.points
     logged = []
     for q in record.pending:
-        j, created = state.piece_of(q.other), []
+        created = []
         for k in (1, 2):
             name = derived_id(q.point_id, k, live)
             live[name] = point = Intersection(name, q.other, ref, IDENTITY)
-            if j is not None:
-                buckets[j].append(point)
+            state.index(point)
             created.append(name)
         logged.append(
             {"from": q.point_id, "hadLabel": str(q.label), "created": created, "result": "1"}
         )
     state.spheres[i] = replace(record, pending=())
     state.pending -= 1
-    state.moves += 1
-    if trace is not None:
-        trace.append({"op": "pushoff", "sphere": sphere_id, "points": logged})
+    state.moved()
+    if state.trace is not None:
+        state.trace.append({"op": "pushoff", "sphere": sphere_id, "points": logged})
 
 
 def contract(
@@ -394,8 +326,8 @@ def contract(
     piece tags the sphere record with the caller's piece ordinal (defaults
     to the pair index).
     """
-    state = _PieceState(cg)
-    _contract_at(state, pair_index, cap_a, cap_b, piece, trace)
+    state = _RewriteState(cg, trace=trace)
+    _contract_at(state, pair_index, cap_a, cap_b, piece)
     out = state.result()
     return out, out.spheres[-1]
 
@@ -408,22 +340,20 @@ def pushoff(cg: CappedGrope, sphere_id: str, *, trace: list | None = None) -> Ca
     cancel to the identity, which is what gets recorded.  A sphere with an
     empty queue is returned unchanged.
     """
-    state = _PieceState(cg)
-    _pushoff_at(state, sphere_id, trace)
+    state = _RewriteState(cg, trace=trace)
+    _pushoff_at(state, sphere_id)
     return state.result()
 
 
-def _sweep(cg: CappedGrope, gi: int, steps: list[dict]) -> CappedGrope:
+def _sweep(state: _RewriteState, gi: int) -> None:
     """Contract and push off every piece of a fully split grope, in order.
 
-    Piece k is first-stage pair k of cg, contracted as pair 0 after k earlier
-    contractions.  Appends the contract and pushoff trace entries to steps
-    and returns the fully surgered husk.
+    Piece k is first-stage pair k of the state's grope, contracted as pair 0
+    after k earlier contractions.  The contract and pushoff trace entries go
+    to the state's trace.
     """
-    state = _PieceState(cg)
-    for k, caps_here in enumerate(state.caps_of):
-        _, values = state.points_on(k)
-        cap_a, cap_b = _pick_pair(caps_here, values, f"grope {gi} piece {k}")
-        record = _contract_at(state, 0, cap_a, cap_b, k, steps)
-        _pushoff_at(state, record.sphere_id, steps)
-    return state.result()
+    for k in range(len(state.alive)):
+        read = caps, *_, values = _read_piece(state, k)
+        cap_a, cap_b = _pick_pair(caps, values, f"grope {gi} piece {k}")
+        record = _contract_at(state, 0, cap_a, cap_b, k, read)
+        _pushoff_at(state, record.sphere_id)

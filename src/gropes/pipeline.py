@@ -17,10 +17,10 @@ carrying every value exactly once; run_surgery then raises PigeonholeFailure
 rather than pretending.  generate_kernel always gives every cap at least one
 labeled intersection, which restores the guarantee for generated kernels.
 
-run_surgery splits each grope fully and hands it to the sweep in
-gropes.moves, which contracts and pushes off every piece in one pass over an
-index of its points.  This module keeps kernel validation, the hypothesis
-report, replay_trace and the generators.
+run_surgery splits each grope fully and hands the state it split on to the
+sweep in gropes.moves, which contracts and pushes off every piece in one
+pass over the same index of its points.  This module keeps kernel
+validation, the hypothesis report, replay_trace and the generators.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ from .capped import (
 from .commutators import MAX_NESTING
 from .errors import GropeError, HypothesisError, ValidationError
 from .grope import Grope, Slot, Stage, Tip, _path_from_doc, class_of, iter_stages, tips
-from .moves import _contract_at, _PieceState, _pushoff_at, _sweep
-from .splitting import SplitLimits, _split_cap_at, _split_stage_at, _SplitState, full_split
+from .moves import _contract_at, _pushoff_at, _sweep
+from .splitting import SplitLimits, _full_split, _RewriteState, _split_cap_at, _split_stage_at
 from .words import IDENTITY, GroupWord, generator
 
 
@@ -172,10 +172,12 @@ def run_surgery(
     the surgery anyway and lets PigeonholeFailure surface where the counting
     argument breaks.  The trace records every rewrite and is replayable.
 
-    Each split grope goes through one indexed sweep over its pieces (see
-    gropes.moves): the result, trace and errors are those of calling
-    find_duplicate_pair, contract and pushoff on pair 0 once per piece, and
-    each point is handled only at the pieces it touches.
+    Each grope is rewritten on one state (see gropes.splitting), which
+    full_split's driver splits and then the sweep of gropes.moves contracts
+    and pushes off piece by piece, with no grope built in between.  The
+    result, trace and errors are those of calling full_split, and then
+    find_duplicate_pair, contract and pushoff on pair 0 once per piece; each
+    point is handled only at the pieces it touches.
     """
     problems = validate_kernel(kernel)
     if problems:
@@ -192,9 +194,11 @@ def run_surgery(
     genera: list[int] = []
     for gi, cg in enumerate(kernel.gropes):
         steps: list[dict] = []
-        work = full_split(cg, limits=limits, trace=steps)
-        genera.append(work.body.root.genus)
-        husks.append(_sweep(work, gi, steps))
+        state = _RewriteState(cg, limits, steps)
+        _full_split(state)
+        genera.append(state.body.root.genus)
+        _sweep(state, gi)
+        husks.append(state.result())
         trace.extend({"grope": gi, **entry} for entry in steps)
 
     pairs: list[tuple[tuple[int, str], tuple[int, str]]] = []
@@ -228,15 +232,13 @@ def replay_trace(kernel: SurgeryKernel, trace: Iterable[dict]) -> tuple[CappedGr
     error raised by the replayed move keeps its type, and its message gains
     the prefix trace[N]: that names the entry.
 
-    Each grope is rewritten on one state across a run of entries, as
-    run_surgery does: a _SplitState across split entries and a _PieceState
-    across contract and pushoff entries, which apply the moves through the
-    cores full_split and the surgery sweep use.  A split_cap entry is applied
-    at its recorded stage and pair, which the move checks against the grope.
-    The state becomes a CappedGrope again when the kind of entry changes and
-    at the end.
+    Each grope is rewritten on one state across all its entries, as
+    run_surgery does, which applies every op through the cores full_split
+    and the surgery sweep use.  A split_cap entry is applied at its recorded
+    stage and pair, which the move checks against the grope.  A state opens
+    at a grope's first entry, and becomes a CappedGrope again at the end.
     """
-    states: list[CappedGrope | _SplitState | _PieceState] = list(kernel.gropes)
+    states: list[_RewriteState | None] = [None] * len(kernel.gropes)
     for n, entry in enumerate(trace):
         ctx = f"trace[{n}]"
         if not isinstance(entry, dict):
@@ -244,15 +246,15 @@ def replay_trace(kernel: SurgeryKernel, trace: Iterable[dict]) -> tuple[CappedGr
         gi = _entry_field(entry, "grope", int, ctx)
         if not 0 <= gi < len(states):
             raise ValidationError(f"{ctx}.grope: no grope {gi} in a kernel of {len(states)}")
-        op, kind = entry.get("op"), _PieceState
+        op = entry.get("op")
         if op == "split_cap":
             cap = _entry_field(entry, "cap", str, ctx)
             stage = _path_from_doc(entry.get("stage"), f"{ctx}.stage")
             where = (stage, _entry_field(entry, "pair", int, ctx))
-            move, kind = partial(_split_cap_at, cap_id=cap, where=where), _SplitState
+            move = partial(_split_cap_at, cap_id=cap, where=where)
         elif op == "split_stage":
             path = _path_from_doc(entry.get("stage"), f"{ctx}.stage")
-            move, kind = partial(_split_stage_at, path=path), _SplitState
+            move = partial(_split_stage_at, path=path)
         elif op == "contract":
             move = partial(
                 _contract_at,
@@ -260,23 +262,19 @@ def replay_trace(kernel: SurgeryKernel, trace: Iterable[dict]) -> tuple[CappedGr
                 cap_a=_entry_field(entry, "capA", str, ctx),
                 cap_b=_entry_field(entry, "capB", str, ctx),
                 piece=_entry_field(entry, "piece", int, ctx),
-                trace=None,
             )
         elif op == "pushoff":
-            sphere = _entry_field(entry, "sphere", str, ctx)
-            move = partial(_pushoff_at, sphere_id=sphere, trace=None)
+            move = partial(_pushoff_at, sphere_id=_entry_field(entry, "sphere", str, ctx))
         else:
             raise ValidationError(f"{ctx}.op: unknown trace op {op!r}")
-        state = states[gi]
         try:
-            if type(state) is not kind:
-                cg = state if isinstance(state, CappedGrope) else state.result()
-                state = states[gi] = kind(cg)
-            move(state)
+            if states[gi] is None:
+                states[gi] = _RewriteState(kernel.gropes[gi])
+            move(states[gi])
         except GropeError as error:
             error.args = (f"{ctx}: {error}",)
             raise
-    return tuple(s if isinstance(s, CappedGrope) else s.result() for s in states)
+    return tuple(cg if s is None else s.result() for cg, s in zip(kernel.gropes, states))
 
 
 def _entry_field(entry: dict, key: str, kind: type, ctx: str):

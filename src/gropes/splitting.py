@@ -30,21 +30,25 @@ traversal order defined in gropes.grope, through its one walker:
 
 Both moves, full_split and gropes.pipeline.replay_trace apply a rewrite
 through the same two cores, _split_cap_at and _split_stage_at, which alone
-check each move's preconditions.  They run on a _SplitState: the public
-moves open one for a single rewrite, full_split and replay keep one across
-many.  It holds the grope under rewriting with its points indexed by sheet:
-every point by id, the ids of the points on each cap, and the ids of the
-points on each stage surface, keyed by the stage's path.  A rewrite at
-pair j of the stage at path P reads only the buckets it changes: the
-replaced cap's, those of the caps copied with the dual slot, and those of
-the stage paths below P whose step at P is the dual slot, the replaced slot,
-or a later pair (which shift by the number of new pairs less one).  Every
-other point is untouched and never visited.  The touched points are
-rewritten in id order, because a copied point's lineage name depends on the
-names taken before it, and that order is the one in which a scan of the
-sorted points always derived them.  The value set of each cap, the
-tip-to-cap map and the ids in use are kept current the same way.  The
-CappedGrope, with its points sorted, is built once, after the last rewrite.
+check each move's preconditions.  They run on a _RewriteState, the one state
+the contraction cores of gropes.moves run on too: the public moves open one
+for a single rewrite, while run_surgery and replay keep one per grope across
+every split, contraction and pushoff.  It holds the grope under rewriting
+with its live points indexed by sheet: every point by id, the ids of the
+points on each cap, and the ids of the points on each stage surface, keyed
+by the stage's path.  A rewrite at pair j of the stage at path P reads only
+the buckets it changes: the replaced cap's, those of the caps copied with
+the dual slot, and those of the stage paths below P whose step at P is the
+dual slot, the replaced slot, or a later pair (which shift by the number of
+new pairs less one).  Every other point is untouched and never visited.
+The touched points are rewritten in id order, because a copied point's
+lineage name depends on the names taken before it, and that order is the
+one in which a scan of the sorted points always derived them.  The value
+set of each cap and the ids in use serve splits only: the first split
+builds them from the live points, each rewrite keeps them current, and a
+contraction or pushoff drops them.  A split after a contraction first drops
+the contracted pairs and renumbers the body paths, as result() does.  The
+CappedGrope, with its points sorted, is built once, by result().
 
 full_split also resumes each search from a cursor, relying on two
 invariants.  split_cap at pair j of the stage at path P leaves every cap
@@ -68,8 +72,9 @@ sheets keep their ids, so rewrites are auditable and replayable.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
 from .capped import (
@@ -78,8 +83,8 @@ from .capped import (
     CapRef,
     Intersection,
     SheetRef,
+    _value_keys,
     derived_id,
-    value_keys_by_cap,
 )
 from .errors import GrowthLimitError, RewriteError, ValidationError
 from .grope import (
@@ -120,12 +125,12 @@ class _Names:
     taken while a sheet of another kind still carries it.
     """
 
-    def __init__(self, cg: CappedGrope):
-        count = Counter(cg.caps.keys())
-        count.update(cg.caps.values())
-        count.update(p.point_id for p in cg.intersections)
-        count.update(s.sphere_id for s in cg.spheres)
-        count.update(tips(cg.body))
+    def __init__(self, state: _RewriteState):
+        count = Counter(state.caps.keys())
+        count.update(state.caps.values())
+        count.update(state.points.keys())
+        count.update(s.sphere_id for s in state.spheres)
+        count.update(tips(state.body))
         self.count = count
 
     def derived(self, base: str, k: int) -> str:
@@ -145,43 +150,52 @@ class _Names:
                 count[name] -= 1
 
 
-class _SplitState:
-    """A capped grope under rewriting, with its points indexed by sheet.
+class _RewriteState:
+    """A capped grope under splitting and contraction, its live points indexed by sheet.
 
-    by_cap maps a cap, and by_path a stage path, to the ids of the points
-    with an end on that sheet; a point on two sheets is in both buckets, and
-    empty buckets are dropped.  values maps every cap to its set of
-    unoriented label values and tip_cap every capped tip to its cap.  Value
-    sets are shared between parallel copies and never mutated.
+    points maps every live point's id to it.  by_cap maps a cap, and by_path
+    a stage path, to the ids of the points with an end on that sheet; a point
+    on two sheets is in both buckets, and empty buckets are dropped.  tip_cap
+    maps every capped tip to its cap.
+
+    A contraction leaves body as it is: alive lists the first-stage pairs not
+    yet contracted, and body paths keep their numbers until renumber() drops
+    the contracted pairs.  spheres holds the sphere records in order,
+    sphere_at the place of each id, and pending the number of spheres with a
+    pushoff queue.  values maps every cap to its set of unoriented label
+    values (shared between parallel copies and never mutated), and names
+    counts the ids in use; both serve splits only, and are None until the
+    next split builds them.  changes counts the rewrites and moves applied.
     """
 
     __slots__ = (
-        "source", "body", "caps", "spheres", "points", "by_cap", "by_path",
-        "values", "tip_cap", "names", "limits", "trace", "rewrites",
+        "source", "body", "alive", "caps", "tip_cap", "points", "by_cap", "by_path",
+        "spheres", "sphere_at", "pending", "values", "names", "limits", "trace", "changes",
     )
 
     def __init__(
         self, cg: CappedGrope, limits: SplitLimits | None = None, trace: list | None = None
     ):
-        if cg.body is None:
-            raise ValidationError("cannot split a fully surgered grope")
         self.source = cg
         self.body = cg.body
+        self.alive = list(range(cg.body.root.genus if cg.body is not None else 0))
         self.caps = dict(cg.caps)
-        self.spheres = cg.spheres
+        self.tip_cap = cg.tip_to_cap
         self.points = {p.point_id: p for p in cg.intersections}
         if len(self.points) != len(cg.intersections):
-            raise ValidationError("cannot split a capped grope with duplicate intersection ids")
+            raise ValidationError("cannot rewrite a capped grope with duplicate intersection ids")
         self.by_cap: dict[str, set[str]] = {}
         self.by_path: dict[Path, set[str]] = {}
         for p in cg.intersections:
             self.index(p)
-        self.values = value_keys_by_cap(cg)
-        self.tip_cap = cg.tip_to_cap
-        self.names = _Names(cg)
+        self.spheres = list(cg.spheres)
+        # The first sphere of an id wins, as in CappedGrope.sphere.
+        self.sphere_at = {s.sphere_id: i for i, s in reversed(list(enumerate(self.spheres)))}
+        self.pending = sum(1 for s in self.spheres if s.pending)
+        self.values = self.names = None
         self.limits = limits or DEFAULT_LIMITS
         self.trace = trace
-        self.rewrites = 0
+        self.changes = 0
 
     def index(self, p: Intersection) -> None:
         for end in (p.end_a, p.end_b):
@@ -201,16 +215,62 @@ class _SplitState:
             else:
                 continue
             ids = buckets.get(key)
-            if ids is not None:  # a self point's second end finds it gone
+            if ids is not None:  # gone for a self point's second end or a contracted sheet
                 ids.discard(p.point_id)
                 if not ids:
                     del buckets[key]
 
+    def renumber(self) -> None:
+        """Drop the contracted first-stage pairs, renumbering the body paths after them."""
+        body, alive = self.body, self.alive
+        if body is None or len(alive) == body.root.genus:
+            return
+        pairs = body.root.pairs
+        self.body = Grope(Stage(tuple(pairs[j] for j in alive)), body.closed) if alive else None
+        self.alive = list(range(len(alive)))
+        gone = sorted(set(range(len(pairs))).difference(alive))
+
+        def renumber(end: SheetRef) -> SheetRef:
+            if type(end) is not BodyRef or not end.path:
+                return end
+            (j, side), rest = end.path[0], end.path[1:]
+            shift = bisect_left(gone, j)
+            return BodyRef(((j - shift, side),) + rest) if shift else end
+
+        points = self.points
+        for point_id, p in points.items():
+            if BodyRef in (type(p.end_a), type(p.end_b)):
+                self.unindex(p)
+                p = points[point_id] = Intersection(
+                    point_id, renumber(p.end_a), renumber(p.end_b), p.label
+                )
+                self.index(p)
+        self.spheres = [
+            replace(s, pending=tuple(replace(q, other=renumber(q.other)) for q in s.pending))
+            if s.pending else s
+            for s in self.spheres
+        ]
+
+    def moved(self) -> None:
+        """Count a contraction or pushoff, after which the data only splits use is stale."""
+        self.changes += 1
+        self.values = self.names = None
+
+    def ready_to_split(self) -> None:
+        """Renumber after contractions, and build the data only splits use."""
+        self.renumber()
+        if self.body is None:
+            raise ValidationError("cannot split a fully surgered grope")
+        if self.values is None:
+            self.values = _value_keys(self.caps, self.points.values())
+            self.names = _Names(self)
+
     def result(self) -> CappedGrope:
         """The rewritten grope, its points sorted once; the input if nothing was rewritten."""
-        if not self.rewrites:
+        if not self.changes:
             return self.source
-        return CappedGrope(self.body, self.caps, tuple(self.points.values()), self.spheres)
+        self.renumber()
+        return CappedGrope(self.body, self.caps, tuple(self.points.values()), tuple(self.spheres))
 
 
 def _copy_slot(slot: Slot, k: int, names: _Names, tip_map: dict[str, str]) -> Slot:
@@ -227,7 +287,7 @@ def _copy_slot(slot: Slot, k: int, names: _Names, tip_map: dict[str, str]) -> Sl
 
 
 def _widen_pair(
-    state: _SplitState,
+    state: _RewriteState,
     ppath: Path,
     pair: int,
     side: int,
@@ -287,6 +347,8 @@ def _widen_pair(
         new_pairs.append((mine[k - 1], copy) if side == 0 else (copy, mine[k - 1]))
     new_pairs.extend(parent.pairs[pair + 1 :])
     state.body = Grope(with_stage_at(body.root, ppath, Stage(tuple(new_pairs))), body.closed)
+    if not ppath:  # the new first-stage pairs are pieces too
+        state.alive.extend(range(parent.genus, len(new_pairs)))
     for old_cap in cap_copies:
         old_tip = caps.pop(old_cap)
         del values[old_cap], tip_cap[old_tip]
@@ -351,7 +413,7 @@ def _widen_pair(
             state.index(q)
     # Freed only now: every id the input held stays taken while deriving.
     names.release(freed)
-    state.rewrites += 1
+    state.changes += 1
 
     limits = state.limits
     genus = state.body.root.genus
@@ -365,13 +427,16 @@ def _widen_pair(
         )
 
 
-def _split_cap_at(state: _SplitState, cap_id: str, where: tuple[Path, int] | None = None) -> None:
+def _split_cap_at(
+    state: _RewriteState, cap_id: str, where: tuple[Path, int] | None = None
+) -> None:
     """split_cap on the state: where is (stage path, pair) of the cap's tip, or None to find it.
 
     A given location is checked, not trusted, even for a cap with one value,
     which is left alone: the tip must sit in that pair, and its side there
     is the side split.
     """
+    state.ready_to_split()
     if cap_id not in state.caps:
         raise ValidationError(f"unknown cap {cap_id!r}")
     if len(keys := state.values[cap_id]) <= 1 and where is None:
@@ -414,8 +479,9 @@ def _split_cap_at(state: _SplitState, cap_id: str, where: tuple[Path, int] | Non
         )
 
 
-def _split_stage_at(state: _SplitState, path: Path) -> None:
+def _split_stage_at(state: _RewriteState, path: Path) -> None:
     """split_stage on the state: refuses the first stage, leaves a genus-1 stage alone."""
+    state.ready_to_split()
     if not path:
         raise RewriteError("the first stage is never split; it absorbs the genus")
     stage = stage_at(state.body, path)
@@ -461,9 +527,9 @@ def split_cap(
     its intersections.  The dual slot may be a cap's tip or a whole stage
     subtree, which is copied with every cap and point on it.  A cap with at
     most one value is returned unchanged.  full_split and replay_trace apply
-    the same rewrite to a split state they keep across rewrites.
+    the same rewrite to a state they keep across rewrites.
     """
-    state = _SplitState(cg, limits, trace)
+    state = _RewriteState(cg, limits, trace)
     _split_cap_at(state, cap_id)
     return state.result()
 
@@ -482,12 +548,12 @@ def split_stage(
     inheriting all of its intersections.  A genus-1 stage is returned
     unchanged.
     """
-    state = _SplitState(cg, limits, trace)
+    state = _RewriteState(cg, limits, trace)
     _split_stage_at(state, path)
     return state.result()
 
 
-def _next_multi_valued_cap(state: _SplitState, start: Path) -> tuple[str, Path] | None:
+def _next_multi_valued_cap(state: _RewriteState, start: Path) -> tuple[str, Path] | None:
     """The first cap with several values at or after start, in grope._slots order."""
     tip_cap, values = state.tip_cap, state.values
     for path, slot in _slots(state.body, start):
@@ -617,18 +683,25 @@ def full_split(
     intersections (by a lower bound worked out from the input) above
     limits.max_intersections.
     """
-    state = _SplitState(cg, limits, trace)
-    limits = state.limits
-    genus = _predicted_genus(cg.body, state.tip_cap, state.values)
-    if genus > max(cg.body.root.genus, limits.max_first_stage_genus):
+    state = _RewriteState(cg, limits, trace)
+    _full_split(state)
+    return state.result()
+
+
+def _full_split(state: _RewriteState) -> None:
+    """full_split on the state."""
+    state.ready_to_split()
+    body, limits, points = state.body, state.limits, state.points.values()
+    genus = _predicted_genus(body, state.tip_cap, state.values)
+    if genus > max(body.root.genus, limits.max_first_stage_genus):
         raise GrowthLimitError(
             f"splitting would raise the first-stage genus to {genus}, "
             f"over the limit {limits.max_first_stage_genus}"
         )
-    points = _predicted_points(cg.body, state.tip_cap, state.values, cg.intersections)
-    if points > max(len(cg.intersections), limits.max_intersections):
+    least = _predicted_points(body, state.tip_cap, state.values, points)
+    if least > max(len(points), limits.max_intersections):
         raise GrowthLimitError(
-            f"splitting would make at least {points} intersections, "
+            f"splitting would make at least {least} intersections, "
             f"over the limit {limits.max_intersections}"
         )
 
@@ -644,4 +717,3 @@ def full_split(
         while (path := _next_wide_stage(state.body.root, depth, start)) is not None:
             _split_stage_at(state, path)
             start = path[:-1] + ((path[-1][0], ALPHA),)
-    return state.result()

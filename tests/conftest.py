@@ -16,7 +16,9 @@ from gropes import (
     SphereRecord,
     SphereRef,
     Stage,
+    SurgeryKernel,
     Tip,
+    generate_kernel,
     generator,
     reduce,
 )
@@ -122,6 +124,24 @@ def split_genus3_grope() -> CappedGrope:
         Intersection("z1", SphereRef("sph0"), SphereRef("sph0"), g),
     ]
     return CappedGrope(body, caps, tuple(points), (SphereRecord("sph0", 0, "a", "b", g),))
+
+
+def collision_kernel() -> SurgeryKernel:
+    """generate_kernel(3, labels=3, pair_count=2) with a twin <id>.1 beside each
+    of every grope's first 40 points.
+
+    A twin has its point's ends and label, so the lineage names the pipeline
+    derives from <id> collide with it and take the form <id>.1.m.
+    """
+    kernel = generate_kernel(3, labels=3, pair_count=2)
+    gropes = []
+    for cg in kernel.gropes:
+        twins = tuple(
+            Intersection(f"{p.point_id}.1", p.end_a, p.end_b, p.label)
+            for p in cg.intersections[:40]
+        )
+        gropes.append(CappedGrope(cg.body, cg.caps, cg.intersections + twins, cg.spheres))
+    return SurgeryKernel(kernel.rank, tuple(gropes), kernel.hyperbolic_pairs)
 
 
 def chain_stage_text(depth: int) -> str:

@@ -3,6 +3,8 @@
 import contextlib
 import io
 import json
+import os
+import re
 import subprocess
 import sys
 import time
@@ -34,7 +36,7 @@ import gropes.pipeline as pipeline_module
 from gropes.cli import main
 from gropes.commutators import MAX_NESTING
 
-from conftest import chain_stage_text, ghost_tip_grope, split_genus3_grope
+from conftest import chain_stage_text, collision_kernel, ghost_tip_grope, split_genus3_grope
 
 F = generator(1)
 G = generator(2)
@@ -657,6 +659,23 @@ def test_pipeline_trace_file_replays(capsys, tmp_path, kernel_file):
     assert [dumps_capped(g) for g in replayed] == [
         dumps_capped(g) for g in result.gropes
     ]
+
+
+def test_pipeline_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    """Two hash seeds give the same result and trace, on a kernel whose lineage names collide."""
+    path = write(tmp_path, "k.json", dumps_kernel(collision_kernel()))
+    outputs = []
+    for seed in ("0", "12345"):
+        trace = tmp_path / f"trace-{seed}.jsonl"
+        proc = subprocess.run(
+            [sys.executable, "-m", "gropes", "pipeline", "--trace", str(trace), path],
+            capture_output=True,
+            env={**os.environ, "PYTHONHASHSEED": seed},
+        )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        outputs.append((proc.stdout, trace.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert re.search(rb'"i\d+\.1\.1"', outputs[0][1])
 
 
 # ---------------------------------------------------------------------------

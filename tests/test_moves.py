@@ -360,6 +360,21 @@ def test_contract_rejects_a_fully_surgered_body():
         contract(husk, 0, "c1", "c2")
 
 
+def test_contract_and_pushoff_refuse_duplicate_point_ids():
+    twice = Intersection("i1", CapRef("c1"), CapRef("c1"), F)
+    queue = (PendingPushoff("q", CapRef("c1"), F),)
+    cg = CappedGrope(
+        two_cap_grope(F).body,
+        {"c1": "t1", "c2": "t2"},
+        (twice, twice),
+        (SphereRecord("s", 0, "a", "b", F, queue),),
+    )
+    with pytest.raises(ValidationError, match="duplicate intersection ids"):
+        contract(cg, 0, "c1", "c2")
+    with pytest.raises(ValidationError, match="duplicate intersection ids"):
+        pushoff(cg, "s")
+
+
 # ---------------------------------------------------------------------------
 # pushoff
 

@@ -801,6 +801,35 @@ def test_replay_contracts_the_pieces_in_any_order_on_one_state(order):
         assert [dumps_capped(g) for g in replay_trace(kernel, entries[:n])] == [dumps_capped(grope)]
 
 
+def test_replay_splits_after_a_contraction_on_the_same_grope():
+    """A split after a contraction first renumbers the body paths, in replay as in the moves."""
+    body = Grope(
+        Stage(((Tip("t1"), Tip("t2")), (Tip("t3"), Stage(((Tip("t4"), Tip("t5")),)))))
+    )
+    caps = {f"c{k}": f"t{k}" for k in range(1, 6)}
+    points = (
+        _self("i1", "c1"),
+        _self("i2", "c2"),
+        Intersection("b1", CapRef("c1"), BodyRef(((1, 1),)), F),
+        _self("i4", "c4", F),
+        _self("i5", "c4", G),
+    )
+    cg = CappedGrope(body, caps, points)
+    trace: list = []
+    work, sphere = contract(cg, 0, "c1", "c2", trace=trace)
+    work = pushoff(work, sphere.sphere_id, trace=trace)
+    work = split_cap(work, "c4", trace=trace)
+    assert [e["op"] for e in trace] == ["contract", "pushoff", "split_cap"]
+    assert trace[2]["stage"] == [[0, "beta"]]
+    stage = BodyRef(((0, 1),))
+    assert {p.point_id: p.end_a for p in work.intersections if p.point_id.startswith("b1")} == {
+        "b1.1": stage,
+        "b1.2": stage,
+    }
+    replayed = replay_trace(SurgeryKernel(2, (cg,), ()), [{"grope": 0, **e} for e in trace])
+    assert [dumps_capped(g) for g in replayed] == [dumps_capped(work)]
+
+
 def test_replay_rejects_unknown_ops():
     kernel = small_kernel()
     with pytest.raises(ValidationError, match="unknown trace op"):
