@@ -4,13 +4,15 @@ Subcommands: validate, class, tips, boundary, lcs, split, contract,
 pipeline, generate, render.  Files are JSON documents; "-" reads stdin.
 
 Exit codes: 0 success; 1 operation failed (bad preconditions, failed
-validation, unmet hypotheses); 2 pigeonhole failure during surgery; 3 a
-growth guard tripped; 64 usage error; 65 malformed input.
+validation, unmet hypotheses, an output that cannot be written); 2
+pigeonhole failure during surgery; 3 a growth guard tripped; 64 usage
+error; 65 malformed input.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import re
@@ -51,9 +53,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as e:
@@ -95,12 +97,22 @@ def _load_valid_capped(path: str) -> CappedGrope:
     return cg
 
 
+def _check_trace(path: str | None) -> None:
+    """Refuse a --trace path that is a directory or in a missing one, before any work."""
+    if path is None or (os.path.isdir(os.path.dirname(path) or ".") and not os.path.isdir(path)):
+        return
+    code = errno.EISDIR if os.path.isdir(path) else errno.ENOENT
+    raise OSError(code, os.strerror(code), path)
+
+
 def _write_trace(path: str | None, entries: list[dict]) -> None:
     if path is None:
         return
-    with open(path, "w", encoding="utf-8") as fh:
-        for entry in entries:
-            fh.write(json.dumps(entry, separators=(", ", ": ")) + "\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(json.dumps(entry, separators=(", ", ": ")) + "\n" for entry in entries)
+    except OSError as e:  # a failed write or close names no file
+        raise OSError(e.errno, e.strerror, path) from None
 
 
 _STEP = re.compile(r"(\d+)([ab])")
@@ -337,7 +349,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        _check_trace(getattr(args, "trace", None))
+        code = args.func(args)
+        sys.stdout.flush()  # a failed write to stdout surfaces here, not at exit
+        return code
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return DATA_ERROR
@@ -349,6 +364,13 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except GropeError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except OSError as e:  # the --trace file or stdout, a closed pipe included
+        if e.filename is None:  # stdout: what it still buffers goes nowhere at exit
+            os.dup2(devnull := os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            os.close(devnull)
+        where = "stdout" if e.filename is None else e.filename
+        print(f"error: cannot write {where}: {e.strerror}", file=sys.stderr)
         return 1
 
 

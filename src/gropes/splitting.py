@@ -44,11 +44,11 @@ new pairs less one).  Every other point is untouched and never visited.
 The touched points are rewritten in id order, because a copied point's
 lineage name depends on the names taken before it, and that order is the
 one in which a scan of the sorted points always derived them.  The value
-set of each cap and the ids in use serve splits only: the first split
-builds them from the live points, each rewrite keeps them current, and a
-contraction or pushoff drops them.  A split after a contraction first drops
-the contracted pairs and renumbers the body paths, as result() does.  The
-CappedGrope, with its points sorted, is built once, by result().
+set of each cap serves splits only: the first split builds it from the live
+points, each rewrite keeps it current, and a contraction or pushoff drops
+it.  A split after a contraction first drops the contracted pairs and
+renumbers the body paths, as result() does.  The CappedGrope, with its
+points sorted, is built once, by result().
 
 full_split also resumes each search from a cursor, relying on two
 invariants.  split_cap at pair j of the stage at path P leaves every cap
@@ -66,14 +66,20 @@ worked out from the value sets, or a lower bound on the number of points it
 would make exceeds its guard.
 
 Parallel copies get lineage names: cap c3 becomes c3.1 and c3.2, an
-intersection i7 inherited by two copies becomes i7.1 and i7.2.  Surviving
-sheets keep their ids, so rewrites are auditable and replayable.
+intersection i7 inherited by two copies becomes i7.1 and i7.2.  Copy k of
+id x is x.k, or x.k.m with the least m >= 1 that is free.  An id is taken
+when the state holds it as a point, a cap, a tip (of the body, or one a cap
+sits on) or a sphere, or when the same rewrite derived it earlier.  A
+rewrite derives its names in a fixed order (the new tips and caps of the
+replaced slot, then the copies of the dual slot with their caps, one copy
+at a time, then the copied points in id order) and drops the ids it frees
+only after the last one, so a name never reuses an id of its own input.
+Surviving sheets keep their ids, so rewrites are auditable and replayable.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
@@ -118,36 +124,31 @@ DEFAULT_LIMITS = SplitLimits()
 
 
 class _Names:
-    """Deterministic lineage naming with collision avoidance.
+    """Lineage names for one rewrite, each missing every id in use.
 
-    Counts the holders of every id in use (caps, the tips caps sit on, body
-    tips, intersections, spheres), so that an id one rewrite frees stays
-    taken while a sheet of another kind still carries it.
+    An id is in use when it is a key of the state's points, caps, tip_cap
+    (every body tip and every tip a cap sits on) or sphere_at, or was
+    derived earlier in the same rewrite.  A rewrite drops the tips and caps
+    it frees only after deriving its last name.  A copied point leaves
+    points at once, but every later name extends an id sorted after it.
     """
 
+    __slots__ = ("state", "fresh")
+
     def __init__(self, state: _RewriteState):
-        count = Counter(state.caps.keys())
-        count.update(state.caps.values())
-        count.update(state.points.keys())
-        count.update(s.sphere_id for s in state.spheres)
-        count.update(tips(state.body))
-        self.count = count
+        self.state, self.fresh = state, set()
+
+    def __contains__(self, name: str) -> bool:
+        state = self.state
+        return (
+            name in self.fresh or name in state.points or name in state.caps
+            or name in state.tip_cap or name in state.sphere_at
+        )
 
     def derived(self, base: str, k: int) -> str:
-        name = derived_id(base, k, self.count)
-        self.count[name] = 1
+        name = derived_id(base, k, self)
+        self.fresh.add(name)
         return name
-
-    def add(self, name: str) -> None:
-        self.count[name] += 1
-
-    def release(self, names: list[str]) -> None:
-        count = self.count
-        for name in names:
-            if count[name] == 1:
-                del count[name]
-            else:
-                count[name] -= 1
 
 
 class _RewriteState:
@@ -156,21 +157,22 @@ class _RewriteState:
     points maps every live point's id to it.  by_cap maps a cap, and by_path
     a stage path, to the ids of the points with an end on that sheet; a point
     on two sheets is in both buckets, and empty buckets are dropped.  tip_cap
-    maps every capped tip to its cap.
+    maps every tip of the body to its cap, or to None when it has none, and
+    every other tip a cap sits on to that cap.
 
     A contraction leaves body as it is: alive lists the first-stage pairs not
     yet contracted, and body paths keep their numbers until renumber() drops
     the contracted pairs.  spheres holds the sphere records in order,
     sphere_at the place of each id, and pending the number of spheres with a
     pushoff queue.  values maps every cap to its set of unoriented label
-    values (shared between parallel copies and never mutated), and names
-    counts the ids in use; both serve splits only, and are None until the
-    next split builds them.  changes counts the rewrites and moves applied.
+    values (shared between parallel copies and never mutated); it serves
+    splits only, and is None until the next split builds it.  changes counts
+    the rewrites and moves applied.
     """
 
     __slots__ = (
         "source", "body", "alive", "caps", "tip_cap", "points", "by_cap", "by_path",
-        "spheres", "sphere_at", "pending", "values", "names", "limits", "trace", "changes",
+        "spheres", "sphere_at", "pending", "values", "limits", "trace", "changes",
     )
 
     def __init__(
@@ -180,7 +182,8 @@ class _RewriteState:
         self.body = cg.body
         self.alive = list(range(cg.body.root.genus if cg.body is not None else 0))
         self.caps = dict(cg.caps)
-        self.tip_cap = cg.tip_to_cap
+        self.tip_cap = dict.fromkeys(tips(cg.body) if cg.body is not None else ())
+        self.tip_cap.update(cg.tip_to_cap)
         self.points = {p.point_id: p for p in cg.intersections}
         if len(self.points) != len(cg.intersections):
             raise ValidationError("cannot rewrite a capped grope with duplicate intersection ids")
@@ -192,7 +195,7 @@ class _RewriteState:
         # The first sphere of an id wins, as in CappedGrope.sphere.
         self.sphere_at = {s.sphere_id: i for i, s in reversed(list(enumerate(self.spheres)))}
         self.pending = sum(1 for s in self.spheres if s.pending)
-        self.values = self.names = None
+        self.values = None
         self.limits = limits or DEFAULT_LIMITS
         self.trace = trace
         self.changes = 0
@@ -254,7 +257,7 @@ class _RewriteState:
     def moved(self) -> None:
         """Count a contraction or pushoff, after which the data only splits use is stale."""
         self.changes += 1
-        self.values = self.names = None
+        self.values = None
 
     def ready_to_split(self) -> None:
         """Renumber after contractions, and build the data only splits use."""
@@ -263,7 +266,6 @@ class _RewriteState:
             raise ValidationError("cannot split a fully surgered grope")
         if self.values is None:
             self.values = _value_keys(self.caps, self.points.values())
-            self.names = _Names(self)
 
     def result(self) -> CappedGrope:
         """The rewritten grope, its points sorted once; the input if nothing was rewritten."""
@@ -294,6 +296,7 @@ def _widen_pair(
     mine: list[Slot],
     mine_caps: list[tuple[str, str, set]],
     remap_mine: Callable[[Intersection, SheetRef], SheetRef],
+    names: _Names,
 ) -> None:
     """Replace pair `pair` of the stage at ppath by len(mine) pairs.
 
@@ -311,24 +314,18 @@ def _widen_pair(
     through the dual step, the replaced step or a later pair) to its image.
     Only the points in the buckets of the table's sheets are read, and they
     are rewritten in id order, the order in which their lineage names were
-    always derived.
+    always derived.  names, one per rewrite, derives every new name.
     """
-    body, caps, names = state.body, state.caps, state.names
-    tip_cap, values = state.tip_cap, state.values
+    body, caps, tip_cap, values = state.body, state.caps, state.tip_cap, state.values
     parent = stage_at(body, ppath)
     old, dual = parent.pairs[pair][side], parent.pairs[pair][1 - side]
     count = len(mine)
-    freed: list[str] = []  # one entry per holder of an id that goes away
 
-    mine_cap = tip_cap.pop(old.tip_id, None) if isinstance(old, Tip) else None
-    if mine_cap is not None:
-        del caps[mine_cap], values[mine_cap]
-        freed += (mine_cap, old.tip_id)
+    mine_cap = tip_cap.get(old.tip_id) if isinstance(old, Tip) else None
     for cap, tip, keys in mine_caps:
         caps[cap] = tip
         values[cap] = keys
         tip_cap[tip] = cap
-        names.add(tip)
 
     new_pairs = list(parent.pairs[:pair])
     cap_copies: dict[str, list[CapRef]] = {}
@@ -336,26 +333,18 @@ def _widen_pair(
         tip_map: dict[str, str] = {}
         copy = _copy_slot(dual, k, names, tip_map)
         for old_tip, new_tip in tip_map.items():
-            old_cap = tip_cap.get(old_tip)
+            new_cap = old_cap = tip_cap.get(old_tip)
             if old_cap is not None:
                 new_cap = names.derived(old_cap, k)
-                names.add(new_tip)
                 caps[new_cap] = new_tip
                 values[new_cap] = values[old_cap]
-                tip_cap[new_tip] = new_cap
                 cap_copies.setdefault(old_cap, []).append(CapRef(new_cap))
+            tip_cap[new_tip] = new_cap
         new_pairs.append((mine[k - 1], copy) if side == 0 else (copy, mine[k - 1]))
     new_pairs.extend(parent.pairs[pair + 1 :])
     state.body = Grope(with_stage_at(body.root, ppath, Stage(tuple(new_pairs))), body.closed)
     if not ppath:  # the new first-stage pairs are pieces too
         state.alive.extend(range(parent.genus, len(new_pairs)))
-    for old_cap in cap_copies:
-        old_tip = caps.pop(old_cap)
-        del values[old_cap], tip_cap[old_tip]
-        freed += (old_cap, old_tip)
-    freed.extend([dual.tip_id] if isinstance(dual, Tip) else tips(dual))
-    if isinstance(old, Tip):
-        freed.append(old.tip_id)
 
     # One ref, one ref per copy, or remap_mine, which also reads the point.
     image: dict[str | Path, SheetRef | list | Callable] = dict(cap_copies)
@@ -397,8 +386,8 @@ def _widen_pair(
             continue
         state.unindex(p)
         if type(a) is list or type(b) is list:
+            # Later names extend ids sorted after this one, so none can be it.
             del points[point_id]
-            freed.append(point_id)
             for k in range(count):
                 q = Intersection(
                     names.derived(point_id, k + 1),
@@ -411,8 +400,11 @@ def _widen_pair(
         else:
             q = points[point_id] = Intersection(point_id, a, b, p.label)
             state.index(q)
-    # Freed only now: every id the input held stays taken while deriving.
-    names.release(freed)
+    # The last name is derived: the replaced tip and the dual's tips (the
+    # keys of the last copy's tip_map) go, with their caps.
+    for tip in [*tip_map, old.tip_id] if isinstance(old, Tip) else tip_map:
+        if (cap := tip_cap.pop(tip, None)) is not None:
+            del caps[cap], values[cap]
     state.changes += 1
 
     limits = state.limits
@@ -452,7 +444,7 @@ def _split_cap_at(
     if len(keys) <= 1:
         return
     side = slots.index(tip)
-    names = state.names
+    names = _Names(state)
     least = min(keys)
 
     new_tips = (names.derived(tip_id, 1), names.derived(tip_id, 2))
@@ -463,7 +455,7 @@ def _split_cap_at(
         return least_ref if unoriented_key(p.label) == least else rest_ref
 
     mine_caps = [(new_caps[0], new_tips[0], {least}), (new_caps[1], new_tips[1], keys - {least})]
-    _widen_pair(state, ppath, pair, side, [Tip(t) for t in new_tips], mine_caps, remap_mine)
+    _widen_pair(state, ppath, pair, side, [Tip(t) for t in new_tips], mine_caps, remap_mine, names)
     if state.trace is not None:
         state.trace.append(
             {
@@ -499,7 +491,8 @@ def _split_stage_at(state: _RewriteState, path: Path) -> None:
         j, s = end.path[depth]
         return BodyRef(ppath + ((pair + j, side), (0, s)) + end.path[depth + 1 :])
 
-    _widen_pair(state, ppath, pair, side, [Stage((pr,)) for pr in stage.pairs], [], remap_mine)
+    mine = [Stage((pr,)) for pr in stage.pairs]
+    _widen_pair(state, ppath, pair, side, mine, [], remap_mine, _Names(state))
     if state.trace is not None:
         state.trace.append(
             {
@@ -573,7 +566,7 @@ def _next_wide_stage(root: Stage, depth: int, start: Path) -> Path | None:
 
 
 def _multiplicities(
-    body: Grope, tip_cap: dict[str, str], values: dict[str, set]
+    body: Grope, tip_cap: dict[str, str | None], values: dict[str, set]
 ) -> tuple[dict[Path, int], dict[str, Path]]:
     """mult of every slot, keyed by its path, and the path of every tip.
 
@@ -600,7 +593,7 @@ def _multiplicities(
     return mult, tip_path
 
 
-def _predicted_genus(body: Grope, tip_cap: dict[str, str], values: dict[str, set]) -> int:
+def _predicted_genus(body: Grope, tip_cap: dict[str, str | None], values: dict[str, set]) -> int:
     """The first-stage genus full_split reaches, worked out without rewriting.
 
     Every rewrite leaves mult of the first stage unchanged, and at the fixed
@@ -611,7 +604,7 @@ def _predicted_genus(body: Grope, tip_cap: dict[str, str], values: dict[str, set
 
 def _predicted_points(
     body: Grope,
-    tip_cap: dict[str, str],
+    tip_cap: dict[str, str | None],
     values: dict[str, set],
     points: Iterable[Intersection],
 ) -> int:

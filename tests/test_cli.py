@@ -188,6 +188,76 @@ def test_module_entry_point_runs():
     assert proc.stdout.startswith("gropes ")
 
 
+@pytest.mark.parametrize("command", ["pipeline", "split", "contract"])
+def test_an_unwritable_trace_fails_in_one_line(tmp_path, command):
+    """A --trace path in a missing directory, or naming one, ends in exit 1 and one line."""
+    kernel = generate_kernel(11, labels=2)
+    text = dumps_kernel(kernel) if command == "pipeline" else dumps_capped(kernel.gropes[0])
+    argv = ["--pair", "0", "--caps", "c1,c2"] if command == "contract" else []
+    path = write(tmp_path, "in.json", text)
+    for trace in (tmp_path / "none" / "t.jsonl", tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "gropes", command, *argv, "--trace", str(trace), path],
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
+        assert proc.stderr.startswith(f"error: cannot write {trace}: ")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert not (tmp_path / "none").exists()
+
+
+def test_pipeline_refuses_an_unwritable_trace_before_the_surgery(capsys, tmp_path, monkeypatch):
+    """The heaviest seed-1 benchmark kernel: refused in a small part of its surgery's time."""
+    kernel = generate_kernel(3207407755, labels=5, pair_count=3, density=1.113)
+    path = write(tmp_path, "k.json", dumps_kernel(kernel))
+    start = time.perf_counter()
+    run_surgery(kernel)
+    surgery = time.perf_counter() - start
+    calls = []
+    monkeypatch.setattr("gropes.cli.run_surgery", lambda *a, **k: calls.append(a))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "pipeline", "--trace", str(tmp_path / "none" / "t.jsonl"), path)
+    refusal = time.perf_counter() - start
+    assert (code, out, calls) == (1, "", [])
+    assert err.count("\n") == 1 and "No such file or directory" in err
+    assert refusal < surgery / 4, (refusal, surgery)
+
+
+def test_a_refused_run_leaves_nothing_at_the_trace_path(capsys, tmp_path):
+    kernel = generate_kernel(5, labels=2, adversarial=True)
+    path = write(tmp_path, "k.json", dumps_kernel(kernel))
+    trace = tmp_path / "t.jsonl"
+    code, out, _ = run(capsys, "pipeline", "--force", "--trace", str(trace), path)
+    assert (code, out) == (2, "")
+    assert not trace.exists()
+
+
+@pytest.mark.parametrize("stdout", ["/dev/full", "/dev/full unbuffered", "closed pipe"])
+def test_an_unwritable_stdout_fails_in_one_line(stdout):
+    """A full device or a closed pipe on stdout ends in exit 1 and one line, buffered or not."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if stdout.endswith("unbuffered"):
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = [sys.executable, "-m", "gropes", "generate", "--seed", "1", "--labels", "2"]
+    if stdout == "closed pipe":
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, env=env, text=True)
+        finally:
+            os.close(write_end)
+        reason = "Broken pipe"
+    else:
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this system")
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, env=env, text=True)
+        reason = "No space left on device"
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == f"error: cannot write stdout: {reason}\n"
+
+
 # ---------------------------------------------------------------------------
 # validate
 

@@ -154,6 +154,56 @@ def test_split_cap_ids_stay_unique_under_collisions():
     assert validate_capped(out) == []
 
 
+def test_split_cap_names_skip_the_id_of_the_cap_being_split():
+    """The split cap c.1 holds its id until the rewrite has derived its last name."""
+    body = Grope(Stage(((Tip("t1"), Tip("t2")),)))
+    cg = CappedGrope(
+        body,
+        {"c.1": "t1", "c": "t2"},
+        (
+            Intersection("i1", CapRef("c.1"), CapRef("c.1"), F),
+            Intersection("i2", CapRef("c.1"), CapRef("c.1"), G),
+            Intersection("i3", CapRef("c"), CapRef("c"), F),
+        ),
+    )
+    out = split_cap(cg, "c.1")
+    assert out.caps == {"c.1.1": "t1.1", "c.1.2": "t1.2", "c.1.3": "t2.1", "c.2": "t2.2"}
+    assert validate_capped(out) == []
+
+
+def test_split_never_reuses_the_id_of_an_uncapped_tip():
+    """t1.1 has no cap, yet its id stays taken: the new tips are t1.1.1 and t1.2."""
+    body = Grope(Stage(((Tip("t1"), Tip("t2")), (Tip("t1.1"), Tip("t9")))))
+    cg = CappedGrope(
+        body,
+        {"c1": "t1", "c2": "t2", "c9": "t9"},
+        (
+            Intersection("i1", CapRef("c1"), CapRef("c1"), F),
+            Intersection("i2", CapRef("c1"), CapRef("c1"), G),
+        ),
+    )
+    out = split_cap(cg, "c1")
+    assert tips(out.body) == ["t1.1.1", "t2.1", "t1.2", "t2.2", "t1.1", "t9"]
+    assert (out.caps["c1.1"], out.caps["c1.2"]) == ("t1.1.1", "t1.2")
+
+
+def test_split_point_copies_skip_the_ids_of_the_copied_dual():
+    """The dual's cap p.1 and tip p.2 go only after the copies of point p are named."""
+    body = Grope(Stage(((Tip("t1"), Tip("p.2")),)))
+    cg = CappedGrope(
+        body,
+        {"c1": "t1", "p.1": "p.2"},
+        (
+            Intersection("i1", CapRef("c1"), CapRef("c1"), F),
+            Intersection("i2", CapRef("c1"), CapRef("c1"), G),
+            Intersection("p", CapRef("p.1"), CapRef("p.1"), F),
+        ),
+    )
+    out = split_cap(cg, "c1")
+    assert out.caps == {"c1.1": "t1.1", "c1.2": "t1.2", "p.1.1": "p.2.1", "p.1.2": "p.2.2"}
+    assert [p.point_id for p in out.intersections] == ["i1", "i2", "p.1.3", "p.2.3"]
+
+
 def test_split_cap_deterministic():
     a = split_cap(_two_value_cap(), "c1")
     b = split_cap(_two_value_cap(), "c1")
