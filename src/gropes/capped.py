@@ -13,7 +13,7 @@ both endpoints must be caps, the discipline all rewriting moves preserve.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Container, Iterable, Union
+from typing import Container, Union
 
 from .errors import ValidationError
 from .grope import Grope, Path, iter_stages, tips, validate_grope
@@ -142,31 +142,12 @@ def derived_id(base: str, k: int, taken: Container[str]) -> str:
 
 def value_keys_by_cap(cg: CappedGrope) -> dict[str, set[tuple[int, ...]]]:
     """Every cap's distinct unoriented label values (identity included), in one pass."""
-    return _value_keys(cg.caps, cg.intersections)
-
-
-def _value_keys(
-    caps: Iterable[str], points: Iterable[Intersection]
-) -> dict[str, set[tuple[int, ...]]]:
-    """The given caps' value sets, read from the given points only.
-
-    Ends on other caps are skipped, so a caller that knows which points can
-    touch the caps (the points the sweep reads for one piece) scans only those.
-    """
-    out: dict[str, set[tuple[int, ...]]] = {cap: set() for cap in caps}
-    get = out.get
-    for p in points:
+    out: dict[str, set[tuple[int, ...]]] = {cap: set() for cap in cg.caps}
+    for p in cg.intersections:
         key = unoriented_key(p.label)
-        end = p.end_a
-        if type(end) is CapRef:
-            keys = get(end.cap_id)
-            if keys is not None:
-                keys.add(key)
-        end = p.end_b
-        if type(end) is CapRef:
-            keys = get(end.cap_id)
-            if keys is not None:
-                keys.add(key)
+        for end in (p.end_a, p.end_b):
+            if type(end) is CapRef and end.cap_id in out:
+                out[end.cap_id].add(key)
     return out
 
 
@@ -202,32 +183,33 @@ def validate_capped(cg: CappedGrope, strict: bool = False, rank: int | None = No
             problems.append(f"cap attached to unknown tip {t!r}")
         known_paths = {path for path, _ in iter_stages(cg.body)}
 
-    sphere_ids = [s.sphere_id for s in cg.spheres]
-    if len(set(sphere_ids)) != len(sphere_ids):
+    sphere_ids = {s.sphere_id for s in cg.spheres}
+    if len(sphere_ids) != len(cg.spheres):
         problems.append("duplicate sphere ids")
 
-    def check_end(point_id: str, end: SheetRef) -> None:
+    def check_end(kind: str, point_id: str, end: SheetRef, strict: bool) -> None:
+        """One end of an intersection or a pending pushoff; strict refuses body and sphere ends."""
         if isinstance(end, CapRef):
             if end.cap_id not in cg.caps:
-                problems.append(f"intersection {point_id}: unknown cap {end.cap_id!r}")
+                problems.append(f"{kind} {point_id}: unknown cap {end.cap_id!r}")
         elif isinstance(end, BodyRef):
             if strict:
-                problems.append(f"intersection {point_id}: body endpoint in strict mode")
+                problems.append(f"{kind} {point_id}: body endpoint in strict mode")
             elif end.path not in known_paths:
-                problems.append(f"intersection {point_id}: no stage at path {list(end.path)}")
+                problems.append(f"{kind} {point_id}: no stage at path {list(end.path)}")
         elif isinstance(end, SphereRef):
             if strict:
-                problems.append(f"intersection {point_id}: sphere endpoint in strict mode")
+                problems.append(f"{kind} {point_id}: sphere endpoint in strict mode")
             elif end.sphere_id not in sphere_ids:
-                problems.append(f"intersection {point_id}: unknown sphere {end.sphere_id!r}")
+                problems.append(f"{kind} {point_id}: unknown sphere {end.sphere_id!r}")
 
     seen_points: set[str] = set()
     for p in cg.intersections:
         if p.point_id in seen_points:
             problems.append(f"duplicate intersection id {p.point_id!r}")
         seen_points.add(p.point_id)
-        check_end(p.point_id, p.end_a)
-        check_end(p.point_id, p.end_b)
+        check_end("intersection", p.point_id, p.end_a, strict)
+        check_end("intersection", p.point_id, p.end_b, strict)
         if rank is not None and p.label.max_generator > rank:
             problems.append(
                 f"intersection {p.point_id}: label uses x{p.label.max_generator}, rank is {rank}"
@@ -235,11 +217,6 @@ def validate_capped(cg: CappedGrope, strict: bool = False, rank: int | None = No
 
     for s in cg.spheres:
         for q in s.pending:
-            if isinstance(q.other, CapRef) and q.other.cap_id not in cg.caps:
-                problems.append(f"pending {q.point_id}: unknown cap {q.other.cap_id!r}")
-            if isinstance(q.other, SphereRef) and q.other.sphere_id not in sphere_ids:
-                problems.append(f"pending {q.point_id}: unknown sphere {q.other.sphere_id!r}")
-            if isinstance(q.other, BodyRef) and q.other.path not in known_paths:
-                problems.append(f"pending {q.point_id}: no stage at path {list(q.other.path)}")
+            check_end("pending", q.point_id, q.other, False)
 
     return problems

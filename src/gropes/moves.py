@@ -52,7 +52,6 @@ from .capped import (
     SheetRef,
     SphereRecord,
     SphereRef,
-    _value_keys,
     derived_id,
     value_keys_by_cap,
 )
@@ -171,7 +170,8 @@ def _read_piece(state: _RewriteState, j: int) -> tuple:
     for path in paths:
         ids.update(by_path.get(path, ()))
     points = [state.points[i] for i in sorted(ids)]
-    return caps, uncapped, wide, paths, points, _value_keys(caps, points)
+    values = {cap: set(state.cap_values(cap).values()) for cap in caps}
+    return caps, uncapped, wide, paths, points, values
 
 
 def _sphere_name(n: int, point_ids: Container[str], sphere_ids: Container[str]) -> str:
@@ -255,7 +255,7 @@ def _contract_at(
     state.sphere_at[sphere_id] = len(spheres)
     spheres.append(record)
     state.pending += bool(queued)
-    state.moved()
+    state.changes += 1
     if state.trace is not None:
         state.trace.append(
             {
@@ -300,7 +300,7 @@ def _pushoff_at(state: _RewriteState, sphere_id: str) -> None:
         )
     state.spheres[i] = replace(record, pending=())
     state.pending -= 1
-    state.moved()
+    state.changes += 1
     if state.trace is not None:
         state.trace.append({"op": "pushoff", "sphere": sphere_id, "points": logged})
 

@@ -43,11 +43,11 @@ dual slot, the replaced slot, or a later pair (which shift by the number of
 new pairs less one).  Every other point is untouched and never visited.
 The touched points are rewritten in id order, because a copied point's
 lineage name depends on the names taken before it, and that order is the
-one in which a scan of the sorted points always derived them.  The value
-set of each cap serves splits only: the first split builds it from the live
-points, each rewrite keeps it current, and a contraction or pushoff drops
-it.  A split after a contraction first drops the contracted pairs and
-renumbers the body paths, as result() does.  The CappedGrope, with its
+one in which a scan of the sorted points always derived them.  A cap's
+label values are read from its bucket when a split needs them, so no
+rewrite, contraction or pushoff keeps a second copy of them in step.  A
+split after a contraction first drops the contracted pairs and renumbers
+the body paths, as result() does.  The CappedGrope, with its
 points sorted, is built once, by result().
 
 full_split also resumes each search from a cursor, relying on two
@@ -62,8 +62,8 @@ Duplication can grow structures fast (splitting a class-k grope whose caps
 each carry n values multiplies first-stage genus to n^k), so both moves
 enforce configurable size guards after every rewrite, and full_split
 refuses before its first rewrite when the first-stage genus it would reach,
-worked out from the value sets, or a lower bound on the number of points it
-would make exceeds its guard.
+worked out from the caps' values, or a lower bound on the number of points
+it would make exceeds its guard.
 
 Parallel copies get lineage names: cap c3 becomes c3.1 and c3.2, an
 intersection i7 inherited by two copies becomes i7.1 and i7.2.  Copy k of
@@ -81,7 +81,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable
+from typing import Callable
 
 from .capped import (
     BodyRef,
@@ -89,7 +89,6 @@ from .capped import (
     CapRef,
     Intersection,
     SheetRef,
-    _value_keys,
     derived_id,
 )
 from .errors import GrowthLimitError, RewriteError, ValidationError
@@ -164,15 +163,12 @@ class _RewriteState:
     yet contracted, and body paths keep their numbers until renumber() drops
     the contracted pairs.  spheres holds the sphere records in order,
     sphere_at the place of each id, and pending the number of spheres with a
-    pushoff queue.  values maps every cap to its set of unoriented label
-    values (shared between parallel copies and never mutated); it serves
-    splits only, and is None until the next split builds it.  changes counts
-    the rewrites and moves applied.
+    pushoff queue.  changes counts the rewrites and moves applied.
     """
 
     __slots__ = (
         "source", "body", "alive", "caps", "tip_cap", "points", "by_cap", "by_path",
-        "spheres", "sphere_at", "pending", "values", "limits", "trace", "changes",
+        "spheres", "sphere_at", "pending", "limits", "trace", "changes",
     )
 
     def __init__(
@@ -195,7 +191,6 @@ class _RewriteState:
         # The first sphere of an id wins, as in CappedGrope.sphere.
         self.sphere_at = {s.sphere_id: i for i, s in reversed(list(enumerate(self.spheres)))}
         self.pending = sum(1 for s in self.spheres if s.pending)
-        self.values = None
         self.limits = limits or DEFAULT_LIMITS
         self.trace = trace
         self.changes = 0
@@ -254,18 +249,16 @@ class _RewriteState:
             for s in self.spheres
         ]
 
-    def moved(self) -> None:
-        """Count a contraction or pushoff, after which the data only splits use is stale."""
-        self.changes += 1
-        self.values = None
+    def cap_values(self, cap_id: str) -> dict[str, tuple[int, ...]]:
+        """The unoriented label value of each live point on the cap, keyed by point id."""
+        points = self.points
+        return {i: unoriented_key(points[i].label) for i in self.by_cap.get(cap_id, ())}
 
     def ready_to_split(self) -> None:
-        """Renumber after contractions, and build the data only splits use."""
+        """Renumber after contractions; a fully surgered grope cannot split."""
         self.renumber()
         if self.body is None:
             raise ValidationError("cannot split a fully surgered grope")
-        if self.values is None:
-            self.values = _value_keys(self.caps, self.points.values())
 
     def result(self) -> CappedGrope:
         """The rewritten grope, its points sorted once; the input if nothing was rewritten."""
@@ -294,7 +287,7 @@ def _widen_pair(
     pair: int,
     side: int,
     mine: list[Slot],
-    mine_caps: list[tuple[str, str, set]],
+    mine_caps: list[tuple[str, str]],
     remap_mine: Callable[[Intersection, SheetRef], SheetRef],
     names: _Names,
 ) -> None:
@@ -303,9 +296,8 @@ def _widen_pair(
     New pair k holds mine[k] on `side` and the k-th parallel copy of the dual
     slot opposite it; each copy takes lineage names and inherits every
     intersection of the dual, so a point on the dual becomes one point per
-    copy, and each copied cap inherits its original's value set.  A
-    replaced tip's cap gives way to mine_caps, given as (cap id, tip id,
-    value set).  Endpoints on the replaced slot (its cap, or any stage in
+    copy.  A replaced tip's cap gives way to mine_caps, given as (cap id,
+    tip id).  Endpoints on the replaced slot (its cap, or any stage in
     it) are rewritten by remap_mine, and body paths through later pairs of
     the stage shift by len(mine) - 1.
 
@@ -316,15 +308,14 @@ def _widen_pair(
     are rewritten in id order, the order in which their lineage names were
     always derived.  names, one per rewrite, derives every new name.
     """
-    body, caps, tip_cap, values = state.body, state.caps, state.tip_cap, state.values
+    body, caps, tip_cap = state.body, state.caps, state.tip_cap
     parent = stage_at(body, ppath)
     old, dual = parent.pairs[pair][side], parent.pairs[pair][1 - side]
     count = len(mine)
 
     mine_cap = tip_cap.get(old.tip_id) if isinstance(old, Tip) else None
-    for cap, tip, keys in mine_caps:
+    for cap, tip in mine_caps:
         caps[cap] = tip
-        values[cap] = keys
         tip_cap[tip] = cap
 
     new_pairs = list(parent.pairs[:pair])
@@ -337,7 +328,6 @@ def _widen_pair(
             if old_cap is not None:
                 new_cap = names.derived(old_cap, k)
                 caps[new_cap] = new_tip
-                values[new_cap] = values[old_cap]
                 cap_copies.setdefault(old_cap, []).append(CapRef(new_cap))
             tip_cap[new_tip] = new_cap
         new_pairs.append((mine[k - 1], copy) if side == 0 else (copy, mine[k - 1]))
@@ -404,7 +394,7 @@ def _widen_pair(
     # keys of the last copy's tip_map) go, with their caps.
     for tip in [*tip_map, old.tip_id] if isinstance(old, Tip) else tip_map:
         if (cap := tip_cap.pop(tip, None)) is not None:
-            del caps[cap], values[cap]
+            del caps[cap]
     state.changes += 1
 
     limits = state.limits
@@ -431,7 +421,8 @@ def _split_cap_at(
     state.ready_to_split()
     if cap_id not in state.caps:
         raise ValidationError(f"unknown cap {cap_id!r}")
-    if len(keys := state.values[cap_id]) <= 1 and where is None:
+    values = state.cap_values(cap_id)
+    if len(keys := set(values.values())) <= 1 and where is None:
         return
     tip_id = state.caps[cap_id]
     # A tip outside the body is looked up as pair -1, which holds no slots.
@@ -452,9 +443,9 @@ def _split_cap_at(
     least_ref, rest_ref = CapRef(new_caps[0]), CapRef(new_caps[1])
 
     def remap_mine(p: Intersection, end: SheetRef) -> SheetRef:
-        return least_ref if unoriented_key(p.label) == least else rest_ref
+        return least_ref if values[p.point_id] == least else rest_ref
 
-    mine_caps = [(new_caps[0], new_tips[0], {least}), (new_caps[1], new_tips[1], keys - {least})]
+    mine_caps = list(zip(new_caps, new_tips))
     _widen_pair(state, ppath, pair, side, [Tip(t) for t in new_tips], mine_caps, remap_mine, names)
     if state.trace is not None:
         state.trace.append(
@@ -548,11 +539,11 @@ def split_stage(
 
 def _next_multi_valued_cap(state: _RewriteState, start: Path) -> tuple[str, Path] | None:
     """The first cap with several values at or after start, in grope._slots order."""
-    tip_cap, values = state.tip_cap, state.values
+    tip_cap, by_cap = state.tip_cap, state.by_cap
     for path, slot in _slots(state.body, start):
         if type(slot) is Tip:
             cap = tip_cap.get(slot.tip_id)
-            if cap is not None and len(values[cap]) > 1:
+            if len(by_cap.get(cap, ())) > 1 and len(set(state.cap_values(cap).values())) > 1:
                 return cap, path
     return None
 
@@ -565,50 +556,14 @@ def _next_wide_stage(root: Stage, depth: int, start: Path) -> Path | None:
     return None
 
 
-def _multiplicities(
-    body: Grope, tip_cap: dict[str, str | None], values: dict[str, set]
-) -> tuple[dict[Path, int], dict[str, Path]]:
-    """mult of every slot, keyed by its path, and the path of every tip.
+def _predicted_size(state: _RewriteState) -> tuple[int, int]:
+    """The first-stage genus full_split reaches, and a lower bound on the points it ends with.
 
-    A slot stands for mult(slot) pieces: max(1, number of values) for a
-    tip's cap, and for a stage the sum over its pairs of mult(a) * mult(b).
-    """
-    mult: dict[Path, int] = {}
-    tip_path: dict[str, Path] = {}
-
-    def walk(slot: Slot, path: Path) -> int:
-        if type(slot) is Tip:
-            tip_path[slot.tip_id] = path
-            cap = tip_cap.get(slot.tip_id)
-            m = max(1, len(values[cap])) if cap is not None else 1
-        else:
-            m = sum(
-                walk(a, path + ((j, ALPHA),)) * walk(b, path + ((j, BETA),))
-                for j, (a, b) in enumerate(slot.pairs)
-            )
-        mult[path] = m
-        return m
-
-    walk(body.root, ())
-    return mult, tip_path
-
-
-def _predicted_genus(body: Grope, tip_cap: dict[str, str | None], values: dict[str, set]) -> int:
-    """The first-stage genus full_split reaches, worked out without rewriting.
-
-    Every rewrite leaves mult of the first stage unchanged, and at the fixed
-    point it equals the first-stage genus.
-    """
-    return _multiplicities(body, tip_cap, values)[0][()]
-
-
-def _predicted_points(
-    body: Grope,
-    tip_cap: dict[str, str | None],
-    values: dict[str, set],
-    points: Iterable[Intersection],
-) -> int:
-    """A lower bound on the number of points full_split ends with.
+    Both come from one walk of the body, without rewriting.  A slot stands
+    for mult(slot) pieces: max(1, number of values) for a tip's cap, and for
+    a stage the sum over its pairs of mult(a) * mult(b).  Every rewrite
+    leaves mult of the first stage unchanged, and at the fixed point it
+    equals the first-stage genus.
 
     In a pair (a, b) every piece of a ends up once beside each of the
     mult(b) pieces of b, so the sheet at path P (a cap's tip or a stage)
@@ -622,12 +577,30 @@ def _predicted_points(
     point whose two ends lie on one sheet.  An end on a sphere, or on a
     sheet outside the body, counts as copied with the other end.
     """
-    mult, tip_path = _multiplicities(body, tip_cap, values)
+    tip_cap = state.tip_cap
+    mult: dict[Path, int] = {}
+    cap_path: dict[str, Path] = {}
+
+    def walk(slot: Slot, path: Path) -> int:
+        if type(slot) is Tip:
+            cap = tip_cap.get(slot.tip_id)
+            m = 1
+            if cap is not None:
+                cap_path[cap] = path
+                m = max(1, len(set(state.cap_values(cap).values())))
+        else:
+            m = sum(
+                walk(a, path + ((j, ALPHA),)) * walk(b, path + ((j, BETA),))
+                for j, (a, b) in enumerate(slot.pairs)
+            )
+        mult[path] = m
+        return m
+
+    genus = walk(state.body.root, ())
     copies: dict[Path, int] = {(): 1}
     for path in sorted(mult, key=len)[1:]:
         parent, (j, side) = path[:-1], path[-1]
         copies[path] = copies[parent] * mult[parent + ((j, 1 - side),)]
-    cap_path = {cap: tip_path[tip] for tip, cap in tip_cap.items() if tip in tip_path}
 
     def sheet_path(end: SheetRef) -> Path | None:
         kind = type(end)
@@ -638,7 +611,7 @@ def _predicted_points(
         return None
 
     total = 0
-    for p in points:
+    for p in state.points.values():
         a, b = sheet_path(p.end_a), sheet_path(p.end_b)
         if a is None or b is None:
             known = b if a is None else a
@@ -650,7 +623,7 @@ def _predicted_points(
                 break
             shared += 1
         total += copies[a] * copies[b] // copies[a[:shared]]
-    return total
+    return genus, total
 
 
 def full_split(
@@ -684,15 +657,14 @@ def full_split(
 def _full_split(state: _RewriteState) -> None:
     """full_split on the state."""
     state.ready_to_split()
-    body, limits, points = state.body, state.limits, state.points.values()
-    genus = _predicted_genus(body, state.tip_cap, state.values)
-    if genus > max(body.root.genus, limits.max_first_stage_genus):
+    limits = state.limits
+    genus, least = _predicted_size(state)
+    if genus > max(state.body.root.genus, limits.max_first_stage_genus):
         raise GrowthLimitError(
             f"splitting would raise the first-stage genus to {genus}, "
             f"over the limit {limits.max_first_stage_genus}"
         )
-    least = _predicted_points(body, state.tip_cap, state.values, points)
-    if least > max(len(points), limits.max_intersections):
+    if least > max(len(state.points), limits.max_intersections):
         raise GrowthLimitError(
             f"splitting would make at least {least} intersections, "
             f"over the limit {limits.max_intersections}"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given
@@ -288,3 +289,33 @@ def test_validate_pending_pushoff_body_ends():
     ]
     on_body = SphereRecord("sph0", 0, "ca", "cb", x1, (PendingPushoff("q", BodyRef(()), x1),))
     assert validate_capped(CappedGrope(body, caps, spheres=(on_body,))) == []
+    for other, problem in [
+        (CapRef("ghost"), "pending q: unknown cap 'ghost'"),
+        (SphereRef("ghost"), "pending q: unknown sphere 'ghost'"),
+    ]:
+        lost = SphereRecord("sph0", 0, "ca", "cb", x1, (PendingPushoff("q", other, x1),))
+        assert validate_capped(CappedGrope(body, caps, spheres=(lost,))) == [problem]
+    # Strict mode judges intersection ends only: queued body and sphere ends pass.
+    queue = (PendingPushoff("q", BodyRef(()), x1), PendingPushoff("r", SphereRef("sph0"), x1))
+    strict = SphereRecord("sph0", 0, "ca", "cb", x1, queue)
+    assert validate_capped(CappedGrope(body, caps, spheres=(strict,)), strict=True) == []
+
+
+def test_validate_reads_sphere_ends_as_fast_as_cap_ends():
+    """4000 spheres and 32,000 points: each sphere end is one lookup, not a scan."""
+    body, caps = _base()
+    spheres = tuple(SphereRecord(f"sph{n}", 0, "ca", "cb", IDENTITY) for n in range(4000))
+
+    def grope(end) -> CappedGrope:
+        points = (Intersection(f"i{k}", CapRef("c1"), end(k), IDENTITY) for k in range(32_000))
+        return CappedGrope(body, caps, tuple(points), spheres)
+
+    gropes = [grope(lambda k: SphereRef(f"sph{k % 4000}")), grope(lambda k: CapRef("c2"))]
+    best = [float("inf")] * 2
+    for _ in range(5):  # interleaved, so that a slow spell of the machine hits both
+        for i, cg in enumerate(gropes):
+            start = time.perf_counter()
+            assert validate_capped(cg) == []
+            best[i] = min(best[i], time.perf_counter() - start)
+    sphere_s, cap_s = best
+    assert sphere_s < 3 * cap_s, f"sphere ends {sphere_s:.3f} s, cap ends {cap_s:.3f} s"

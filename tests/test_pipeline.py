@@ -830,6 +830,30 @@ def test_replay_splits_after_a_contraction_on_the_same_grope():
     assert [dumps_capped(g) for g in replayed] == [dumps_capped(work)]
 
 
+def test_a_value_that_reaches_a_cap_through_a_pushoff_splits_it():
+    """A split reads the values pushoff copies put on a cap, in replay as in the moves."""
+    body = Grope(
+        Stage(((Tip("t1"), Stage(((Tip("t5"), Tip("t6")),))), (Tip("t3"), Tip("t4"))))
+    )
+    caps = {f"c{k}": f"t{k}" for k in (1, 5, 6, 3, 4)}
+    points = tuple(_self(f"i{k}", f"c{k}", G if k == 3 else F) for k in (1, 5, 6, 3, 4))
+    points += (Intersection("i2", BodyRef(((0, 1),)), CapRef("c3"), G),)
+    cg = CappedGrope(body, caps, points)
+    trace: list = []
+    work, sphere = contract(cg, 0, "c1", "c5", trace=trace)
+    work = pushoff(work, sphere.sphere_id, trace=trace)
+    work = split_cap(work, "c3", trace=trace)
+    assert [e["op"] for e in trace] == ["contract", "pushoff", "split_cap"]
+    on_cap: dict = {}
+    for p in work.intersections:
+        for end in {p.end_a, p.end_b}:
+            if type(end) is CapRef and end.cap_id.startswith("c3"):
+                on_cap.setdefault(end.cap_id, []).append(p.point_id)
+    assert on_cap == {"c3.1": ["i2.1", "i2.2"], "c3.2": ["i3"]}
+    replayed = replay_trace(SurgeryKernel(2, (cg,), ()), [{"grope": 0, **e} for e in trace])
+    assert [dumps_capped(g) for g in replayed] == [dumps_capped(work)]
+
+
 def test_replay_rejects_unknown_ops():
     kernel = small_kernel()
     with pytest.raises(ValidationError, match="unknown trace op"):

@@ -44,7 +44,7 @@ from gropes import (
     validate_capped,
     value_keys_by_cap,
 )
-from gropes.splitting import _predicted_genus, _predicted_points
+from gropes.splitting import _predicted_size, _RewriteState
 
 from conftest import dyadic_tower, ghost_tip_grope, report, seeded, stage_dual_grope
 
@@ -623,7 +623,7 @@ def test_copies_take_lineage_names_in_point_id_order():
 @settings(max_examples=150, deadline=None)
 @given(split_inputs())
 def test_predicted_genus_is_the_split_genus(cg):
-    predicted = _predicted_genus(cg.body, cg.tip_to_cap, value_keys_by_cap(cg))
+    predicted = _predicted_size(_RewriteState(cg))[0]
     assert predicted == full_split(cg).body.root.genus
 
 
@@ -637,7 +637,7 @@ def test_full_split_refuses_from_the_predicted_genus():
 
 
 def _predicted(cg: CappedGrope) -> int:
-    return _predicted_points(cg.body, cg.tip_to_cap, value_keys_by_cap(cg), cg.intersections)
+    return _predicted_size(_RewriteState(cg))[1]
 
 
 @settings(max_examples=150, deadline=None)
