@@ -64,7 +64,6 @@ from .grope import (
     tip_locations,
     tips,
     validate_grope,
-    with_stage_at,
 )
 from .moves import contract, effective_value, find_duplicate_pair, piece_caps, pushoff
 from .pipeline import (

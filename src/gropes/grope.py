@@ -13,7 +13,10 @@ Traversal order is the lexicographic order of paths: pre-order, pair by
 pair, alpha before beta, a slot before everything glued above it.  One
 walker, _slots, writes it down; iter_stages, tips, tip_locations and the
 splitting searches all read it, so every derived id and trace entry that
-depends on the order depends on this walker alone.
+depends on the order depends on this walker alone.  It also walks the live
+body the rewrite state of gropes.splitting edits in place, in which a list
+of (alpha, beta) pairs stands for a Stage and a tip id for its Tip, and
+stage_at follows paths through both kinds.
 
 The class of a grope measures nested commutator depth: tips have class 1,
 a stage has class min over its pairs of (class(alpha) + class(beta)), and
@@ -79,8 +82,9 @@ class Stage:
         pairs = tuple(tuple(p) for p in self.pairs)
         if not pairs:
             raise ValidationError("a stage must have genus >= 1")
+        kinds = (Tip, Stage)
         for p in pairs:
-            if len(p) != 2 or not all(isinstance(s, (Tip, Stage)) for s in p):
+            if len(p) != 2 or not (isinstance(p[0], kinds) and isinstance(p[1], kinds)):
                 raise ValidationError(f"each pair needs exactly two slots, got {p!r}")
         object.__setattr__(self, "pairs", pairs)
 
@@ -108,32 +112,46 @@ def class_of(obj: Grope | Slot) -> int:
     return min(class_of(a) + class_of(b) for a, b in obj.pairs)
 
 
+def _pairs(stage: Stage | list) -> tuple | list:
+    """The pairs of a Stage, or of a live stage, which is its list of pairs (see _slots)."""
+    return stage.pairs if type(stage) is Stage else stage
+
+
 def _slots(
-    obj: Grope | Stage, start: Path = (), max_depth: float = math.inf
+    obj: Grope | Stage | list, start: Path = (), max_depth: float = math.inf
 ) -> Iterator[tuple[Path, Slot]]:
     """Slots at most max_depth deep with their paths, in traversal order from start.
 
     The stages on the way down to start come first; subtrees wholly before
     start are skipped without being entered.  The root itself, at path (),
-    is not a slot and is never yielded.
+    is not a slot and is never yielded.  In a live body (module docstring)
+    a tip is yielded as its id.  Slot k of a stage is side k % 2 of pair
+    k // 2, and one frame per open stage on a stack replaces recursion, so
+    each slot costs one resume of one generator whatever its depth.
     """
-
-    def walk(stage: Stage, path: Path, on_start: bool) -> Iterator[tuple[Path, Slot]]:
-        depth = len(path)
-        if depth >= max_depth:
-            return
-        first = start[depth] if on_start and depth < len(start) else (0, ALPHA)
-        for j in range(first[0], stage.genus):
-            for side, slot in enumerate(stage.pairs[j]):
-                step = (j, side)
-                if step < first:
-                    continue
-                child = path + (step,)
-                yield child, slot
-                if type(slot) is Stage:
-                    yield from walk(slot, child, on_start and step == first)
-
-    return walk(obj.root if isinstance(obj, Grope) else obj, (), True)
+    if max_depth < 1:
+        return
+    pairs = _pairs(obj.root if isinstance(obj, Grope) else obj)
+    path: Path = ()
+    k = 2 * start[0][0] + start[0][1] if start else 0
+    on_start = True  # the open stage lies on the way down to start
+    stack = []
+    while True:
+        if k >= 2 * len(pairs):
+            if not stack:
+                return
+            pairs, path, k, on_start = stack.pop()
+            continue
+        step = (k >> 1, k & 1)
+        slot = pairs[step[0]][step[1]]
+        child = path + (step,)
+        yield child, slot
+        k += 1
+        if (type(slot) is Stage or type(slot) is list) and len(child) < max_depth:
+            stack.append((pairs, path, k, on_start))
+            on_start = on_start and len(child) < len(start) and step == start[len(path)]
+            pairs, path = _pairs(slot), child
+            k = 2 * start[len(child)][0] + start[len(child)][1] if on_start else 0
 
 
 def iter_stages(obj: Grope | Stage) -> Iterator[tuple[Path, Stage]]:
@@ -144,33 +162,18 @@ def iter_stages(obj: Grope | Stage) -> Iterator[tuple[Path, Stage]]:
             yield path, slot
 
 
-def stage_at(obj: Grope | Stage, path: Path) -> Stage:
+def stage_at(obj: Grope | Stage | list, path: Path) -> Stage | list:
+    """The stage at path: a Stage, or a live stage when obj is one."""
     stage = obj.root if isinstance(obj, Grope) else obj
-    for step in path:
-        j, side = step
-        if not 0 <= j < stage.genus:
-            raise ValidationError(f"no pair {j} at a genus-{stage.genus} stage")
-        slot = stage.pairs[j][side]
-        if not isinstance(slot, Stage):
+    for j, side in path:
+        pairs = _pairs(stage)
+        if not 0 <= j < len(pairs):
+            raise ValidationError(f"no pair {j} at a genus-{len(pairs)} stage")
+        slot = pairs[j][side]
+        if type(slot) is not Stage and type(slot) is not list:
             raise ValidationError(f"slot {(j, side)} holds a tip, not a stage")
         stage = slot
     return stage
-
-
-def with_stage_at(root: Stage, path: Path, new: Stage) -> Stage:
-    """Rebuild the spine from the root so the stage at path becomes new."""
-    if not path:
-        return new
-    (j, side), rest = path[0], path[1:]
-    child = root.pairs[j][side]
-    if not isinstance(child, Stage):
-        raise ValidationError(f"slot {path[0]} holds a tip, not a stage")
-    rebuilt = with_stage_at(child, rest, new)
-    pair = list(root.pairs[j])
-    pair[side] = rebuilt
-    pairs = list(root.pairs)
-    pairs[j] = tuple(pair)
-    return Stage(tuple(pairs))
 
 
 def tips(obj: Grope | Stage) -> list[str]:

@@ -47,7 +47,6 @@ from .capped import (
     BodyRef,
     CappedGrope,
     CapRef,
-    Intersection,
     PendingPushoff,
     SheetRef,
     SphereRecord,
@@ -63,8 +62,8 @@ from .errors import (
     SplitFirstError,
     ValidationError,
 )
-from .grope import ALPHA, Path, Stage, _slots
-from .splitting import _RewriteState
+from .grope import ALPHA, Path, Stage, _pairs, _slots
+from .splitting import _Point, _RewriteState
 from .words import IDENTITY, GroupWord
 
 
@@ -82,25 +81,27 @@ def piece_caps(cg: CappedGrope, pair_index: int) -> list[str]:
 
 
 def _walk_piece(
-    root: Stage, j: int, tip_cap: dict[str, str]
+    root: Stage | list, j: int, tip_cap: dict[str, str]
 ) -> tuple[list[str], str | None, bool, set[Path]]:
     """One walk of first-stage pair j: its caps and its first tip without a cap.
 
-    Returns the caps in traversal order, that tip (None when every tip is
-    capped), whether a stage of genus above 1 is on the pair, and the paths
-    of the pair's stages.
+    root is a Stage or a live stage (see gropes.grope).  Returns the caps in
+    traversal order, that tip (None when every tip is capped), whether a
+    stage of genus above 1 is on the pair, and the paths of the pair's
+    stages.
     """
     caps, uncapped, wide, paths = [], None, False, set()
     for path, slot in _slots(root, ((j, ALPHA),)):
         if path[0][0] != j:
             break
-        if type(slot) is Stage:
+        kind = type(slot)
+        if kind is Stage or kind is list:
             paths.add(path)
-            wide = wide or slot.genus > 1
-        elif (cap := tip_cap.get(slot.tip_id)) is not None:
+            wide = wide or len(_pairs(slot)) > 1
+        elif (cap := tip_cap.get(tip := slot if kind is str else slot.tip_id)) is not None:
             caps.append(cap)
         elif uncapped is None:
-            uncapped = slot.tip_id
+            uncapped = tip
     return caps, uncapped, wide, paths
 
 
@@ -161,7 +162,7 @@ def _read_piece(state: _RewriteState, j: int) -> tuple:
 
     The body paths returned include the first stage's, (), at the last piece.
     """
-    caps, uncapped, wide, paths = _walk_piece(state.body.root, j, state.tip_cap)
+    caps, uncapped, wide, paths = _walk_piece(state.root, j, state.tip_cap)
     if len(state.alive) == 1:
         paths.add(())
     by_cap, by_path, ids = state.by_cap, state.by_path, set()
@@ -170,7 +171,7 @@ def _read_piece(state: _RewriteState, j: int) -> tuple:
     for path in paths:
         ids.update(by_path.get(path, ()))
     points = [state.points[i] for i in sorted(ids)]
-    values = {cap: set(state.cap_values(cap).values()) for cap in caps}
+    values = {cap: state.cap_keys(cap) for cap in caps}
     return caps, uncapped, wide, paths, points, values
 
 
@@ -240,11 +241,13 @@ def _contract_at(
     for p in points:
         a_in, b_in = inside(p.end_a), inside(p.end_b)
         if a_in and b_in:
-            live[p.point_id] = Intersection(p.point_id, ref, ref, IDENTITY)
             self_log.append({"point": p.point_id, "was": str(p.label), "result": "1"})
+            p.end_a = p.end_b = ref
+            p.label, p.key = IDENTITY, ()
         else:
-            other = p.end_b if a_in else p.end_a
-            queued.append(PendingPushoff(p.point_id, other, p.label_from(other)))
+            # The label as read from the surviving end.
+            other, label = (p.end_b, p.label.inverse()) if a_in else (p.end_a, p.label)
+            queued.append(PendingPushoff(p.point_id, other, label))
             del live[p.point_id]
             state.unindex(p)
     del alive[pair_index]
@@ -292,7 +295,7 @@ def _pushoff_at(state: _RewriteState, sphere_id: str) -> None:
         created = []
         for k in (1, 2):
             name = derived_id(q.point_id, k, live)
-            live[name] = point = Intersection(name, q.other, ref, IDENTITY)
+            live[name] = point = _Point(name, q.other, ref, IDENTITY, ())
             state.index(point)
             created.append(name)
         logged.append(

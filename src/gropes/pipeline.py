@@ -196,7 +196,7 @@ def run_surgery(
         steps: list[dict] = []
         state = _RewriteState(cg, limits, steps)
         _full_split(state)
-        genera.append(state.body.root.genus)
+        genera.append(len(state.alive))
         _sweep(state, gi)
         husks.append(state.result())
         trace.extend({"grope": gi, **entry} for entry in steps)

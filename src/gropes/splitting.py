@@ -34,21 +34,29 @@ check each move's preconditions.  They run on a _RewriteState, the one state
 the contraction cores of gropes.moves run on too: the public moves open one
 for a single rewrite, while run_surgery and replay keep one per grope across
 every split, contraction and pushoff.  It holds the grope under rewriting
-with its live points indexed by sheet: every point by id, the ids of the
-points on each cap, and the ids of the points on each stage surface, keyed
-by the stage's path.  A rewrite at pair j of the stage at path P reads only
-the buckets it changes: the replaced cap's, those of the caps copied with
-the dual slot, and those of the stage paths below P whose step at P is the
-dual slot, the replaced slot, or a later pair (which shift by the number of
-new pairs less one).  Every other point is untouched and never visited.
-The touched points are rewritten in id order, because a copied point's
-lineage name depends on the names taken before it, and that order is the
-one in which a scan of the sorted points always derived them.  A cap's
-label values are read from its bucket when a split needs them, so no
-rewrite, contraction or pushoff keeps a second copy of them in step.  A
-split after a contraction first drops the contracted pairs and renumbers
-the body paths, as result() does.  The CappedGrope, with its
-points sorted, is built once, by result().
+as mutable objects.  The first split thaws the body into a live body, in
+which a stage is a list of (alpha, beta) pairs and a tip is its id, and
+every rewrite splices its new pairs into that list in place; a state that
+only contracts never thaws.  Each live point is a private record of an
+intersection's fields and its label's unoriented key, worked out once when
+the point enters the state and inherited by its copies; a move rewrites a
+record's ends in place.  The points are indexed by sheet: every point by
+id, the ids of the points on each cap, and the ids of the points on each
+stage surface, keyed by the stage's path.  A rewrite at pair j of the stage
+at path P reads only the buckets it changes: the replaced cap's, those of
+the caps copied with the dual slot, and those of the stage paths below P
+whose step at P is the dual slot, the replaced slot, or a later pair (which
+shift by the number of new pairs less one).  Every other point is untouched
+and never visited.  The touched points are rewritten in id order, because a
+copied point's lineage name depends on the names taken before it, and that
+order is the one in which a scan of the sorted points always derived them.
+A cap's label values are read from its bucket, as the records' keys, when a
+split needs them, so no rewrite, contraction or pushoff keeps a second copy
+of them in step.  A split after a contraction first drops the contracted
+pairs and renumbers the body paths, as result() does.  Only result() builds
+frozen objects, each once and through the public constructors, so every one
+passes its checks: the Tips and Stages of the live body, one Intersection
+per live point, and the CappedGrope, with its points sorted.
 
 full_split also resumes each search from a cursor, relying on two
 invariants.  split_cap at pair j of the stage at path P leaves every cap
@@ -100,13 +108,11 @@ from .grope import (
     Slot,
     Stage,
     Tip,
+    _pairs,
     _slots,
-    iter_stages,
     path_doc,
     stage_at,
-    tip_locations,
     tips,
-    with_stage_at,
 )
 from .words import GroupWord, unoriented_key
 
@@ -145,29 +151,68 @@ class _Names:
         )
 
     def derived(self, base: str, k: int) -> str:
-        name = derived_id(base, k, self)
+        name, state = f"{base}.{k}", self.state
+        # __contains__ inline, as base.k is nearly always free; derived_id only on a collision.
+        if (
+            name in self.fresh or name in state.points or name in state.caps
+            or name in state.tip_cap or name in state.sphere_at
+        ):
+            name = derived_id(base, k, self)
         self.fresh.add(name)
         return name
+
+
+@dataclass(slots=True)
+class _Point:
+    """A live point: an Intersection's fields and its label's unoriented key.
+
+    The key is worked out once, when the point enters the state, and its
+    copies inherit it.  A move rewrites the ends in place; result() builds
+    the Intersection.
+    """
+
+    point_id: str
+    end_a: SheetRef
+    end_b: SheetRef
+    label: GroupWord
+    key: tuple[int, ...]
+
+
+def _thaw(slot: Slot) -> str | list:
+    """A live copy of a slot: a tip as its id, a stage as its list of (alpha, beta) pairs."""
+    if type(slot) is Tip:
+        return slot.tip_id
+    return [(_thaw(a), _thaw(b)) for a, b in slot.pairs]
+
+
+def _freeze(slot: str | list) -> Slot:
+    """A live slot as a Tip or a Stage, built through the public constructors."""
+    if type(slot) is str:
+        return Tip(slot)
+    return Stage(tuple((_freeze(a), _freeze(b)) for a, b in slot))
 
 
 class _RewriteState:
     """A capped grope under splitting and contraction, its live points indexed by sheet.
 
-    points maps every live point's id to it.  by_cap maps a cap, and by_path
-    a stage path, to the ids of the points with an end on that sheet; a point
-    on two sheets is in both buckets, and empty buckets are dropped.  tip_cap
-    maps every tip of the body to its cap, or to None when it has none, and
-    every other tip a cap sits on to that cap.
+    root is the first stage: the input's Stage until the first split thaws
+    it into a live stage (see _thaw), which splits then edit in place until
+    result() freezes it, or None once every piece is contracted.  points maps every live point's id
+    to its _Point.  by_cap maps a cap, and by_path a stage path, to the ids
+    of the points with an end on that sheet; a point on two sheets is in
+    both buckets, and empty buckets are dropped.  tip_cap maps every tip of
+    the body to its cap, or to None when it has none, and every other tip a
+    cap sits on to that cap.
 
-    A contraction leaves body as it is: alive lists the first-stage pairs not
-    yet contracted, and body paths keep their numbers until renumber() drops
-    the contracted pairs.  spheres holds the sphere records in order,
+    A contraction leaves root as it is: alive lists the first-stage pairs
+    not yet contracted, and body paths keep their numbers until renumber()
+    drops the contracted pairs.  spheres holds the sphere records in order,
     sphere_at the place of each id, and pending the number of spheres with a
     pushoff queue.  changes counts the rewrites and moves applied.
     """
 
     __slots__ = (
-        "source", "body", "alive", "caps", "tip_cap", "points", "by_cap", "by_path",
+        "source", "root", "alive", "caps", "tip_cap", "points", "by_cap", "by_path",
         "spheres", "sphere_at", "pending", "limits", "trace", "changes",
     )
 
@@ -175,17 +220,21 @@ class _RewriteState:
         self, cg: CappedGrope, limits: SplitLimits | None = None, trace: list | None = None
     ):
         self.source = cg
-        self.body = cg.body
-        self.alive = list(range(cg.body.root.genus if cg.body is not None else 0))
+        body = cg.body
+        self.root = None if body is None else body.root
+        self.alive = list(range(0 if body is None else body.root.genus))
         self.caps = dict(cg.caps)
-        self.tip_cap = dict.fromkeys(tips(cg.body) if cg.body is not None else ())
+        self.tip_cap = dict.fromkeys(() if body is None else tips(body))
         self.tip_cap.update(cg.tip_to_cap)
-        self.points = {p.point_id: p for p in cg.intersections}
+        self.points = {
+            p.point_id: _Point(p.point_id, p.end_a, p.end_b, p.label, unoriented_key(p.label))
+            for p in cg.intersections
+        }
         if len(self.points) != len(cg.intersections):
             raise ValidationError("cannot rewrite a capped grope with duplicate intersection ids")
         self.by_cap: dict[str, set[str]] = {}
         self.by_path: dict[Path, set[str]] = {}
-        for p in cg.intersections:
+        for p in self.points.values():
             self.index(p)
         self.spheres = list(cg.spheres)
         # The first sphere of an id wins, as in CappedGrope.sphere.
@@ -195,7 +244,7 @@ class _RewriteState:
         self.trace = trace
         self.changes = 0
 
-    def index(self, p: Intersection) -> None:
+    def index(self, p: _Point) -> None:
         for end in (p.end_a, p.end_b):
             kind = type(end)
             if kind is CapRef:
@@ -203,7 +252,7 @@ class _RewriteState:
             elif kind is BodyRef:
                 self.by_path.setdefault(end.path, set()).add(p.point_id)
 
-    def unindex(self, p: Intersection) -> None:
+    def unindex(self, p: _Point) -> None:
         for end in (p.end_a, p.end_b):
             kind = type(end)
             if kind is CapRef:
@@ -220,11 +269,11 @@ class _RewriteState:
 
     def renumber(self) -> None:
         """Drop the contracted first-stage pairs, renumbering the body paths after them."""
-        body, alive = self.body, self.alive
-        if body is None or len(alive) == body.root.genus:
+        root, alive = self.root, self.alive
+        if root is None or len(alive) == len(pairs := _pairs(root)):
             return
-        pairs = body.root.pairs
-        self.body = Grope(Stage(tuple(pairs[j] for j in alive)), body.closed) if alive else None
+        kept = [pairs[j] for j in alive]
+        self.root = None if not kept else kept if type(root) is list else Stage(tuple(kept))
         self.alive = list(range(len(alive)))
         gone = sorted(set(range(len(pairs))).difference(alive))
 
@@ -235,13 +284,10 @@ class _RewriteState:
             shift = bisect_left(gone, j)
             return BodyRef(((j - shift, side),) + rest) if shift else end
 
-        points = self.points
-        for point_id, p in points.items():
+        for p in self.points.values():
             if BodyRef in (type(p.end_a), type(p.end_b)):
                 self.unindex(p)
-                p = points[point_id] = Intersection(
-                    point_id, renumber(p.end_a), renumber(p.end_b), p.label
-                )
+                p.end_a, p.end_b = renumber(p.end_a), renumber(p.end_b)
                 self.index(p)
         self.spheres = [
             replace(s, pending=tuple(replace(q, other=renumber(q.other)) for q in s.pending))
@@ -249,36 +295,41 @@ class _RewriteState:
             for s in self.spheres
         ]
 
-    def cap_values(self, cap_id: str) -> dict[str, tuple[int, ...]]:
-        """The unoriented label value of each live point on the cap, keyed by point id."""
+    def cap_keys(self, cap_id: str) -> set[tuple[int, ...]]:
+        """The distinct unoriented label values of the live points on the cap."""
         points = self.points
-        return {i: unoriented_key(points[i].label) for i in self.by_cap.get(cap_id, ())}
+        return {points[i].key for i in self.by_cap.get(cap_id, ())}
 
     def ready_to_split(self) -> None:
-        """Renumber after contractions; a fully surgered grope cannot split."""
+        """Renumber after contractions and thaw the body; a fully surgered grope cannot split."""
         self.renumber()
-        if self.body is None:
+        if self.root is None:
             raise ValidationError("cannot split a fully surgered grope")
+        if type(self.root) is Stage:
+            self.root = _thaw(self.root)
 
     def result(self) -> CappedGrope:
-        """The rewritten grope, its points sorted once; the input if nothing was rewritten."""
+        """The rewritten grope, built once; the input if nothing was rewritten."""
         if not self.changes:
             return self.source
         self.renumber()
-        return CappedGrope(self.body, self.caps, tuple(self.points.values()), tuple(self.spheres))
-
-
-def _copy_slot(slot: Slot, k: int, names: _Names, tip_map: dict[str, str]) -> Slot:
-    if isinstance(slot, Tip):
-        new_id = names.derived(slot.tip_id, k)
-        tip_map[slot.tip_id] = new_id
-        return Tip(new_id)
-    return Stage(
-        tuple(
-            (_copy_slot(a, k, names, tip_map), _copy_slot(b, k, names, tip_map))
-            for a, b in slot.pairs
+        if type(self.root) is list:  # frozen in place, so the live body is freed here
+            self.root = _freeze(self.root)
+        body = None if self.root is None else Grope(self.root, self.source.body.closed)
+        points = tuple(
+            Intersection(p.point_id, p.end_a, p.end_b, p.label) for p in self.points.values()
         )
-    )
+        return CappedGrope(body, self.caps, points, tuple(self.spheres))
+
+
+def _copy_slot(slot: str | list, k: int, names: _Names, tip_map: dict[str, str]) -> str | list:
+    """Copy k of a live slot, with lineage names for its tips, recorded in tip_map."""
+    if type(slot) is str:
+        tip_map[slot] = new_id = names.derived(slot, k)
+        return new_id
+    return [
+        (_copy_slot(a, k, names, tip_map), _copy_slot(b, k, names, tip_map)) for a, b in slot
+    ]
 
 
 def _widen_pair(
@@ -286,12 +337,12 @@ def _widen_pair(
     ppath: Path,
     pair: int,
     side: int,
-    mine: list[Slot],
+    mine: list,
     mine_caps: list[tuple[str, str]],
-    remap_mine: Callable[[Intersection, SheetRef], SheetRef],
+    remap_mine: Callable[[_Point, SheetRef], SheetRef],
     names: _Names,
 ) -> None:
-    """Replace pair `pair` of the stage at ppath by len(mine) pairs.
+    """Replace pair `pair` of the live stage at ppath by len(mine) pairs, in place.
 
     New pair k holds mine[k] on `side` and the k-th parallel copy of the dual
     slot opposite it; each copy takes lineage names and inherits every
@@ -308,17 +359,17 @@ def _widen_pair(
     are rewritten in id order, the order in which their lineage names were
     always derived.  names, one per rewrite, derives every new name.
     """
-    body, caps, tip_cap = state.body, state.caps, state.tip_cap
-    parent = stage_at(body, ppath)
-    old, dual = parent.pairs[pair][side], parent.pairs[pair][1 - side]
+    caps, tip_cap = state.caps, state.tip_cap
+    pairs = stage_at(state.root, ppath)
+    old, dual = pairs[pair][side], pairs[pair][1 - side]
     count = len(mine)
 
-    mine_cap = tip_cap.get(old.tip_id) if isinstance(old, Tip) else None
+    mine_cap = tip_cap.get(old) if type(old) is str else None
     for cap, tip in mine_caps:
         caps[cap] = tip
         tip_cap[tip] = cap
 
-    new_pairs = list(parent.pairs[:pair])
+    new_pairs = []
     cap_copies: dict[str, list[CapRef]] = {}
     for k in range(1, count + 1):
         tip_map: dict[str, str] = {}
@@ -331,18 +382,17 @@ def _widen_pair(
                 cap_copies.setdefault(old_cap, []).append(CapRef(new_cap))
             tip_cap[new_tip] = new_cap
         new_pairs.append((mine[k - 1], copy) if side == 0 else (copy, mine[k - 1]))
-    new_pairs.extend(parent.pairs[pair + 1 :])
-    state.body = Grope(with_stage_at(body.root, ppath, Stage(tuple(new_pairs))), body.closed)
+    pairs[pair : pair + 1] = new_pairs
     if not ppath:  # the new first-stage pairs are pieces too
-        state.alive.extend(range(parent.genus, len(new_pairs)))
+        state.alive.extend(range(len(state.alive), len(pairs)))
 
     # One ref, one ref per copy, or remap_mine, which also reads the point.
     image: dict[str | Path, SheetRef | list | Callable] = dict(cap_copies)
     if mine_cap is not None:
         image[mine_cap] = remap_mine
     depth = len(ppath)
-    mine_step = (pair, side) if isinstance(old, Stage) else None
-    dual_step = (pair, 1 - side) if isinstance(dual, Stage) else None
+    mine_step = (pair, side) if type(old) is list else None
+    dual_step = (pair, 1 - side) if type(dual) is list else None
     for path in state.by_path:
         if len(path) > depth and path[:depth] == ppath:
             (j, s), rest = path[depth], path[depth + 1 :]
@@ -357,7 +407,7 @@ def _widen_pair(
     for key in image:
         touched.update((state.by_cap if type(key) is str else state.by_path).get(key, ()))
 
-    def move(p: Intersection, end: SheetRef) -> SheetRef | list[SheetRef]:
+    def move(p: _Point, end: SheetRef) -> SheetRef | list[SheetRef]:
         """The rewritten endpoint, or its list of per-copy endpoints."""
         kind = type(end)
         if kind is CapRef:
@@ -379,26 +429,27 @@ def _widen_pair(
             # Later names extend ids sorted after this one, so none can be it.
             del points[point_id]
             for k in range(count):
-                q = Intersection(
+                q = _Point(
                     names.derived(point_id, k + 1),
                     a[k] if type(a) is list else a,
                     b[k] if type(b) is list else b,
                     p.label,
+                    p.key,
                 )
                 points[q.point_id] = q
                 state.index(q)
         else:
-            q = points[point_id] = Intersection(point_id, a, b, p.label)
-            state.index(q)
+            p.end_a, p.end_b = a, b
+            state.index(p)
     # The last name is derived: the replaced tip and the dual's tips (the
     # keys of the last copy's tip_map) go, with their caps.
-    for tip in [*tip_map, old.tip_id] if isinstance(old, Tip) else tip_map:
+    for tip in [*tip_map, old] if type(old) is str else tip_map:
         if (cap := tip_cap.pop(tip, None)) is not None:
             del caps[cap]
     state.changes += 1
 
     limits = state.limits
-    genus = state.body.root.genus
+    genus = len(state.root)
     if genus > limits.max_first_stage_genus:
         raise GrowthLimitError(
             f"first-stage genus {genus} exceeds the limit {limits.max_first_stage_genus}"
@@ -421,20 +472,21 @@ def _split_cap_at(
     state.ready_to_split()
     if cap_id not in state.caps:
         raise ValidationError(f"unknown cap {cap_id!r}")
-    values = state.cap_values(cap_id)
-    if len(keys := set(values.values())) <= 1 and where is None:
+    if len(keys := state.cap_keys(cap_id)) <= 1 and where is None:
         return
     tip_id = state.caps[cap_id]
     # A tip outside the body is looked up as pair -1, which holds no slots.
-    ppath, pair = where or tip_locations(state.body).get(tip_id, ((), -1))[:2]
-    parent = stage_at(state.body, ppath)
-    slots = parent.pairs[pair] if 0 <= pair < parent.genus else ()
-    if (tip := Tip(tip_id)) not in slots:
+    at = ((p[:-1], p[-1][0]) for p, slot in _slots(state.root) if slot == tip_id)
+    ppath, pair = where or next(at, ((), -1))
+    parent = stage_at(state.root, ppath)
+    genus = len(parent)  # read before _widen_pair widens parent in place
+    slots = parent[pair] if 0 <= pair < genus else ()
+    if tip_id not in slots:
         place = f"pair {pair} of the stage at {path_doc(ppath)}" if where else "the body"
         raise ValidationError(f"cap {cap_id!r} sits on tip {tip_id!r}, which is not in {place}")
     if len(keys) <= 1:
         return
-    side = slots.index(tip)
+    side = slots.index(tip_id)
     names = _Names(state)
     least = min(keys)
 
@@ -442,11 +494,11 @@ def _split_cap_at(
     new_caps = (names.derived(cap_id, 1), names.derived(cap_id, 2))
     least_ref, rest_ref = CapRef(new_caps[0]), CapRef(new_caps[1])
 
-    def remap_mine(p: Intersection, end: SheetRef) -> SheetRef:
-        return least_ref if values[p.point_id] == least else rest_ref
+    def remap_mine(p: _Point, end: SheetRef) -> SheetRef:
+        return least_ref if p.key == least else rest_ref
 
     mine_caps = list(zip(new_caps, new_tips))
-    _widen_pair(state, ppath, pair, side, [Tip(t) for t in new_tips], mine_caps, remap_mine, names)
+    _widen_pair(state, ppath, pair, side, list(new_tips), mine_caps, remap_mine, names)
     if state.trace is not None:
         state.trace.append(
             {
@@ -456,8 +508,8 @@ def _split_cap_at(
                 "pair": pair,
                 "least": str(GroupWord(least)),
                 "into": list(new_caps),
-                "genusBefore": parent.genus,
-                "genusAfter": parent.genus + 1,
+                "genusBefore": genus,
+                "genusAfter": genus + 1,
             }
         )
 
@@ -467,14 +519,14 @@ def _split_stage_at(state: _RewriteState, path: Path) -> None:
     state.ready_to_split()
     if not path:
         raise RewriteError("the first stage is never split; it absorbs the genus")
-    stage = stage_at(state.body, path)
-    if (g := stage.genus) == 1:
+    stage = stage_at(state.root, path)
+    if (g := len(stage)) == 1:
         return
     ppath, (pair, side) = path[:-1], path[-1]
-    genus = stage_at(state.body, ppath).genus
+    genus = len(stage_at(state.root, ppath))
     depth = len(path)
 
-    def remap_mine(p: Intersection, end: SheetRef) -> SheetRef:
+    def remap_mine(p: _Point, end: SheetRef) -> SheetRef:
         # The stage's own surface stays on the first piece; a stage above
         # pair j of it moves onto piece j.
         if len(end.path) == depth:
@@ -482,7 +534,7 @@ def _split_stage_at(state: _RewriteState, path: Path) -> None:
         j, s = end.path[depth]
         return BodyRef(ppath + ((pair + j, side), (0, s)) + end.path[depth + 1 :])
 
-    mine = [Stage((pr,)) for pr in stage.pairs]
+    mine = [[pr] for pr in stage]
     _widen_pair(state, ppath, pair, side, mine, [], remap_mine, _Names(state))
     if state.trace is not None:
         state.trace.append(
@@ -540,18 +592,18 @@ def split_stage(
 def _next_multi_valued_cap(state: _RewriteState, start: Path) -> tuple[str, Path] | None:
     """The first cap with several values at or after start, in grope._slots order."""
     tip_cap, by_cap = state.tip_cap, state.by_cap
-    for path, slot in _slots(state.body, start):
-        if type(slot) is Tip:
-            cap = tip_cap.get(slot.tip_id)
-            if len(by_cap.get(cap, ())) > 1 and len(set(state.cap_values(cap).values())) > 1:
+    for path, slot in _slots(state.root, start):
+        if type(slot) is str:
+            cap = tip_cap.get(slot)
+            if len(by_cap.get(cap, ())) > 1 and len(state.cap_keys(cap)) > 1:
                 return cap, path
     return None
 
 
-def _next_wide_stage(root: Stage, depth: int, start: Path) -> Path | None:
+def _next_wide_stage(root: list, depth: int, start: Path) -> Path | None:
     """The first genus > 1 stage exactly `depth` deep at or after start, in grope._slots order."""
     for path, slot in _slots(root, start, depth):
-        if len(path) == depth and type(slot) is Stage and slot.genus > 1:
+        if len(path) == depth and type(slot) is list and len(slot) > 1:
             return path
     return None
 
@@ -559,7 +611,8 @@ def _next_wide_stage(root: Stage, depth: int, start: Path) -> Path | None:
 def _predicted_size(state: _RewriteState) -> tuple[int, int]:
     """The first-stage genus full_split reaches, and a lower bound on the points it ends with.
 
-    Both come from one walk of the body, without rewriting.  A slot stands
+    Both come from one walk of the body, without rewriting, once the state
+    is ready to split (see _RewriteState.ready_to_split).  A slot stands
     for mult(slot) pieces: max(1, number of values) for a tip's cap, and for
     a stage the sum over its pairs of mult(a) * mult(b).  Every rewrite
     leaves mult of the first stage unchanged, and at the fixed point it
@@ -577,26 +630,27 @@ def _predicted_size(state: _RewriteState) -> tuple[int, int]:
     point whose two ends lie on one sheet.  An end on a sphere, or on a
     sheet outside the body, counts as copied with the other end.
     """
+    state.ready_to_split()
     tip_cap = state.tip_cap
     mult: dict[Path, int] = {}
     cap_path: dict[str, Path] = {}
 
-    def walk(slot: Slot, path: Path) -> int:
-        if type(slot) is Tip:
-            cap = tip_cap.get(slot.tip_id)
+    def walk(slot: str | list, path: Path) -> int:
+        if type(slot) is str:
+            cap = tip_cap.get(slot)
             m = 1
             if cap is not None:
                 cap_path[cap] = path
-                m = max(1, len(set(state.cap_values(cap).values())))
+                m = max(1, len(state.cap_keys(cap)))
         else:
             m = sum(
                 walk(a, path + ((j, ALPHA),)) * walk(b, path + ((j, BETA),))
-                for j, (a, b) in enumerate(slot.pairs)
+                for j, (a, b) in enumerate(slot)
             )
         mult[path] = m
         return m
 
-    genus = walk(state.body.root, ())
+    genus = walk(state.root, ())
     copies: dict[Path, int] = {(): 1}
     for path in sorted(mult, key=len)[1:]:
         parent, (j, side) = path[:-1], path[-1]
@@ -656,10 +710,9 @@ def full_split(
 
 def _full_split(state: _RewriteState) -> None:
     """full_split on the state."""
-    state.ready_to_split()
     limits = state.limits
-    genus, least = _predicted_size(state)
-    if genus > max(state.body.root.genus, limits.max_first_stage_genus):
+    genus, least = _predicted_size(state)  # which readies the state to split
+    if genus > max(len(state.root), limits.max_first_stage_genus):
         raise GrowthLimitError(
             f"splitting would raise the first-stage genus to {genus}, "
             f"over the limit {limits.max_first_stage_genus}"
@@ -676,9 +729,10 @@ def _full_split(state: _RewriteState) -> None:
         _split_cap_at(state, cap, (path[:-1], path[-1][0]))
         start = path[:-1] + ((path[-1][0], ALPHA),)
 
-    depth = max((len(p) for p, s in iter_stages(state.body) if s.genus > 1), default=0)
+    wide = (len(p) for p, s in _slots(state.root) if type(s) is list and len(s) > 1)
+    depth = max(wide, default=0)
     for depth in range(depth, 0, -1):
         start = ()
-        while (path := _next_wide_stage(state.body.root, depth, start)) is not None:
+        while (path := _next_wide_stage(state.root, depth, start)) is not None:
             _split_stage_at(state, path)
             start = path[:-1] + ((path[-1][0], ALPHA),)

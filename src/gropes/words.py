@@ -357,7 +357,7 @@ def _entry(g: int, t: int) -> int:
     return (z ^ (z >> 31)) % _PRIME
 
 
-def _witness(letters: tuple[int, ...], top: int) -> int | None:
+def _witness(letters: tuple[int, ...], top: int, saved: list | None = None) -> int | None:
     """Least degree d <= top at which the word's expansion is certified nonzero, or None.
 
     Multiplies the row vector e_0 through the word in the unitriangular
@@ -374,25 +374,41 @@ def _witness(letters: tuple[int, ...], top: int) -> int | None:
     points).  The a_{g,t} must vary independently with t: entries of the
     form c_g * lam^t evaluate every commutator to zero.
 
-    Its cost, len(letters) * top updates, is refused before it starts when
-    it passes MAX_EXPANSION_TERMS.
+    Entry t + 1 reads only entry t, so a pass can stop at any degree and a
+    later one extend it.  saved, when given, carries the pass on: left
+    empty it starts at degree 0, and each call leaves [top, the entry of
+    degree top after each prefix of the word] in it, from which the next
+    call evaluates only the degrees above top (the ones below were zero, or
+    the caller would have stopped).
+
+    Its cost counted from degree 0, len(letters) * top updates, is refused
+    before it starts when it passes MAX_EXPANSION_TERMS, as it was when
+    every pass started over.
     """
     if len(letters) * top > MAX_EXPANSION_TERMS:
         raise GrowthLimitError(
             f"a depth witness to degree {top} makes more than {MAX_EXPANSION_TERMS} "
             "updates; lower the cutoff"
         )
+    lo, below = saved or (0, [1] * (len(letters) + 1))
+    n = top - lo
     steps: dict[int, list[tuple[int, int, int]]] = {}
     for g in {abs(x) for x in letters}:
-        a = [_entry(g, t) for t in range(top)]
-        steps[g] = [(t + 1, t, a[t]) for t in range(top - 1, -1, -1)]
-        steps[-g] = [(t + 1, t, _PRIME - a[t]) for t in range(top)]
+        a = [_entry(g, t) for t in range(lo, top)]
+        steps[g] = [(t + 1, t, a[t]) for t in range(n - 1, -1, -1)]
+        steps[-g] = [(t + 1, t, _PRIME - a[t]) for t in range(n)]
     p = _PRIME
-    v = [1] + [0] * top
-    for x in letters:
+    v = [0] * (n + 1)
+    after = [0]
+    # v[0] is entry lo: x_g reads it before this letter, x_g^-1 after it.
+    for x, before, now in zip(letters, below, below[1:]):
+        v[0] = before if x > 0 else now
         for s, t, a in steps[x]:
             v[s] = (v[s] + v[t] * a) % p
-    return next((d for d in range(1, top + 1) if v[d]), None)
+        after.append(v[n])
+    if saved is not None:
+        saved[:] = [top, after]
+    return next((lo + d for d in range(1, n + 1) if v[d]), None)
 
 
 def lcs_depth(w: GroupWord, cutoff: int = DEFAULT_CUTOFF) -> Depth:
@@ -406,8 +422,10 @@ def lcs_depth(w: GroupWord, cutoff: int = DEFAULT_CUTOFF) -> Depth:
     every degree up to K at once in O(len(w) * K), and a nonzero degree d
     proves depth <= d.  K doubles from 2 up to min(cutoff, s), where s is the
     number of syllables: a word x_{i1}^{e1} ... x_{is}^{es} has coefficient
-    e1 * ... * es != 0 on X_{i1} ... X_{is}, so its depth is at most s.  A
-    shallow word therefore stays O(len(w)) at any cutoff.
+    e1 * ... * es != 0 on X_{i1} ... X_{is}, so its depth is at most s.  Each
+    doubling extends the last pass from K to 2K instead of starting over, so
+    the witness costs O(len(w) * K) in all, and a shallow word stays
+    O(len(w)) at any cutoff.
 
     Then one expansion, kept to prefixes of Lyndon words, runs below the
     least degree d* the witness certified (or up to min(cutoff, s) when none
@@ -430,8 +448,8 @@ def lcs_depth(w: GroupWord, cutoff: int = DEFAULT_CUTOFF) -> Depth:
         return Depth.infinite()
     letters = w.letters
     bound = min(cutoff, sum(1 for _ in w.syllables()))
-    k = 2
-    while (certified := _witness(letters, min(k, bound))) is None and k < bound:
+    k, saved = 2, []
+    while (certified := _witness(letters, min(k, bound), saved)) is None and k < bound:
         k *= 2
     top = bound if certified is None else certified - 1
     if top:

@@ -35,7 +35,6 @@ from gropes import (
     tips,
     validate_grope,
     weight,
-    with_stage_at,
 )
 
 from gropes.grope import _slots
@@ -128,14 +127,6 @@ def test_stage_at_rejects_bad_paths():
         stage_at(g, ((5, 0),))
     with pytest.raises(ValidationError):
         stage_at(g, ((0, 1),))  # that slot holds a tip
-
-
-def test_with_stage_at_replaces_subtree():
-    g, _ = grope_from_expression(parse_expression("[[x1,x2],x3]"))
-    new_root = with_stage_at(g.root, ((0, 0),), Stage(((Tip("z1"), Tip("z2")),)))
-    assert tips(Grope(new_root)) == ["z1", "z2", "t3"]
-    # original untouched
-    assert tips(g) == ["t1", "t2", "t3"]
 
 
 def test_path_doc_names_sides():

@@ -28,6 +28,7 @@ from gropes import (
     ValidationError,
     canonical_dumps,
     class_of,
+    contract,
     dumps_capped,
     full_split,
     generate_kernel,
@@ -35,18 +36,28 @@ from gropes import (
     is_dyadic,
     iter_stages,
     label_keys,
+    pushoff,
     random_capped_grope,
     replay_trace,
     split_cap,
     split_stage,
+    stage_at,
     tips,
     unoriented_key,
     validate_capped,
     value_keys_by_cap,
 )
+from gropes.moves import _contract_at, _pushoff_at
 from gropes.splitting import _predicted_size, _RewriteState
 
-from conftest import dyadic_tower, ghost_tip_grope, report, seeded, stage_dual_grope
+from conftest import (
+    dyadic_tower,
+    ghost_tip_grope,
+    report,
+    seeded,
+    split_genus3_grope,
+    stage_dual_grope,
+)
 
 F, G, H = generator(1), generator(2), generator(3)
 
@@ -204,6 +215,25 @@ def test_split_point_copies_skip_the_ids_of_the_copied_dual():
     assert [p.point_id for p in out.intersections] == ["i1", "i2", "p.1.3", "p.2.3"]
 
 
+@pytest.mark.parametrize("stage_path", [(), ((0, 0),)], ids=["first stage", "above the first stage"])
+def test_split_cap_trace_reads_the_genus_before_the_widen(stage_path):
+    """The entry gives the genus of the cap's stage before and after, both read directly."""
+    wide = Stage(((Tip("t1"), Tip("t2")), (Tip("t3"), Tip("t4"))))
+    body = Grope(wide if not stage_path else Stage(((wide, Tip("t5")),)))
+    caps = {f"c{k}": f"t{k}" for k in range(1, 6 if stage_path else 5)}
+    pts = (
+        Intersection("i1", CapRef("c3"), CapRef("c3"), F),
+        Intersection("i2", CapRef("c3"), CapRef("c3"), G),
+    )
+    cg = CappedGrope(body, caps, pts)
+    trace: list = []
+    out = split_cap(cg, "c3", trace=trace)
+    (entry,) = trace
+    assert (entry["stage"], entry["pair"]) == ([[0, "alpha"]] if stage_path else [], 1)
+    assert (entry["genusBefore"], entry["genusAfter"]) == (2, 3)
+    assert stage_at(out.body, stage_path).genus == 3
+
+
 def test_split_cap_deterministic():
     a = split_cap(_two_value_cap(), "c1")
     b = split_cap(_two_value_cap(), "c1")
@@ -257,8 +287,6 @@ def test_split_stage_remaps_body_paths():
     ids = {i.point_id: i for i in out.intersections}
     path = ids["i2"].end_b.path
     # the path still resolves to a real stage
-    from gropes import stage_at
-
     assert stage_at(out.body, path) is not None
     assert validate_capped(out) == []
 
@@ -503,6 +531,56 @@ def test_full_split_golden(name):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
     kernel = SurgeryKernel(3, (cg,), ())
     assert replay_trace(kernel, [{"grope": 0, **e} for e in trace]) == (out,)
+
+
+# ---------------------------------------------------------------------------
+# the input is never edited
+
+
+# Each public rewrite, with a builder of a grope it changes.
+INPUT_MOVES = {
+    "split_cap": (_golden_tower, lambda cg: split_cap(cg, "c1")),
+    "split_stage": (_genus3_above_first, lambda cg: split_stage(cg, ((0, 0),))),
+    "full_split": (_golden_stage_dual, full_split),
+    "contract": (split_genus3_grope, lambda cg: contract(cg, 1, "c3", "c5")[0]),
+    "pushoff": (
+        lambda: contract(split_genus3_grope(), 1, "c3", "c5")[0],
+        lambda cg: pushoff(cg, cg.spheres[-1].sphere_id),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", INPUT_MOVES)
+def test_rewrites_leave_their_input_unchanged(name):
+    """The state edits its own live copy, so the input reads the same and rewrites the same."""
+    build, move = INPUT_MOVES[name]
+    cg = build()
+    before = dumps_capped(cg)
+    out = move(cg)
+    assert out != cg
+    assert dumps_capped(cg) == before
+    assert move(cg) == out
+
+
+def test_replay_leaves_its_kernel_unchanged():
+    cg = _golden_body_paths()
+    trace: list = []
+    out = full_split(cg, trace=trace)
+    kernel = SurgeryKernel(3, (cg,), ())
+    before = dumps_capped(cg)
+    assert replay_trace(kernel, [{"grope": 0, **e} for e in trace]) == (out,)
+    assert dumps_capped(cg) == before
+    # Twice on the same kernel: the first replay left nothing behind for the second.
+    assert replay_trace(kernel, [{"grope": 0, **e} for e in trace]) == (out,)
+
+
+def test_a_state_that_only_contracts_never_thaws():
+    cg = split_genus3_grope()
+    state = _RewriteState(cg)
+    _contract_at(state, 1, "c3", "c5", None)
+    _pushoff_at(state, state.spheres[-1].sphere_id)
+    assert state.root is cg.body.root
+    assert state.result().body.root.pairs == tuple(cg.body.root.pairs[j] for j in (0, 2))
 
 
 # ---------------------------------------------------------------------------

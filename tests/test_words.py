@@ -510,6 +510,19 @@ def test_witness_is_exact_on_left_normed_commutators():
     assert _left_normed_witness_misses() == []
 
 
+@given(commutator_heavy_letters, st.integers(1, 5), st.integers(1, 5))
+@settings(max_examples=100, deadline=None)
+def test_an_extended_witness_pass_is_the_pass_from_degree_zero(letters, lo, more):
+    """Each degree reads only the one below, so extending a pass from lo changes nothing."""
+    letters, top = reduce_letters(letters), lo + more
+    whole, parts = [], []
+    low = _witness(letters, lo, parts)
+    high = _witness(letters, top, parts)
+    assert _witness(letters, top, whole) == (low if low is not None else high)
+    if low is None:
+        assert parts == whole  # the degree-top entries after every prefix agree
+
+
 def test_witness_fails_with_entries_proportional_across_positions(monkeypatch):
     """a_{g,t} = c_g * lam^(t+1) evaluates every commutator to zero, so the test above has teeth."""
     monkeypatch.setattr(words_module, "_entry", lambda g, t: 7919 * g * pow(3, t + 1, _PRIME) % _PRIME)
@@ -521,8 +534,8 @@ def test_depth_stays_exact_when_the_witness_misses_or_fires_high(monkeypatch, fi
     """The expansion, not the witness, decides the depth below the certified degree."""
     real = words_module._witness
 
-    def witness(letters, top):
-        if fires == "never" or real(letters, top) is None:
+    def witness(letters, top, saved=None):
+        if fires == "never" or real(letters, top, saved) is None:
             return None
         return top  # sound: the real witness certified a degree <= top
 
