@@ -20,6 +20,7 @@ from gropes import (
     SphereRef,
     SurgeryKernel,
     SurgeryResult,
+    canonical_dumps,
     check_hypotheses,
     class_of,
     contract,
@@ -31,6 +32,7 @@ from gropes import (
     full_split,
     generate_kernel,
     generator,
+    grope_to_doc,
     is_dyadic,
     is_pi1_null,
     label_keys,
@@ -1024,6 +1026,63 @@ def test_generate_kernel_is_deterministic():
     assert a.hyperbolic_pairs == b.hyperbolic_pairs
     c = generate_kernel(43, labels=3, pair_count=2, density=0.7)
     assert [dumps_capped(g) for g in a.gropes] != [dumps_capped(g) for g in c.gropes]
+
+
+# name -> (generate_kernel arguments, sha256 of dumps_kernel of its kernel)
+GENERATOR_GOLDEN = {
+    "labels-0": (
+        dict(seed=2, labels=0, density=0.5, pair_count=2),
+        "9c23844c8cbe210e6de761710549c2a3547b4f4d6bb2700f126bb85f1c7eb948",
+    ),
+    "labels-2": (
+        dict(seed=11, labels=2),
+        "a673839563dcfc90d7f1a331b5da34579ee81969a9173295854bc141b06335ac",
+    ),
+    "labels-5": (
+        dict(seed=4, labels=5),
+        "98a1a68a6de7486f28a06d35d2e5915681ee4c1e864a88529cbe5d692c9b7c09",
+    ),
+    "density-0": (
+        dict(seed=6, labels=0, density=0.0, pair_count=2),
+        "176fcf6402668ca08e2cf32fcbaad5bbc9d36c2c6c644cac19ea82539ffe924e",
+    ),
+    "density-1.2": (
+        dict(seed=5, labels=3, density=1.2),
+        "39133d029d47c74efde7778c43796900c49847888266a9834c3dd7931a3382b6",
+    ),
+    "class-above": (
+        dict(seed=9, labels=2, grope_class=5),
+        "18776886bc5881b97e1afb297e6ebcf09df74becda3b51238d3e3ec1a64367f7",
+    ),
+    "pairs-3": (
+        dict(seed=9, labels=2, pair_count=3),
+        "6c89e89750430f76bd317d8831ea7d8d2c896d839518938a8a3743a13ef11d28",
+    ),
+    "adversarial-pairs-2": (
+        dict(seed=17, labels=4, pair_count=2, adversarial=True),
+        "d0c60c3d606fa8296e04d8868f8ecd73193cb1ddb337bbbe0c9f40dae1db40f1",
+    ),
+}
+
+# genus -> sha256 of the grope document of random_grope(Random(genus), 4, genus=genus)
+RANDOM_GROPE_GOLDEN = {
+    1: "c7ed2d67e55aeb020be29a11c47d0dc3f02599b693daf872969ee3a6100347df",
+    2: "635afa3799172c2c3408ea31a9c386d328391a5a1b7a9bff52bd62dc2aa540b3",
+    3: "14c0365b5f77bffc4e95c494a4bd99c66ea9c0dafb7515769fc57851c35e8230",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_GOLDEN))
+def test_generate_kernel_golden(name):
+    kwargs, digest = GENERATOR_GOLDEN[name]
+    text = dumps_kernel(generate_kernel(**kwargs))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("genus", sorted(RANDOM_GROPE_GOLDEN))
+def test_random_grope_golden(genus):
+    text = canonical_dumps(grope_to_doc(random_grope(random.Random(genus), 4, genus=genus)))
+    assert hashlib.sha256(text.encode()).hexdigest() == RANDOM_GROPE_GOLDEN[genus]
 
 
 def test_generate_kernel_defaults_to_the_minimal_class():
