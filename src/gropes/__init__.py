@@ -57,11 +57,9 @@ from .grope import (
     class_of,
     default_assignment,
     grope_from_expression,
-    is_dyadic,
     iter_stages,
     path_doc,
     stage_at,
-    tip_locations,
     tips,
     validate_grope,
 )
@@ -72,7 +70,6 @@ from .pipeline import (
     SurgeryResult,
     check_hypotheses,
     generate_kernel,
-    random_capped_grope,
     random_grope,
     replay_trace,
     run_surgery,
@@ -85,7 +82,6 @@ from .serialize import (
     capped_to_doc,
     document_kind,
     dumps_capped,
-    dumps_grope,
     dumps_kernel,
     dumps_result,
     grope_from_doc,

@@ -11,9 +11,9 @@ pair and side 1 the beta curve.  The root has path ().
 
 Traversal order is the lexicographic order of paths: pre-order, pair by
 pair, alpha before beta, a slot before everything glued above it.  One
-walker, _slots, writes it down; iter_stages, tips, tip_locations and the
-splitting searches all read it, so every derived id and trace entry that
-depends on the order depends on this walker alone.  It also walks the live
+walker, _slots, writes it down; iter_stages, tips and the splitting
+searches all read it, so every derived id and trace entry that depends on
+the order depends on this walker alone.  It also walks the live
 body the rewrite state of gropes.splitting edits in place, in which a list
 of (alpha, beta) pairs stands for a Stage and a tip id for its Tip, and
 stage_at follows paths through both kinds.
@@ -179,18 +179,6 @@ def stage_at(obj: Grope | Stage | list, path: Path) -> Stage | list:
 def tips(obj: Grope | Stage) -> list[str]:
     """Tip ids in traversal order."""
     return [slot.tip_id for _, slot in _slots(obj) if type(slot) is Tip]
-
-
-def tip_locations(obj: Grope | Stage) -> dict[str, tuple[Path, int, int]]:
-    """Map each tip id, in traversal order, to (parent stage path, pair index, side)."""
-    return {
-        slot.tip_id: (path[:-1], *path[-1]) for path, slot in _slots(obj) if type(slot) is Tip
-    }
-
-
-def is_dyadic(obj: Grope | Stage) -> bool:
-    """True when every stage has genus 1."""
-    return all(stage.genus == 1 for _, stage in iter_stages(obj))
 
 
 def default_assignment(obj: Grope | Stage) -> dict[str, GroupWord]:

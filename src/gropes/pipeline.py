@@ -21,6 +21,13 @@ run_surgery splits each grope fully and hands the state it split on to the
 sweep in gropes.moves, which contracts and pushes off every piece in one
 pass over the same index of its points.  This module keeps kernel
 validation, the hypothesis report, replay_trace and the generators.
+
+The generators share one pair of tree builders, _random_stage and
+_random_slot, and one way of naming: a tip is t<n> when it is the nth tip
+made, and tips are made pair by pair, alpha before beta, so the list of ids
+a builder fills is already the body's traversal order and its caps c1, c2,
+... need no second walk of the tree.  Points are numbered i1, i2, ... as
+they are drawn.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ from .capped import (
 )
 from .commutators import MAX_NESTING
 from .errors import GropeError, HypothesisError, ValidationError
-from .grope import Grope, Slot, Stage, Tip, _path_from_doc, class_of, iter_stages, tips
+from .grope import Grope, Slot, Stage, Tip, _path_from_doc, class_of, iter_stages
 from .moves import _contract_at, _pushoff_at, _sweep
 from .splitting import SplitLimits, _full_split, _RewriteState, _split_cap_at, _split_stage_at
 from .words import IDENTITY, GroupWord, generator
@@ -298,18 +305,20 @@ _KERNEL_ROOT_GENERA = (1, 1, 2)
 _MAX_GENERATED_TIPS = 50_000
 
 
-def _random_class_slot(rng: random.Random, c: int, fresh: "list[int]") -> Slot:
-    """A random slot of class exactly c; fresh holds the tip counter."""
+def _random_slot(rng: random.Random, c: int, tip_ids: "list[str]") -> Slot:
+    """A random slot of class exactly c; each tip it makes joins tip_ids."""
     if c == 1:
-        fresh[0] += 1
-        return Tip(f"t{fresh[0]}")
-    genus = 1 + (1 if rng.random() < _WIDE_STAGE_ODDS else 0)
+        tip_ids.append(f"t{len(tip_ids) + 1}")
+        return Tip(tip_ids[-1])
+    return _random_stage(rng, c, 1 + (rng.random() < _WIDE_STAGE_ODDS), tip_ids)
+
+
+def _random_stage(rng: random.Random, c: int, genus: int, tip_ids: "list[str]") -> Stage:
+    """A random stage of class exactly c and the given genus, made pair by pair."""
     pairs = []
     for _ in range(genus):
         a = rng.randint(1, c - 1)
-        pairs.append(
-            (_random_class_slot(rng, a, fresh), _random_class_slot(rng, c - a, fresh))
-        )
+        pairs.append((_random_slot(rng, a, tip_ids), _random_slot(rng, c - a, tip_ids)))
     return Stage(tuple(pairs))
 
 
@@ -317,56 +326,9 @@ def random_grope(rng: random.Random, grope_class: int, *, genus: int = 1) -> Gro
     """A random grope of exactly the given class and first-stage genus."""
     if grope_class < 2:
         raise ValidationError(f"a grope has class >= 2, got {grope_class}")
-    fresh = [0]
-    pairs = []
-    for _ in range(max(1, genus)):
-        a = rng.randint(1, grope_class - 1)
-        pairs.append(
-            (
-                _random_class_slot(rng, a, fresh),
-                _random_class_slot(rng, grope_class - a, fresh),
-            )
-        )
-    return Grope(Stage(tuple(pairs)))
-
-
-def random_capped_grope(
-    rng: random.Random,
-    grope_class: int,
-    labels: "list[GroupWord]",
-    *,
-    genus: int = 1,
-    density: float = 1.0,
-) -> CappedGrope:
-    """One random capped grope with arbitrary cap-to-cap partners.
-
-    Caps typically end up carrying several label values, which makes these
-    good inputs for the splitting moves; they are NOT guaranteed to survive
-    the surgery pigeonhole.  Every cap receives at least one intersection
-    labeled from the pool (when the pool is nonempty); density scales how
-    many extras appear.
-    """
-    body = random_grope(rng, grope_class, genus=genus)
-    caps = {f"c{k + 1}": t for k, t in enumerate(tips(body))}
-    cap_ids = list(caps)
-
-    points: list[Intersection] = []
-    counter = [0]
-
-    def add_point(cap: str, label: GroupWord) -> None:
-        counter[0] += 1
-        partner = rng.choice(cap_ids)
-        points.append(
-            Intersection(f"i{counter[0]}", CapRef(cap), CapRef(partner), label)
-        )
-
-    if labels:
-        for k, cap in enumerate(cap_ids):
-            add_point(cap, labels[k % len(labels)])
-        extras = int(density * len(cap_ids))
-        for _ in range(extras):
-            add_point(rng.choice(cap_ids), rng.choice(labels))
-    return CappedGrope(body, caps, tuple(points))
+    if genus < 1:
+        raise ValidationError(f"genus must be >= 1, got {genus}")
+    return Grope(_random_stage(rng, grope_class, genus, []))
 
 
 def generate_kernel(
@@ -396,11 +358,13 @@ def generate_kernel(
     """
     if labels < 0:
         raise ValidationError(f"label count must be >= 0, got {labels}")
+    if pair_count < 1:
+        raise ValidationError(f"pair count must be >= 1, got {pair_count}")
+    if grope_class is None:
+        grope_class = labels if adversarial else max(labels + 1, 2)
     if adversarial:
         if labels < 2:
             raise ValidationError("adversarial kernels need at least 2 labels")
-        if grope_class is None:
-            grope_class = labels
         if grope_class != labels:
             raise ValidationError("adversarial kernels use class == label count")
         if labels - 1 > MAX_NESTING:  # documents refuse deeper stages
@@ -408,13 +372,11 @@ def generate_kernel(
                 f"an adversarial kernel with {labels} labels nests {labels - 1} stages,"
                 f" over the bound {MAX_NESTING}"
             )
-    elif grope_class is None:
-        grope_class = max(labels + 1, 2)
     if grope_class < 2:
         raise ValidationError(f"a grope has class >= 2, got {grope_class}")
     if labels > _MAX_GENERATED_TIPS:
         raise ValidationError(f"{labels} labels are over the bound {_MAX_GENERATED_TIPS}")
-    count = 2 * max(1, pair_count)
+    count = 2 * pair_count
     size, about = count * grope_class, "at least"  # a class-c grope has >= c tips
     if size <= _MAX_GENERATED_TIPS:
         size, about = round(count * _expected_tips(grope_class, adversarial)), "about"
@@ -429,34 +391,24 @@ def generate_kernel(
 
     gropes: list[CappedGrope] = []
     pairs: list[tuple[int, int]] = []
-    for _ in range(max(1, pair_count)):
+    for _ in range(pair_count):
         if adversarial:
-            fresh = [0]
-            body = Grope(
-                Stage(
-                    (
-                        (
-                            _dyadic_chain(grope_class - 1, fresh),
-                            _dyadic_chain(1, fresh),
-                        ),
-                    )
-                )
-            )
-            tip_list = tips(body)
-            caps = {f"c{k + 1}": t for k, t in enumerate(tip_list)}
+            tip_ids: list[str] = []
+            chains = (_dyadic_chain(grope_class - 1, tip_ids), _dyadic_chain(1, tip_ids))
+            caps = {f"c{k + 1}": t for k, t in enumerate(tip_ids)}
             cap_ids = list(caps)
             rng.shuffle(cap_ids)
             points = tuple(
                 Intersection(f"i{k + 1}", CapRef(cap), CapRef(cap), pool[k])
                 for k, cap in enumerate(cap_ids)
             )
-            cg = CappedGrope(body, caps, points)
+            cg = CappedGrope(Grope(Stage((chains,))), caps, points)
         else:
             cg = _pigeonhole_safe_grope(rng, grope_class, pool, density)
         dual = CappedGrope(cg.body, dict(cg.caps), cg.intersections)
         pairs.append((len(gropes), len(gropes) + 1))
         gropes.extend((cg, dual))
-    return SurgeryKernel(max(labels, 0), tuple(gropes), tuple(pairs))
+    return SurgeryKernel(labels, tuple(gropes), tuple(pairs))
 
 
 def _expected_tips(grope_class: int, adversarial: bool) -> float:
@@ -491,23 +443,20 @@ def _pigeonhole_safe_grope(
     value set, and occasional second-value self-points force full_split to
     actually split caps while keeping every split copy on a pool value.
     """
-    body = random_grope(rng, grope_class, genus=rng.choice(_KERNEL_ROOT_GENERA))
-    caps = {f"c{k + 1}": t for k, t in enumerate(tips(body))}
+    tip_ids: list[str] = []
+    body = Grope(_random_stage(rng, grope_class, rng.choice(_KERNEL_ROOT_GENERA), tip_ids))
+    caps = {f"c{k + 1}": t for k, t in enumerate(tip_ids)}
     stage_paths = [path for path, _ in iter_stages(body)]
     points: list[Intersection] = []
-    counter = [0]
 
     def add_point(cap: str, label: GroupWord, to_body: bool) -> None:
-        counter[0] += 1
         me = CapRef(cap)
         other = BodyRef(rng.choice(stage_paths)) if to_body else me
-        points.append(Intersection(f"i{counter[0]}", me, other, label))
+        points.append(Intersection(f"i{len(points) + 1}", me, other, label))
 
     for k, cap in enumerate(caps):
         value = pool[k % len(pool)] if pool else IDENTITY
-        if pool:
-            add_point(cap, value, to_body=False)
-        elif rng.random() < min(density, 1.0):
+        if pool or rng.random() < min(density, 1.0):
             add_point(cap, value, to_body=False)
         extras = 0
         while extras < 2 and rng.random() < density * 0.4:
@@ -518,9 +467,9 @@ def _pigeonhole_safe_grope(
     return CappedGrope(body, caps, tuple(points))
 
 
-def _dyadic_chain(c: int, fresh: list[int]) -> Slot:
-    """A genus-1 chain of class exactly c: [(x, [(y, ...)])]."""
+def _dyadic_chain(c: int, tip_ids: "list[str]") -> Slot:
+    """A genus-1 chain of class exactly c: [(x, [(y, ...)])]; its tips join tip_ids."""
     if c == 1:
-        fresh[0] += 1
-        return Tip(f"t{fresh[0]}")
-    return Stage(((_dyadic_chain(1, fresh), _dyadic_chain(c - 1, fresh)),))
+        tip_ids.append(f"t{len(tip_ids) + 1}")
+        return Tip(tip_ids[-1])
+    return Stage(((_dyadic_chain(1, tip_ids), _dyadic_chain(c - 1, tip_ids)),))

@@ -424,10 +424,6 @@ def loads_document(text: str):
     return kind, parser(doc)
 
 
-def dumps_grope(g: Grope) -> str:
-    return canonical_dumps(grope_to_doc(g))
-
-
 def dumps_capped(cg: CappedGrope) -> str:
     return canonical_dumps(capped_to_doc(cg))
 

@@ -41,7 +41,6 @@ the full expansion.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -338,10 +337,6 @@ class Depth:
     @property
     def is_infinite(self) -> bool:
         return self.bound is None
-
-    @property
-    def lower_bound(self) -> float:
-        return math.inf if self.bound is None else self.bound
 
     def __str__(self) -> str:
         if self.bound is None:

@@ -18,9 +18,14 @@ from gropes import (
     Stage,
     SurgeryKernel,
     Tip,
+    canonical_dumps,
     generate_kernel,
     generator,
+    grope_to_doc,
+    iter_stages,
+    random_grope,
     reduce,
+    tips,
 )
 
 # Signed nonzero generator indices over a small alphabet.
@@ -31,6 +36,55 @@ raw_letter_lists = st.lists(signed_letters, max_size=12)
 words = raw_letter_lists.map(lambda ls: reduce(ls))
 
 nonempty_words = words.filter(lambda w: w.letters != ())
+
+
+def is_dyadic(obj: Grope | Stage) -> bool:
+    """True when every stage has genus 1."""
+    return all(stage.genus == 1 for _, stage in iter_stages(obj))
+
+
+def dumps_grope(g: Grope) -> str:
+    """The canonical JSON text of a grope document."""
+    return canonical_dumps(grope_to_doc(g))
+
+
+def random_capped_grope(
+    rng: random.Random,
+    grope_class: int,
+    labels: "list[GroupWord]",
+    *,
+    genus: int = 1,
+    density: float = 1.0,
+) -> CappedGrope:
+    """One random capped grope with arbitrary cap-to-cap partners.
+
+    Caps typically end up carrying several label values, which makes these
+    good inputs for the splitting moves; they are NOT guaranteed to survive
+    the surgery pigeonhole.  Every cap receives at least one intersection
+    labeled from the pool (when the pool is nonempty); density scales how
+    many extras appear.
+    """
+    body = random_grope(rng, grope_class, genus=genus)
+    caps = {f"c{k + 1}": t for k, t in enumerate(tips(body))}
+    cap_ids = list(caps)
+
+    points: list[Intersection] = []
+    counter = [0]
+
+    def add_point(cap: str, label: GroupWord) -> None:
+        counter[0] += 1
+        partner = rng.choice(cap_ids)
+        points.append(
+            Intersection(f"i{counter[0]}", CapRef(cap), CapRef(partner), label)
+        )
+
+    if labels:
+        for k, cap in enumerate(cap_ids):
+            add_point(cap, labels[k % len(labels)])
+        extras = int(density * len(cap_ids))
+        for _ in range(extras):
+            add_point(rng.choice(cap_ids), rng.choice(labels))
+    return CappedGrope(body, caps, tuple(points))
 
 
 def dyadic_tower(depth: int, start: int = 1) -> tuple[Grope, int]:

@@ -28,7 +28,6 @@ from gropes import (
     class_of,
     contract,
     dumps_capped,
-    dumps_grope,
     dumps_kernel,
     dumps_result,
     evaluate,
@@ -36,7 +35,6 @@ from gropes import (
     generate_kernel,
     generator,
     grope_from_expression,
-    is_dyadic,
     is_pi1_null,
     iter_stages,
     label_keys,
@@ -45,14 +43,13 @@ from gropes import (
     magnus,
     parse_expression,
     pushoff,
-    random_capped_grope,
     random_grope,
     run_surgery,
     tips,
     validate_capped,
     value_keys_by_cap,
 )
-from conftest import dyadic_tower, report
+from conftest import dumps_grope, dyadic_tower, is_dyadic, random_capped_grope, report
 from gropes.cli import main
 from gropes.errors import GrowthLimitError, PigeonholeFailure
 from magnus_oracle import depth_oracle, left_normed_letters

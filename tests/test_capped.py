@@ -27,13 +27,12 @@ from gropes import (
     iter_stages,
     label_keys,
     piece_caps,
-    random_capped_grope,
     unoriented_key,
     validate_capped,
     value_keys_by_cap,
 )
 
-from conftest import two_cap_grope, words
+from conftest import random_capped_grope, two_cap_grope, words
 
 
 def _base():

@@ -23,7 +23,6 @@ from gropes import (
     SurgeryKernel,
     Tip,
     dumps_capped,
-    dumps_grope,
     dumps_kernel,
     dumps_result,
     generate_kernel,
@@ -36,7 +35,13 @@ import gropes.pipeline as pipeline_module
 from gropes.cli import main
 from gropes.commutators import MAX_NESTING
 
-from conftest import chain_stage_text, collision_kernel, ghost_tip_grope, split_genus3_grope
+from conftest import (
+    chain_stage_text,
+    collision_kernel,
+    dumps_grope,
+    ghost_tip_grope,
+    split_genus3_grope,
+)
 
 F = generator(1)
 G = generator(2)
@@ -773,6 +778,13 @@ def test_generate_rejects_bad_parameters(capsys):
     code, _, err = run(capsys, "generate", "--seed", "1", "--labels", "1", "--adversarial")
     assert code == 1
     assert "at least 2 labels" in err
+
+
+def test_generate_refuses_a_pair_count_below_one(capsys):
+    for pairs in ("0", "-5"):
+        code, out, err = run(capsys, "generate", "--seed", "1", "--labels", "2", "--pairs", pairs)
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and f"pair count must be >= 1, got {pairs}" in err
 
 
 def test_generate_refuses_adversarial_kernels_deeper_than_documents_allow(capsys, monkeypatch):

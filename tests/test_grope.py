@@ -25,13 +25,11 @@ from gropes import (
     evaluate,
     generator,
     grope_from_expression,
-    is_dyadic,
     iter_stages,
     parse_expression,
     path_doc,
     random_grope,
     stage_at,
-    tip_locations,
     tips,
     validate_grope,
     weight,
@@ -39,7 +37,7 @@ from gropes import (
 
 from gropes.grope import _slots
 
-from conftest import dyadic_tower, words
+from conftest import dyadic_tower, is_dyadic, words
 
 
 # ---------------------------------------------------------------------------
@@ -133,15 +131,6 @@ def test_path_doc_names_sides():
     assert path_doc(((0, 0), (1, 1))) == [[0, "alpha"], [1, "beta"]]
 
 
-def test_tip_locations_cover_all_tips():
-    g, _ = grope_from_expression(parse_expression("[[x1,x2],[x3,x4]]"))
-    locs = tip_locations(g)
-    assert set(locs) == set(tips(g))
-    for tid, (path, pair, side) in locs.items():
-        stage = stage_at(g, path)
-        assert stage.pairs[pair][side] == Tip(tid)
-
-
 # The recursive walkers that _slots replaced, kept as oracles.
 
 
@@ -172,17 +161,6 @@ def _oracle_tips(root: Stage) -> list[str]:
                     walk(slot)
 
     walk(root)
-    return out
-
-
-def _oracle_tip_locations(root: Stage) -> dict:
-    out = {}
-    for path, stage in _oracle_iter_stages(root):
-        for j, (a, b) in enumerate(stage.pairs):
-            if isinstance(a, Tip):
-                out[a.tip_id] = (path, j, 0)
-            if isinstance(b, Tip):
-                out[b.tip_id] = (path, j, 1)
     return out
 
 
@@ -219,9 +197,6 @@ steps = st.tuples(st.integers(0, 3), st.integers(0, 1))
 def test_slots_is_the_traversal_order(root, data):
     assert list(iter_stages(root)) == _oracle_iter_stages(root)
     assert tips(root) == _oracle_tips(root)
-    # The oracle lists keys stage by stage; _slots gives them in tip order.
-    assert tip_locations(root) == _oracle_tip_locations(root)
-    assert list(tip_locations(root)) == tips(root)
 
     full = list(_slots(root))
     assert [p for p, _ in full] == sorted(p for p, _ in full)  # lexicographic order of paths

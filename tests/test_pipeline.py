@@ -33,12 +33,10 @@ from gropes import (
     generate_kernel,
     generator,
     grope_to_doc,
-    is_dyadic,
     is_pi1_null,
     label_keys,
     piece_caps,
     pushoff,
-    random_capped_grope,
     random_grope,
     replay_trace,
     run_surgery,
@@ -64,7 +62,15 @@ import gropes.pipeline as pipeline_module
 from gropes.pipeline import _expected_tips
 from gropes.words import IDENTITY, GroupWord
 
-from conftest import dyadic_tower, report, split_genus3_grope, stage_dual_grope, two_cap_grope
+from conftest import (
+    dyadic_tower,
+    is_dyadic,
+    random_capped_grope,
+    report,
+    split_genus3_grope,
+    stage_dual_grope,
+    two_cap_grope,
+)
 
 F = generator(1)
 G = generator(2)
@@ -1112,6 +1118,17 @@ def test_generate_kernel_rejects_bad_parameters():
         generate_kernel(1, labels=1, adversarial=True)
     with pytest.raises(ValidationError):
         generate_kernel(1, labels=3, grope_class=4, adversarial=True)
+
+
+def test_generators_refuse_counts_below_one_instead_of_rounding_up():
+    for pair_count in (0, -5):
+        with pytest.raises(ValidationError, match=f"pair count must be >= 1, got {pair_count}"):
+            generate_kernel(1, labels=2, pair_count=pair_count)
+    with pytest.raises(ValidationError, match="genus must be >= 1, got 0"):
+        random_grope(random.Random(1), 3, genus=0)
+    # The label count is still checked first.
+    with pytest.raises(ValidationError, match="label count must be >= 0, got -1"):
+        generate_kernel(1, labels=-1, pair_count=0)
 
 
 def test_expected_tips_track_the_generator():

@@ -26,7 +26,6 @@ from gropes import (
     contract,
     document_kind,
     dumps_capped,
-    dumps_grope,
     dumps_kernel,
     dumps_result,
     generate_kernel,
@@ -42,7 +41,7 @@ from gropes import (
 
 from gropes.commutators import MAX_NESTING
 
-from conftest import chain_stage_text, two_cap_grope
+from conftest import chain_stage_text, dumps_grope, two_cap_grope
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schema"
 

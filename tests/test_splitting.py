@@ -33,11 +33,9 @@ from gropes import (
     full_split,
     generate_kernel,
     generator,
-    is_dyadic,
     iter_stages,
     label_keys,
     pushoff,
-    random_capped_grope,
     replay_trace,
     split_cap,
     split_stage,
@@ -53,6 +51,7 @@ from gropes.splitting import _predicted_size, _RewriteState
 from conftest import (
     dyadic_tower,
     ghost_tip_grope,
+    random_capped_grope,
     report,
     seeded,
     split_genus3_grope,
