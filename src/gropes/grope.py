@@ -11,12 +11,14 @@ pair and side 1 the beta curve.  The root has path ().
 
 Traversal order is the lexicographic order of paths: pre-order, pair by
 pair, alpha before beta, a slot before everything glued above it.  One
-walker, _slots, writes it down; iter_stages, tips and the splitting
-searches all read it, so every derived id and trace entry that depends on
-the order depends on this walker alone.  It also walks the live
-body the rewrite state of gropes.splitting edits in place, in which a list
-of (alpha, beta) pairs stands for a Stage and a tip id for its Tip, and
-stage_at follows paths through both kinds.
+walker, _slots, writes it down; iter_stages, tips, the walks of
+gropes.splitting.full_split and the piece walk of gropes.moves all read
+it, so every derived id and trace entry that depends on the order depends
+on this walker alone.  It also walks the live body the rewrite state of
+gropes.splitting edits in place, in which a list of (alpha, beta) pairs
+stands for a Stage and a tip id for its Tip, and stage_at follows paths
+through both kinds.  full_split rewrites that body while one walk of it is
+open, as the splice rule in _slots' docstring allows.
 
 The class of a grope measures nested commutator depth: tips have class 1,
 a stage has class min over its pairs of (class(alpha) + class(beta)), and
@@ -118,29 +120,35 @@ def _pairs(stage: Stage | list) -> tuple | list:
 
 
 def _slots(
-    obj: Grope | Stage | list, start: Path = (), max_depth: float = math.inf
+    obj: Grope | Stage | list, start: int = 0, max_depth: float = math.inf
 ) -> Iterator[tuple[Path, Slot]]:
-    """Slots at most max_depth deep with their paths, in traversal order from start.
+    """Slots at most max_depth deep with their paths, in traversal order.
 
-    The stages on the way down to start come first; subtrees wholly before
-    start are skipped without being entered.  The root itself, at path (),
-    is not a slot and is never yielded.  In a live body (module docstring)
-    a tip is yielded as its id.  Slot k of a stage is side k % 2 of pair
-    k // 2, and one frame per open stage on a stack replaces recursion, so
-    each slot costs one resume of one generator whatever its depth.
+    The walk starts at pair start of the first stage.  The root itself, at
+    path (), is not a slot and is never yielded.  In a live body (module
+    docstring) a tip is yielded as its id.  Slot k of a stage is side k % 2
+    of pair k // 2, and one frame per open stage on a stack replaces
+    recursion, so each slot costs one resume of one generator whatever its
+    depth.
+
+    The walk reads the open stage's pairs, and their number, afresh at every
+    step, which makes one splice exact: when the walk has just yielded a slot
+    it will not enter (a tip, or a stage max_depth deep) on side s of pair j
+    of a live stage, and pair j of that list is replaced in place by new
+    pairs, the walk goes on from slot 2j + s + 1 of the spliced list, as a
+    walk of the spliced tree does from the slot after (j, s).
     """
     if max_depth < 1:
         return
     pairs = _pairs(obj.root if isinstance(obj, Grope) else obj)
     path: Path = ()
-    k = 2 * start[0][0] + start[0][1] if start else 0
-    on_start = True  # the open stage lies on the way down to start
+    k = 2 * start
     stack = []
     while True:
         if k >= 2 * len(pairs):
             if not stack:
                 return
-            pairs, path, k, on_start = stack.pop()
+            pairs, path, k = stack.pop()
             continue
         step = (k >> 1, k & 1)
         slot = pairs[step[0]][step[1]]
@@ -148,10 +156,8 @@ def _slots(
         yield child, slot
         k += 1
         if (type(slot) is Stage or type(slot) is list) and len(child) < max_depth:
-            stack.append((pairs, path, k, on_start))
-            on_start = on_start and len(child) < len(start) and step == start[len(path)]
-            pairs, path = _pairs(slot), child
-            k = 2 * start[len(child)][0] + start[len(child)][1] if on_start else 0
+            stack.append((pairs, path, k))
+            pairs, path, k = _pairs(slot), child, 0
 
 
 def iter_stages(obj: Grope | Stage) -> Iterator[tuple[Path, Stage]]:

@@ -62,7 +62,7 @@ from .errors import (
     SplitFirstError,
     ValidationError,
 )
-from .grope import ALPHA, Path, Stage, _pairs, _slots
+from .grope import Path, Stage, _pairs, _slots
 from .splitting import _Point, _RewriteState
 from .words import IDENTITY, GroupWord
 
@@ -91,7 +91,7 @@ def _walk_piece(
     stages.
     """
     caps, uncapped, wide, paths = [], None, False, set()
-    for path, slot in _slots(root, ((j, ALPHA),)):
+    for path, slot in _slots(root, j):
         if path[0][0] != j:
             break
         kind = type(slot)

@@ -20,7 +20,7 @@ shift by m - 1, and the class of the grope is preserved.
 full_split drives both to a fixed point: afterwards every cap carries at most
 one label value and every stage above the first has genus 1, so all genus is
 concentrated on the first stage.  Its rewrite order is part of the contract,
-because it fixes every derived id and trace entry.  Both searches read the
+because it fixes every derived id and trace entry.  Both phases read the
 traversal order defined in gropes.grope, through its one walker:
 
 1. while some cap carries several values, split the first such cap in
@@ -58,20 +58,27 @@ frozen objects, each once and through the public constructors, so every one
 passes its checks: the Tips and Stages of the live body, one Intersection
 per live point, and the CappedGrope, with its points sorted.
 
-full_split also resumes each search from a cursor, relying on two
-invariants.  split_cap at pair j of the stage at path P leaves every cap
-before (P, j, alpha) in traversal order untouched, so the next multi-valued
-cap is never earlier.  split_stage creates no multi-valued cap, no genus > 1
-stage deeper than the one it splits, and none earlier at the same depth, so
-stage splitting resumes at the same depth from (P, j, alpha), and moves one
-level up when that depth is exhausted.
+full_split runs each phase as one walk of the live body by grope._slots,
+rewriting a slot as the walk yields it: phase 1 splits each multi-valued
+cap at its tip, and phase 2, once per depth from the deepest wide stage up
+to 1, splits each genus > 1 stage exactly that deep.  A rewrite splices its
+new pairs into the very list the walk stands in, and the walk reads that
+list afresh, so it goes on from the slot after the rewritten one (the
+splice rule of _slots).  That is the contract order, because no slot the
+walk has left behind can need a split.  The slots a rewrite puts behind
+the walk unchecked need none: the first replacement of the rewritten slot
+(a tip whose cap has one value, or a genus-1 piece) and, after a rewrite
+on the beta side, the first copy of the alpha slot, which the walk has
+finished and which has the same cap values and stage genera as its
+original.
 
 Duplication can grow structures fast (splitting a class-k grope whose caps
 each carry n values multiplies first-stage genus to n^k), so both moves
-enforce configurable size guards after every rewrite, and full_split
-refuses before its first rewrite when the first-stage genus it would reach,
-worked out from the caps' values, or a lower bound on the number of points
-it would make exceeds its guard.
+enforce configurable size guards after every rewrite.  Only growth past a
+guard is refused: a figure already over its guard may stay where it is.
+full_split also refuses before its first rewrite when the first-stage genus
+it would reach, worked out from the caps' values, or a lower bound on the
+number of points it would make exceeds its guard.
 
 Parallel copies get lineage names: cap c3 becomes c3.1 and c3.2, an
 intersection i7 inherited by two copies becomes i7.1 and i7.2.  Copy k of
@@ -119,7 +126,7 @@ from .words import GroupWord, unoriented_key
 
 @dataclass(frozen=True, slots=True)
 class SplitLimits:
-    """Size guards; exceeding either aborts the rewrite."""
+    """Size guards; a rewrite that grows a figure past either is aborted."""
 
     max_first_stage_genus: int = 10**6
     max_intersections: int = 10**7
@@ -359,7 +366,10 @@ def _widen_pair(
     are rewritten in id order, the order in which their lineage names were
     always derived.  names, one per rewrite, derives every new name.
     """
-    caps, tip_cap = state.caps, state.tip_cap
+    caps, tip_cap, limits = state.caps, state.tip_cap, state.limits
+    # Only growth is refused: a figure already over its guard may stay there.
+    max_genus = max(limits.max_first_stage_genus, len(state.root))
+    max_points = max(limits.max_intersections, len(state.points))
     pairs = stage_at(state.root, ppath)
     old, dual = pairs[pair][side], pairs[pair][1 - side]
     count = len(mine)
@@ -448,13 +458,11 @@ def _widen_pair(
             del caps[cap]
     state.changes += 1
 
-    limits = state.limits
-    genus = len(state.root)
-    if genus > limits.max_first_stage_genus:
+    if (genus := len(state.root)) > max_genus:
         raise GrowthLimitError(
             f"first-stage genus {genus} exceeds the limit {limits.max_first_stage_genus}"
         )
-    if len(points) > limits.max_intersections:
+    if len(points) > max_points:
         raise GrowthLimitError(
             f"{len(points)} intersections exceed the limit {limits.max_intersections}"
         )
@@ -589,25 +597,6 @@ def split_stage(
     return state.result()
 
 
-def _next_multi_valued_cap(state: _RewriteState, start: Path) -> tuple[str, Path] | None:
-    """The first cap with several values at or after start, in grope._slots order."""
-    tip_cap, by_cap = state.tip_cap, state.by_cap
-    for path, slot in _slots(state.root, start):
-        if type(slot) is str:
-            cap = tip_cap.get(slot)
-            if len(by_cap.get(cap, ())) > 1 and len(state.cap_keys(cap)) > 1:
-                return cap, path
-    return None
-
-
-def _next_wide_stage(root: list, depth: int, start: Path) -> Path | None:
-    """The first genus > 1 stage exactly `depth` deep at or after start, in grope._slots order."""
-    for path, slot in _slots(root, start, depth):
-        if len(path) == depth and type(slot) is list and len(slot) > 1:
-            return path
-    return None
-
-
 def _predicted_size(state: _RewriteState) -> tuple[int, int]:
     """The first-stage genus full_split reaches, and a lower bound on the points it ends with.
 
@@ -696,8 +685,8 @@ def full_split(
     Rewrites run in the module's contract order, over the traversal order
     of gropes.grope: first the first multi-valued cap, repeatedly; then,
     among the deepest stages of genus > 1 above the first, the first one.
-    Each search resumes from where the last rewrite happened, which the two
-    cursor invariants in the module docstring make exact.  Raises
+    Each phase is one walk of the live body, which the splice rule in the
+    module docstring makes exact.  Raises
     GrowthLimitError before any rewrite when the splitting would raise the
     first-stage genus above limits.max_first_stage_genus, or the number of
     intersections (by a lower bound worked out from the input) above
@@ -723,16 +712,16 @@ def _full_split(state: _RewriteState) -> None:
             f"over the limit {limits.max_intersections}"
         )
 
-    start: Path = ()
-    while (found := _next_multi_valued_cap(state, start)) is not None:
-        cap, path = found
-        _split_cap_at(state, cap, (path[:-1], path[-1][0]))
-        start = path[:-1] + ((path[-1][0], ALPHA),)
+    # Each rewrite splices its pairs into the stage the walk stands in (see _slots).
+    tip_cap, by_cap = state.tip_cap, state.by_cap
+    for path, slot in _slots(state.root):
+        if type(slot) is str:
+            cap = tip_cap.get(slot)
+            if len(by_cap.get(cap, ())) > 1 and len(state.cap_keys(cap)) > 1:
+                _split_cap_at(state, cap, (path[:-1], path[-1][0]))
 
     wide = (len(p) for p, s in _slots(state.root) if type(s) is list and len(s) > 1)
-    depth = max(wide, default=0)
-    for depth in range(depth, 0, -1):
-        start = ()
-        while (path := _next_wide_stage(state.root, depth, start)) is not None:
-            _split_stage_at(state, path)
-            start = path[:-1] + ((path[-1][0], ALPHA),)
+    for depth in range(max(wide, default=0), 0, -1):
+        for path, slot in _slots(state.root, max_depth=depth):
+            if len(path) == depth and type(slot) is list and len(slot) > 1:
+                _split_stage_at(state, path)

@@ -180,6 +180,24 @@ def split_genus3_grope() -> CappedGrope:
     return CappedGrope(body, caps, tuple(points), (SphereRecord("sph0", 0, "a", "b", g),))
 
 
+def over_the_guards_grope() -> CappedGrope:
+    """A genus-3 first stage and 2 points; cap ca carries x1 and x2.
+
+    ca sits on the alpha tip of the genus-1 stage above pair 0, and cap ck on
+    each other tip tk (cb on tb).  Splitting ca widens only that stage and
+    keeps the 2 points; a full split then widens the first stage to genus 4.
+    """
+    f, g = generator(1), generator(2)
+    above = Stage(((Tip("ta"), Tip("tb")),))
+    body = Grope(Stage(((above, Tip("t1")), (Tip("t2"), Tip("t3")), (Tip("t4"), Tip("t5")))))
+    caps = {"ca": "ta", "cb": "tb", **{f"c{k}": f"t{k}" for k in range(1, 6)}}
+    points = (
+        Intersection("p1", CapRef("ca"), CapRef("ca"), f),
+        Intersection("p2", CapRef("ca"), CapRef("ca"), g),
+    )
+    return CappedGrope(body, caps, points)
+
+
 def collision_kernel() -> SurgeryKernel:
     """generate_kernel(3, labels=3, pair_count=2) with a twin <id>.1 beside each
     of every grope's first 40 points.

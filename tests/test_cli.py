@@ -40,6 +40,7 @@ from conftest import (
     collision_kernel,
     dumps_grope,
     ghost_tip_grope,
+    over_the_guards_grope,
     split_genus3_grope,
 )
 
@@ -576,6 +577,23 @@ def test_split_cap_growth_guard_exit_code(capsys, multivalue_file):
     code, out, err = run(capsys, "split", "--cap", "c1", "--max-genus", "1", multivalue_file)
     assert (code, out) == (3, "")
     assert err == "growth limit: first-stage genus 2 exceeds the limit 1\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--cap", "ca", "--max-genus", "2"),
+        ("--max-intersections", "1"),
+        ("--cap", "ca", "--max-intersections", "1"),
+    ],
+)
+def test_split_keeps_figures_over_a_guard_that_do_not_grow(capsys, tmp_path, argv):
+    """Genus 3 and 2 points, both over the guard: splitting ca grows neither, so exit 0."""
+    path = write(tmp_path, "over.json", dumps_capped(over_the_guards_grope()))
+    code, out, err = run(capsys, "split", *argv, path)
+    assert (code, err) == (0, "")
+    _, cg = loads_document(out)
+    assert len(cg.intersections) == 2
 
 
 @pytest.mark.parametrize("command", ["split", "pipeline"])

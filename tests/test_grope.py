@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import time
 
@@ -36,6 +37,7 @@ from gropes import (
 )
 
 from gropes.grope import _slots
+from gropes.splitting import _thaw
 
 from conftest import dyadic_tower, is_dyadic, words
 
@@ -189,7 +191,6 @@ walker_roots = st.one_of(
         st.integers(1, 3),
     ),
 )
-steps = st.tuples(st.integers(0, 3), st.integers(0, 1))
 
 
 @settings(max_examples=200, deadline=None)
@@ -201,14 +202,34 @@ def test_slots_is_the_traversal_order(root, data):
     full = list(_slots(root))
     assert [p for p, _ in full] == sorted(p for p, _ in full)  # lexicographic order of paths
     assert all(stage_at(root, p[:-1]).pairs[p[-1][0]][p[-1][1]] is slot for p, slot in full)
-    # A start in the tree, or anywhere: past a genus, through a tip.
-    start = data.draw(st.sampled_from([p for p, _ in full]) | st.lists(steps, max_size=4).map(tuple))
-    ancestors = [(p, s) for p, s in full if p < start and p == start[: len(p)]]
-    assert list(_slots(root, start)) == ancestors + [(p, s) for p, s in full if p >= start]
+    # A first-stage pair to start from, or one past the genus.
+    start = data.draw(st.integers(0, len(root.pairs)))
+    assert list(_slots(root, start)) == [(p, s) for p, s in full if p[0][0] >= start]
     for bound in range(6):
         assert list(_slots(root, start, bound)) == [
             (p, s) for p, s in _slots(root, start) if len(p) <= bound
         ]
+
+
+@pytest.mark.parametrize("side", [0, 1], ids=["alpha", "beta"])
+@settings(max_examples=100, deadline=None)
+@given(walker_roots, stage_trees(), st.data())
+def test_slots_walks_on_through_a_splice(side, root, spliced, data):
+    """Pairs spliced in place of the pair just yielded are walked from the next slot on."""
+    live, new_pairs = _thaw(root), _thaw(spliced)
+    full = list(_slots(live))
+    at = data.draw(st.sampled_from([p for p, _ in full if p[-1][1] == side]))
+    parent, j = stage_at(live, at[:-1]), at[-1][0]
+    # A stage is yielded at the depth bound, which the walk does not enter.
+    bound = len(at) if type(parent[j][side]) is list else math.inf
+    walk = _slots(live, max_depth=bound)
+    for path, _ in walk:
+        if path == at:
+            break
+    parent[j : j + 1] = new_pairs
+    rest = list(walk)
+    after = [(p, s) for p, s in _slots(live, max_depth=bound) if p > at and p[: len(at)] != at]
+    assert rest == after
 
 
 # ---------------------------------------------------------------------------

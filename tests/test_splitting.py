@@ -51,6 +51,7 @@ from gropes.splitting import _predicted_size, _RewriteState
 from conftest import (
     dyadic_tower,
     ghost_tip_grope,
+    over_the_guards_grope,
     random_capped_grope,
     report,
     seeded,
@@ -660,6 +661,77 @@ def test_full_split_matches_the_rescanning_oracle(cg):
     before = dumps_capped(cg)
     assert _split_text(full_split, cg) == _split_text(_oracle_full_split, cg)
     assert dumps_capped(cg) == before  # the input is never mutated
+
+
+def _capped(root: Stage, values: dict[str, tuple], body_points=()) -> CappedGrope:
+    """The capped grope on root with cap ck on each tip tk.
+
+    values maps a cap to the labels of its self points, and body_points
+    lists (cap, stage path, label) for points from a cap to a stage.
+    """
+    caps = {"c" + t[1:]: t for t in tips(root)}
+    pts = [
+        Intersection(f"{cap}v{k}", CapRef(cap), CapRef(cap), label)
+        for cap, labels in values.items()
+        for k, label in enumerate(labels)
+    ]
+    pts += [
+        Intersection(f"b{k}", CapRef(cap), BodyRef(path), label)
+        for k, (cap, path, label) in enumerate(body_points)
+    ]
+    return CappedGrope(Grope(root), caps, tuple(pts))
+
+
+def _splice_alpha_cap_with_a_multivalued_dual() -> CappedGrope:
+    """c1 splits on the alpha side; its dual stage holds c2, which carries two values."""
+    dual = Stage(((Tip("t2"), Tip("t3")),))
+    root = Stage(((Tip("t1"), dual), (Tip("t4"), Tip("t5"))))
+    return _capped(root, {"c1": (F, G), "c2": (G, H), "c4": (F,)}, [("c3", ((0, 1),), H)])
+
+
+def _splice_beta_cap_with_two_values_left() -> CappedGrope:
+    """c3 splits on the beta side into a one-value cap and a rest cap of two values."""
+    alpha = Stage(((Tip("t1"), Tip("t2")),))
+    root = Stage(((alpha, Tip("t3")), (Tip("t4"), Tip("t5"))))
+    return _capped(root, {"c3": (F, G, H), "c1": (G,)}, [("c2", ((0, 0),), F)])
+
+
+def _splice_two_wide_stages_at_one_depth() -> CappedGrope:
+    """Two genus-2 stages two deep in one stage, the first on a beta side."""
+    first = Stage(((Tip("t2"), Tip("t3")), (Tip("t4"), Tip("t5"))))
+    second = Stage(((Tip("t6"), Tip("t7")), (Tip("t8"), Tip("t9"))))
+    middle = Stage(((Tip("t1"), first), (second, Tip("t10"))))
+    root = Stage(((middle, Tip("t11")),))
+    paths = (((0, 0), (0, 1)), ((0, 0), (1, 0)), ((0, 0),))
+    body_points = [(f"c{k}", p, F) for k, p in zip((1, 8, 11), paths)]
+    return _capped(root, {"c3": (G,), "c6": (F,)}, body_points)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        _splice_alpha_cap_with_a_multivalued_dual,
+        _splice_beta_cap_with_two_values_left,
+        _splice_two_wide_stages_at_one_depth,
+    ],
+)
+def test_full_split_matches_the_oracle_where_rewrites_splice(make):
+    """Each phase walks on through the pairs a rewrite splices in; the rescan agrees."""
+    cg = make()
+    assert _split_text(full_split, cg) == _split_text(_oracle_full_split, cg)
+    _postconditions(cg, full_split(cg))
+
+
+def test_rewrites_refuse_only_growth_past_a_guard():
+    """A figure already over its guard may stay there; growing it further is refused."""
+    cg = over_the_guards_grope()
+    out = split_cap(cg, "ca", limits=SplitLimits(max_first_stage_genus=2))
+    assert (out.body.root.genus, len(out.intersections)) == (3, 2)
+    assert split_cap(cg, "ca", limits=SplitLimits(max_intersections=1)) == out
+    full = full_split(cg, limits=SplitLimits(max_intersections=1))
+    assert (full.body.root.genus, len(full.intersections)) == (4, 2)
+    with pytest.raises(GrowthLimitError, match="first-stage genus 4 exceeds the limit 2"):
+        split_stage(out, ((0, 0),), limits=SplitLimits(max_first_stage_genus=2))
 
 
 def test_full_split_keeps_an_id_taken_by_another_kind():
