@@ -3,9 +3,9 @@
 Build gropes as labeled trees of surface stages, track cap intersections
 with free-group labels, split caps and stages until every cap carries one
 label value, and contract pieces into families of identity-labeled sphere
-pairs.  Word arithmetic, truncated expansions, and lower-central-series
-depth live in gropes.words; the rewriting moves in gropes.splitting and
-gropes.moves; the end-to-end surgery in gropes.pipeline.
+pairs.  Word arithmetic and lower-central-series depth live in
+gropes.words; the rewriting moves in gropes.splitting and gropes.moves;
+the end-to-end surgery in gropes.pipeline.
 """
 
 from .capped import (
@@ -98,11 +98,9 @@ from .words import (
     IDENTITY,
     Depth,
     GroupWord,
-    TruncatedSeries,
     commutator,
     generator,
     lcs_depth,
-    magnus,
     reduce,
     unoriented_key,
 )

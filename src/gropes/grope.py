@@ -300,20 +300,17 @@ def validate_grope(obj: Grope) -> list[str]:
         return [f"not a grope: {obj!r}"]
     seen_objects: set[int] = set()
     seen_tips: dict[str, int] = {}
-
-    def walk(slot: Slot) -> None:
+    todo: list[Slot] = [obj.root]
+    while todo:
+        slot = todo.pop()
         if id(slot) in seen_objects:
             problems.append("shared subtree: the stage tree must not alias nodes")
-            return
+            continue
         seen_objects.add(id(slot))
         if isinstance(slot, Tip):
             seen_tips[slot.tip_id] = seen_tips.get(slot.tip_id, 0) + 1
-            return
-        for a, b in slot.pairs:
-            walk(a)
-            walk(b)
-
-    walk(obj.root)
+        else:
+            todo.extend(child for pair in slot.pairs for child in pair)
     for tip_id, n in sorted(seen_tips.items()):
         if n > 1:
             problems.append(f"duplicate tip id {tip_id!r} ({n} occurrences)")

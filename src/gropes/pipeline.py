@@ -48,7 +48,7 @@ from .capped import (
 )
 from .commutators import MAX_NESTING
 from .errors import GropeError, HypothesisError, ValidationError
-from .grope import Grope, Slot, Stage, Tip, _path_from_doc, class_of, iter_stages
+from .grope import Grope, Path, Slot, Stage, Tip, _path_from_doc, class_of
 from .moves import _contract_at, _pushoff_at, _sweep
 from .splitting import SplitLimits, _full_split, _RewriteState, _split_cap_at, _split_stage_at
 from .words import IDENTITY, GroupWord, generator
@@ -305,20 +305,36 @@ _KERNEL_ROOT_GENERA = (1, 1, 2)
 _MAX_GENERATED_TIPS = 50_000
 
 
-def _random_slot(rng: random.Random, c: int, tip_ids: "list[str]") -> Slot:
-    """A random slot of class exactly c; each tip it makes joins tip_ids."""
+def _random_slot(
+    rng: random.Random, c: int, tip_ids: "list[str]", stage_paths: "list[Path]", path: Path
+) -> Slot:
+    """A random slot of class exactly c at path; see _random_stage."""
     if c == 1:
         tip_ids.append(f"t{len(tip_ids) + 1}")
         return Tip(tip_ids[-1])
-    return _random_stage(rng, c, 1 + (rng.random() < _WIDE_STAGE_ODDS), tip_ids)
+    return _random_stage(rng, c, 1 + (rng.random() < _WIDE_STAGE_ODDS), tip_ids, stage_paths, path)
 
 
-def _random_stage(rng: random.Random, c: int, genus: int, tip_ids: "list[str]") -> Stage:
-    """A random stage of class exactly c and the given genus, made pair by pair."""
+def _random_stage(
+    rng: random.Random,
+    c: int,
+    genus: int,
+    tip_ids: "list[str]",
+    stage_paths: "list[Path]",
+    path: Path = (),
+) -> Stage:
+    """A random stage of class exactly c and the given genus at path, made pair by pair.
+
+    Each tip it makes joins tip_ids, in traversal order.  Each stage's path
+    joins stage_paths before the paths of the stages above it, so
+    stage_paths lists them in iter_stages order.
+    """
+    stage_paths.append(path)
     pairs = []
-    for _ in range(genus):
+    for j in range(genus):
         a = rng.randint(1, c - 1)
-        pairs.append((_random_slot(rng, a, tip_ids), _random_slot(rng, c - a, tip_ids)))
+        alpha = _random_slot(rng, a, tip_ids, stage_paths, path + ((j, 0),))
+        pairs.append((alpha, _random_slot(rng, c - a, tip_ids, stage_paths, path + ((j, 1),))))
     return Stage(tuple(pairs))
 
 
@@ -328,7 +344,7 @@ def random_grope(rng: random.Random, grope_class: int, *, genus: int = 1) -> Gro
         raise ValidationError(f"a grope has class >= 2, got {grope_class}")
     if genus < 1:
         raise ValidationError(f"genus must be >= 1, got {genus}")
-    return Grope(_random_stage(rng, grope_class, genus, []))
+    return Grope(_random_stage(rng, grope_class, genus, [], []))
 
 
 def generate_kernel(
@@ -444,9 +460,10 @@ def _pigeonhole_safe_grope(
     actually split caps while keeping every split copy on a pool value.
     """
     tip_ids: list[str] = []
-    body = Grope(_random_stage(rng, grope_class, rng.choice(_KERNEL_ROOT_GENERA), tip_ids))
+    stage_paths: list[Path] = []
+    genus = rng.choice(_KERNEL_ROOT_GENERA)
+    body = Grope(_random_stage(rng, grope_class, genus, tip_ids, stage_paths))
     caps = {f"c{k + 1}": t for k, t in enumerate(tip_ids)}
-    stage_paths = [path for path, _ in iter_stages(body)]
     points: list[Intersection] = []
 
     def add_point(cap: str, label: GroupWord, to_body: bool) -> None:

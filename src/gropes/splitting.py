@@ -597,6 +597,34 @@ def split_stage(
     return state.result()
 
 
+def _mult(
+    state: _RewriteState,
+    slot: str | list,
+    path: Path,
+    mult: dict[Path, int],
+    cap_path: dict[str, Path],
+) -> int:
+    """mult(slot) of _predicted_size, recorded for slot and every slot above it.
+
+    A plain recursive function rather than a closure that calls itself,
+    which would be a reference cycle holding state until a full collection.
+    """
+    if type(slot) is str:
+        cap = state.tip_cap.get(slot)
+        m = 1
+        if cap is not None:
+            cap_path[cap] = path
+            m = max(1, len(state.cap_keys(cap)))
+    else:
+        m = sum(
+            _mult(state, a, path + ((j, ALPHA),), mult, cap_path)
+            * _mult(state, b, path + ((j, BETA),), mult, cap_path)
+            for j, (a, b) in enumerate(slot)
+        )
+    mult[path] = m
+    return m
+
+
 def _predicted_size(state: _RewriteState) -> tuple[int, int]:
     """The first-stage genus full_split reaches, and a lower bound on the points it ends with.
 
@@ -620,26 +648,9 @@ def _predicted_size(state: _RewriteState) -> tuple[int, int]:
     sheet outside the body, counts as copied with the other end.
     """
     state.ready_to_split()
-    tip_cap = state.tip_cap
     mult: dict[Path, int] = {}
     cap_path: dict[str, Path] = {}
-
-    def walk(slot: str | list, path: Path) -> int:
-        if type(slot) is str:
-            cap = tip_cap.get(slot)
-            m = 1
-            if cap is not None:
-                cap_path[cap] = path
-                m = max(1, len(state.cap_keys(cap)))
-        else:
-            m = sum(
-                walk(a, path + ((j, ALPHA),)) * walk(b, path + ((j, BETA),))
-                for j, (a, b) in enumerate(slot)
-            )
-        mult[path] = m
-        return m
-
-    genus = walk(state.root, ())
+    genus = _mult(state, state.root, (), mult, cap_path)
     copies: dict[Path, int] = {(): 1}
     for path in sorted(mult, key=len)[1:]:
         parent, (j, side) = path[:-1], path[-1]

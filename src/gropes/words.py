@@ -1,4 +1,4 @@
-"""Free-group words, truncated power-series expansions, and depth.
+"""Free-group words, their truncated power-series expansion, and depth.
 
 A word in the free group F(x1, x2, ...) is stored freely reduced as a tuple
 of nonzero integers: letter i > 0 is the generator x_i and -i is its inverse.
@@ -13,17 +13,29 @@ each letter is multiplied in with a single pass over the terms below the
 cutoff (x_g appends g to every term; x_g^-1 solves B = A - B * X_g degree by
 degree), never as a product of two general series.
 
-The depth is found in two steps.  A witness first bounds it from above.  It
-multiplies a row vector through the word in the unitriangular representation
-x_g -> I + sum_t a_{g,t} E_{t,t+1} with fixed pseudo-random entries mod a
-prime, the expansion's in-place update on scalars, so K degrees cost
-O(len * K).  Entry d is the degree-d part evaluated at independent values,
-so a nonzero entry certifies a nonzero degree-d part and depth <= d.  A word
-with s syllables x_{i1}^{e1} ... x_{is}^{es} has coefficient e1 * ... * es
-on X_{i1} ... X_{is}, so its depth is at most s and the witness never needs
-more than min(cutoff, s) degrees.
+The depth is found in up to three steps.  A witness first bounds it from
+above.  It multiplies a row vector through the word in the unitriangular
+representation x_g -> I + sum_t a_{g,t} E_{t,t+1} with fixed pseudo-random
+entries mod a prime, the expansion's in-place update on scalars, so K
+degrees cost O(len * K).  Entry d is the degree-d part evaluated at
+independent values, so a nonzero entry certifies a nonzero degree-d part and
+depth <= d.  A word with s syllables x_{i1}^{e1} ... x_{is}^{es} has
+coefficient e1 * ... * es on X_{i1} ... X_{is}, so its depth is at most s
+and the witness never needs more than min(cutoff, s) degrees.
 
-Then one expansion runs below the certified degree and keeps only the
+Essential generators then bound it from below.  Call g essential when
+deleting every x_g^+-1 from w and freely reducing gives the identity.
+Killing x_g is a homomorphism that sends X_g to 0 and fixes the other
+variables, so every g-free monomial of w's expansion has coefficient 0:
+when t generators are essential, every nonzero monomial of positive degree
+contains all t of them, and depth >= t.  An iterated commutator of distinct
+generators (the boundary word of a grope whose tips get distinct
+generators) has every generator essential, so this bound meets the
+witness and the depth is settled in O(generators * len).  The test stops
+after at most 2t reduction passes, t the depth it has to reach, so it costs
+about one more witness pass whatever the number of generators.
+
+Otherwise one expansion runs below the certified degree and keeps only the
 monomials that are prefixes of Lyndon words; its lowest non-empty level is
 the exact depth, for two reasons.  Every update appends a letter to a term,
 so a monomial's coefficient depends only on those of its prefixes, and a
@@ -35,14 +47,15 @@ standard bracketing of a Lyndon word l is l plus lexicographically larger
 words (Reutenauer, Free Lie Algebras, sec. 5.1; Lothaire, Combinatorics on
 Words, ch. 5).  Applied level by level from degree 1, this makes the lowest
 non-empty pruned level the lowest non-empty level of the full expansion.
-If every level is empty, the depth is the certified degree.  magnus keeps
-the full expansion.
+If every level is empty, the depth is the certified degree.  Words with
+repeated generators, such as [[x1, x2], x1], can have fewer essential
+generators than their depth, and take this path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 from .errors import GrowthLimitError, ValidationError
 
@@ -163,86 +176,14 @@ def unoriented_key(w: GroupWord) -> tuple[int, ...]:
     return min(letters, tuple(-x for x in reversed(letters)))
 
 
-class TruncatedSeries:
-    """1 + (terms) in noncommuting variables, truncated above a degree cutoff.
+def _expand(letters: tuple[int, ...], cutoff: int) -> list[dict[tuple[int, ...], int]]:
+    """Graded expansion of a word on the prefixes of Lyndon words.
 
-    Terms map a monomial, a tuple of positive generator indices, to a nonzero
-    integer coefficient.  The constant term is implicitly 1: every series here
-    is the expansion of a group element, and those are always unit series.
-    """
-
-    __slots__ = ("cutoff", "terms")
-
-    def __init__(self, cutoff: int, terms: Mapping[tuple[int, ...], int] | None = None):
-        if cutoff < 1:
-            raise ValidationError(f"cutoff must be >= 1, got {cutoff}")
-        self.cutoff = cutoff
-        clean: dict[tuple[int, ...], int] = {}
-        for mono, coeff in (terms or {}).items():
-            if not mono:
-                raise ValidationError("constant term is implicit and cannot be set")
-            if len(mono) <= cutoff and coeff:
-                clean[tuple(mono)] = coeff
-        self.terms = clean
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.cutoff == other.cutoff and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.cutoff, frozenset(self.terms.items())))
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if self.cutoff != other.cutoff:
-            raise ValidationError("cannot multiply series with different cutoffs")
-        cutoff = self.cutoff
-        out = dict(other.terms)
-        for mono, coeff in self.terms.items():
-            c = out.get(mono, 0) + coeff
-            if c:
-                out[mono] = c
-            else:
-                out.pop(mono, None)
-        for ma, ca in self.terms.items():
-            room = cutoff - len(ma)
-            if room < 1:
-                continue
-            for mb, cb in other.terms.items():
-                if len(mb) > room:
-                    continue
-                mono = ma + mb
-                c = out.get(mono, 0) + ca * cb
-                if c:
-                    out[mono] = c
-                else:
-                    out.pop(mono, None)
-        product = TruncatedSeries(cutoff)
-        product.terms = out
-        return product
-
-    def coefficient(self, mono: tuple[int, ...]) -> int:
-        if not mono:
-            return 1
-        return self.terms.get(tuple(mono), 0)
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return f"TruncatedSeries(cutoff={self.cutoff}, 1)"
-        body = " + ".join(
-            f"{c}*{'.'.join(f'X{i}' for i in m)}"
-            for m, c in sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
-        )
-        return f"TruncatedSeries(cutoff={self.cutoff}, 1 + {body})"
-
-
-def _expand(
-    letters: tuple[int, ...], cutoff: int, lyndon: bool = False
-) -> list[dict[tuple[int, ...], int]]:
-    """Graded expansion of a word: levels[k] maps each degree-k monomial to its coefficient.
-
-    levels[0] is the constant term {(): 1}.  Letters are multiplied in one at
-    a time, in place, each in one pass over the terms below the cutoff:
+    levels[k] maps each degree-k monomial that is a prefix of a Lyndon word
+    (in the natural order of generator indices) to its coefficient in the
+    full expansion (see the module docstring); levels[0] is the constant
+    term {(): 1}.  Letters are multiplied in one at a time, in place, each in
+    one pass over the terms below the cutoff:
 
     - x_g:    A * (1 + X_g) adds m + (g,) for every term m.  Degrees are
       walked from high to low, so each level is read before it changes.
@@ -254,18 +195,15 @@ def _expand(
     Raises GrowthLimitError once the terms read, one pass per level and
     letter, pass MAX_EXPANSION_TERMS.
 
-    With lyndon=True only monomials that are prefixes of Lyndon words (in the
-    natural order of generator indices) are kept, with the same coefficients
-    as without it (see the module docstring).  They are recognised with
-    Duval's period p: m + (g,) is a prefix iff g >= m[len(m) - p]; the period
-    stays p on equality and becomes len(m) + 1 otherwise, and every single
-    letter is a prefix.
+    Lyndon prefixes are recognised with Duval's period p: m + (g,) is a
+    prefix iff g >= m[len(m) - p]; the period stays p on equality and becomes
+    len(m) + 1 otherwise, and every single letter is a prefix.
     """
     top = cutoff if any(x < 0 for x in letters) else min(cutoff, len(letters))
     levels: list[dict[tuple[int, ...], int]] = [{(): 1}]
     levels.extend({} for _ in range(top))
-    # rule[m] = (least letter that may follow m, period of m); None keeps all.
-    rule = {(): (0, 0)} if lyndon else None
+    # rule[m] = (least letter that may follow m, period of m).
+    rule = {(): (0, 0)}
     visited = 0
     for x in letters:
         if x > 0:
@@ -277,17 +215,16 @@ def _expand(
             src, dst = levels[k - 1], levels[k]
             visited += len(src)
             for mono, coeff in src.items():
-                if rule is not None:
-                    least, p = rule[mono]
-                    if g < least:
-                        continue
+                least, p = rule[mono]
+                if g < least:
+                    continue
                 mono += step
                 c = dst.get(mono, 0) + sign * coeff
                 if c:
                     dst[mono] = c
                 else:
                     del dst[mono]
-                if rule is not None and mono not in rule:
+                if mono not in rule:
                     rule[mono] = (mono[-p], p) if g == least else (mono[0], k)
         if visited > MAX_EXPANSION_TERMS:
             raise GrowthLimitError(
@@ -295,19 +232,6 @@ def _expand(
                 "lower the cutoff"
             )
     return levels
-
-
-def magnus(w: GroupWord, cutoff: int = DEFAULT_CUTOFF) -> TruncatedSeries:
-    """Expansion of w under x_i -> 1 + X_i, truncated above the cutoff.
-
-    The map is a homomorphism into the units of the truncated tensor algebra:
-    magnus(a * b) == magnus(a) * magnus(b) at any shared cutoff.  Raises
-    GrowthLimitError past MAX_EXPANSION_TERMS, as _expand does.
-    """
-    series = TruncatedSeries(cutoff)
-    for level in _expand(w.letters, cutoff)[1:]:
-        series.terms.update(level)
-    return series
 
 
 @dataclass(frozen=True, slots=True)
@@ -406,12 +330,38 @@ def _witness(letters: tuple[int, ...], top: int, saved: list | None = None) -> i
     return next((lo + d for d in range(1, n + 1) if v[d]), None)
 
 
+def _essential(letters: tuple[int, ...], t: int) -> bool:
+    """Whether at least t generators of the word are essential (module docstring).
+
+    g is essential when the word with every x_g^+-1 deleted freely reduces
+    to the identity; each test is one reduction pass over the letters.  The
+    tests stop at the t-th essential generator, or at the (m+1)-th other
+    one, m = min(n - t, t) for the n generators the word uses: past n - t
+    the answer is no, and past t the bound is not worth its passes.  So a
+    call makes at most 2t passes, whatever n.
+    """
+    gens = {abs(x) for x in letters}
+    spare = min(len(gens) - t, t)
+    if spare < 0:
+        return False
+    for g in gens:
+        if not _reduced(x for x in letters if x != g and x != -g):
+            t -= 1
+            if not t:
+                return True
+        elif not spare:
+            return False
+        else:
+            spare -= 1
+    return False
+
+
 def lcs_depth(w: GroupWord, cutoff: int = DEFAULT_CUTOFF) -> Depth:
     """Depth of w in the lower central series, resolved up to the cutoff.
 
     A nontrivial word's expansion acquires its first terms exactly in degree
     equal to its depth, so the answer is exact whenever it is at most the
-    cutoff.  It is found in two steps.
+    cutoff.  It is found in up to three steps.
 
     First a witness (_witness) bounds the depth from above: it evaluates
     every degree up to K at once in O(len(w) * K), and a nonzero degree d
@@ -420,19 +370,26 @@ def lcs_depth(w: GroupWord, cutoff: int = DEFAULT_CUTOFF) -> Depth:
     e1 * ... * es != 0 on X_{i1} ... X_{is}, so its depth is at most s.  Each
     doubling extends the last pass from K to 2K instead of starting over, so
     the witness costs O(len(w) * K) in all, and a shallow word stays
-    O(len(w)) at any cutoff.
+    O(len(w)) at any cutoff.  A certified degree of 1 is the depth.
 
-    Then one expansion, kept to prefixes of Lyndon words, runs below the
-    least degree d* the witness certified (or up to min(cutoff, s) when none
-    was), and its lowest non-empty level is the exact depth.  The pruned
-    levels hold the full expansion's coefficients on the kept monomials (the
-    kept set is prefix-closed and every update appends a letter).  By
-    induction on the degree, their lowest non-empty level is the full
-    expansion's: with the degrees below c zero, levels[c] is a Lie
-    polynomial (Magnus), nonzero only if its coefficient on some Lyndon
-    word is (Reutenauer, Free Lie Algebras, sec. 5.1; Lothaire,
-    Combinatorics on Words, ch. 5).  If every level is empty the depth is
-    d*, or more than the cutoff when no degree was certified.
+    Then the essential generators bound the depth from below: if t of them
+    are essential, every nonzero monomial of positive degree holds all t,
+    so depth >= t (module docstring).  With t the least degree d* the
+    witness certified, the depth is d*; with t = cutoff + 1, when no degree
+    was certified, it is past the cutoff.  The test (_essential) makes at
+    most 2t passes of O(len(w)), about what the witness already spent.
+
+    Otherwise one expansion, kept to prefixes of Lyndon words, runs below d*
+    (or up to min(cutoff, s) when no degree was certified), and its lowest
+    non-empty level is the exact depth.  The pruned levels hold the full
+    expansion's coefficients on the kept monomials (the kept set is
+    prefix-closed and every update appends a letter).  By induction on the
+    degree, their lowest non-empty level is the full expansion's: with the
+    degrees below c zero, levels[c] is a Lie polynomial (Magnus), nonzero
+    only if its coefficient on some Lyndon word is (Reutenauer, Free Lie
+    Algebras, sec. 5.1; Lothaire, Combinatorics on Words, ch. 5).  If every
+    level is empty the depth is d*, or more than the cutoff when no degree
+    was certified.
 
     Raises GrowthLimitError when a witness pass or the expansion would pass
     MAX_EXPANSION_TERMS.
@@ -446,9 +403,13 @@ def lcs_depth(w: GroupWord, cutoff: int = DEFAULT_CUTOFF) -> Depth:
     k, saved = 2, []
     while (certified := _witness(letters, min(k, bound), saved)) is None and k < bound:
         k *= 2
+    # The expansion would search degrees 1..top.  With top + 1 essential
+    # generators the depth is past top, so the answer is the one it gives
+    # when every level is empty.  With no degree certified and bound = s <
+    # cutoff, top + 1 is more than the word's generators and the test fails.
     top = bound if certified is None else certified - 1
-    if top:
-        for d, level in enumerate(_expand(letters, top, lyndon=True)[1:], 1):
+    if top and not _essential(letters, top + 1):
+        for d, level in enumerate(_expand(letters, top)[1:], 1):
             if level:
                 return Depth.exact(d)
     return Depth.at_least(cutoff + 1) if certified is None else Depth.exact(certified)

@@ -398,14 +398,26 @@ def test_lcs_reports_cutoff_saturation(capsys):
 
 
 def test_lcs_refuses_a_cutoff_that_needs_too_many_terms(capsys):
-    """Weight 12 at cutoff 14 must expand to degree 11: exit 3 after about 2M terms."""
-    text = "[" * 11 + "x1" + "".join(f",x{i}]" for i in range(2, 13))
+    """Weight 12 over x1, x2 at cutoff 14 must expand to degree 11: exit 3 after about 2M terms.
+
+    Two essential generators cannot settle a depth of 12, so the expansion runs.
+    """
+    text = "[" * 11 + "x1" + ",x2],x1]" * 5 + ",x2]"  # [[..[x1,x2],x1],..],x2]
     start = time.perf_counter()
     code, out, err = run(capsys, "lcs", "--cutoff", "14", text)
     elapsed = time.perf_counter() - start
     assert (code, out) == (3, "")
     assert err.count("\n") == 1 and err.startswith("growth limit:") and "terms" in err
     assert elapsed < 20, f"refused after {elapsed:.2f}s"
+
+
+def test_lcs_of_distinct_generators_needs_no_expansion(capsys):
+    """Weight 12 over x1..x12: every generator is essential, so the witness's 12 is exact."""
+    text = "[" * 11 + "x1" + "".join(f",x{i}]" for i in range(2, 13))
+    start = time.perf_counter()
+    assert run(capsys, "lcs", "--cutoff", "14", text)[:2] == (0, "12\n")
+    elapsed = time.perf_counter() - start
+    assert elapsed < 2, f"took {elapsed:.2f}s"
 
 
 def test_lcs_help_explains_the_cutoff(capsys):

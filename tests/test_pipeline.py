@@ -1,5 +1,6 @@
 """Kernel validation, hypothesis counting, and the full surgery pipeline."""
 
+import gc
 import hashlib
 import itertools
 import random
@@ -57,9 +58,9 @@ from gropes.errors import (
     SplitFirstError,
     ValidationError,
 )
-from gropes.grope import Grope, Stage, Tip
+from gropes.grope import Grope, Stage, Tip, iter_stages
 import gropes.pipeline as pipeline_module
-from gropes.pipeline import _expected_tips
+from gropes.pipeline import _expected_tips, _random_stage
 from gropes.words import IDENTITY, GroupWord
 
 from conftest import (
@@ -1089,6 +1090,35 @@ def test_generate_kernel_golden(name):
 def test_random_grope_golden(genus):
     text = canonical_dumps(grope_to_doc(random_grope(random.Random(genus), 4, genus=genus)))
     assert hashlib.sha256(text.encode()).hexdigest() == RANDOM_GROPE_GOLDEN[genus]
+
+
+def test_random_stage_lists_its_tips_and_stage_paths_in_traversal_order():
+    """Body-ended points draw from these lists, so their order is part of the generators' output."""
+    for seed in range(60):
+        tip_ids, stage_paths = [], []
+        stage = _random_stage(random.Random(seed), 6, 1 + seed % 3, tip_ids, stage_paths)
+        assert tip_ids == tips(stage)
+        assert stage_paths == [path for path, _ in iter_stages(stage)]
+
+
+def test_split_and_surgery_leave_no_reference_cycles():
+    """Their state is freed when each call returns, not by a later full collection.
+
+    A cycle anywhere in the rewrite state, or a walk that closes over
+    itself, leaves garbage that only the cyclic collector finds.
+    """
+    kernel = generate_kernel(1, labels=3, pair_count=2)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for cg in kernel.gropes:
+            full_split(cg)
+        run_surgery(kernel)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_generate_kernel_defaults_to_the_minimal_class():

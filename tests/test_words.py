@@ -1,4 +1,4 @@
-"""Free-group words, truncated series, and lower-central-series depth."""
+"""Free-group words, their expansion, and lower-central-series depth."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gropes import (
@@ -16,12 +16,10 @@ from gropes import (
     GroupWord,
     GrowthLimitError,
     IDENTITY,
-    TruncatedSeries,
     ValidationError,
     commutator,
     generator,
     lcs_depth,
-    magnus,
     reduce,
     unoriented_key,
 )
@@ -34,7 +32,9 @@ from magnus_oracle import (
     commutator_letters,
     depth_oracle,
     left_normed_letters,
+    letter_series,
     magnus_oracle,
+    poly_mul,
     reduce_letters,
 )
 
@@ -155,68 +155,96 @@ def test_unoriented_key_identity():
 
 
 # ---------------------------------------------------------------------------
-# truncated series
-
-
-def test_series_rejects_bad_terms():
-    with pytest.raises(ValidationError):
-        TruncatedSeries(0)
-    with pytest.raises(ValidationError):
-        TruncatedSeries(2, {(): 1})
+# the expansion oracle
+#
+# tests/magnus_oracle.py multiplies letter series out by brute force.  These
+# tests check it against series worked by hand and against the group laws,
+# so that the package's expansion and depth can be checked against it.
 
 
 def test_series_truncates_over_cutoff_terms():
-    s = TruncatedSeries(2, {(1, 2, 3): 1, (1,): 2})
-    assert s.terms == {(1,): 2}
+    assert letter_series(-1, 2) == {(): 1, (1,): -1, (1, 1): 1}
+    assert poly_mul({(): 1, (1, 2): 1}, {(): 1, (3,): 1}, 2) == {(): 1, (1, 2): 1, (3,): 1}
 
 
 def test_series_drops_zero_coefficients():
-    s = TruncatedSeries(3, {(1,): 0, (2,): 5})
-    assert (1,) not in s.terms
-    assert s.terms[(2,)] == 5
+    # (1 + X1)(1 - X1 + X1^2) = 1 + X1^3: degrees 1 and 2 cancel.
+    assert poly_mul({(): 1, (1,): 1}, {(): 1, (1,): -1, (1, 1): 1}, 3) == {(): 1, (1, 1, 1): 1}
 
 
 def test_series_product_truncates():
-    a = TruncatedSeries(2, {(1,): 1})
-    b = TruncatedSeries(2, {(2,): 1})
-    ab = a * b
+    a = {(): 1, (1,): 1}
+    b = {(): 1, (2,): 1}
+    ab = poly_mul(a, b, 2)
     # (1+X1)(1+X2) = 1 + X1 + X2 + X1X2
-    assert ab.terms == {(1,): 1, (2,): 1, (1, 2): 1}
+    assert ab == {(): 1, (1,): 1, (2,): 1, (1, 2): 1}
     # X1X2 * X1X2 would have degree 4 > 2: dropped entirely.
-    sq = ab * ab
-    assert all(len(m) <= 2 for m in sq.terms)
-
-
-# ---------------------------------------------------------------------------
-# magnus expansion
+    sq = poly_mul(ab, ab, 2)
+    assert all(len(m) <= 2 for m in sq)
 
 
 def test_magnus_identity():
-    assert magnus(IDENTITY, 4).terms == {}
+    assert magnus_oracle(IDENTITY.letters, 4) == {(): 1}
 
 
 def test_magnus_single_generator():
-    s = magnus(generator(1), 3)
-    assert s.terms == {(1,): 1}
+    assert magnus_oracle(generator(1).letters, 3) == {(): 1, (1,): 1}
 
 
 def test_magnus_inverse_alternates():
-    s = magnus(generator(1) ** -1, 3)
     # 1/(1+X) = 1 - X + X^2 - X^3
-    assert s.terms == {(1,): -1, (1, 1): 1, (1, 1, 1): -1}
+    assert magnus_oracle((-1,), 3) == {(): 1, (1,): -1, (1, 1): 1, (1, 1, 1): -1}
 
 
 def test_magnus_frozen_commutator_example():
-    s = magnus(commutator(generator(1), generator(2)), 2)
-    assert s.terms == {(1, 2): 1, (2, 1): -1}
+    letters = commutator(generator(1), generator(2)).letters
+    assert magnus_oracle(letters, 2) == {(): 1, (1, 2): 1, (2, 1): -1}
+
+
+@given(words, words)
+@settings(max_examples=60)
+def test_magnus_homomorphism(a, b):
+    cutoff = 4
+    lhs = magnus_oracle((a * b).letters, cutoff)
+    rhs = poly_mul(magnus_oracle(a.letters, cutoff), magnus_oracle(b.letters, cutoff), cutoff)
+    assert lhs == rhs
+
+
+@given(words)
+@settings(max_examples=60)
+def test_magnus_inverse_is_series_inverse(w):
+    cutoff = 4
+    a, b = magnus_oracle(w.letters, cutoff), magnus_oracle(w.inverse().letters, cutoff)
+    assert poly_mul(a, b, cutoff) == {(): 1}
+
+
+# ---------------------------------------------------------------------------
+# graded expansion
+
+
+def _is_lyndon(word):
+    """Strictly smaller than each of its proper rotations."""
+    return all(word < word[i:] + word[:i] for i in range(1, len(word)))
+
+
+def _lyndon_prefix(mono):
+    """Brute force: m is a prefix of a Lyndon word iff m + (a larger letter,) is Lyndon."""
+    return not mono or _is_lyndon(mono + (max(mono) + 1,))
+
+
+def _assert_expansion_matches_oracle(letters, cutoff):
+    """_expand holds the oracle's coefficients on every Lyndon prefix, one level per degree."""
+    levels = _expand(tuple(letters), cutoff)
+    assert levels[0] == {(): 1}
+    assert all(len(m) == k and c for k, level in enumerate(levels) for m, c in level.items())
+    merged = {m: c for level in levels for m, c in level.items()}
+    oracle = magnus_oracle(letters, cutoff)
+    assert merged == {m: c for m, c in oracle.items() if _lyndon_prefix(m)}
 
 
 @given(raw_letter_lists, st.integers(min_value=1, max_value=4))
 def test_magnus_matches_oracle(raw, cutoff):
-    w = reduce(raw)
-    expected = magnus_oracle(w.letters, cutoff)
-    assert expected.pop((), 0) == 1  # oracle stores the constant explicitly
-    assert magnus(w, cutoff).terms == expected
+    _assert_expansion_matches_oracle(reduce(raw).letters, cutoff)
 
 
 # Words of few generators and long runs of inverses, so coefficients pile up
@@ -230,31 +258,18 @@ inverse_heavy_letters = st.lists(
 @given(inverse_heavy_letters, st.integers(min_value=1, max_value=6))
 @settings(max_examples=150)
 def test_magnus_matches_oracle_on_inverse_heavy_words(raw, cutoff):
-    w = reduce(raw)
-    expected = magnus_oracle(w.letters, cutoff)
-    assert expected.pop((), 0) == 1
-    assert magnus(w, cutoff).terms == expected
+    _assert_expansion_matches_oracle(reduce(raw).letters, cutoff)
 
 
 @given(inverse_heavy_letters, st.integers(min_value=1, max_value=6))
 @settings(max_examples=100)
 def test_graded_expansion_of_unreduced_letters_matches_oracle(raw, cutoff):
-    """x x^-1 pairs left in place must cancel to the last coefficient."""
-    levels = _expand(tuple(raw), cutoff)
-    assert levels[0] == {(): 1}
-    assert all(len(m) == k and c for k, level in enumerate(levels) for m, c in level.items())
-    merged = {m: c for level in levels for m, c in level.items()}
-    assert merged == magnus_oracle(raw, cutoff)
+    """x x^-1 pairs left in place must cancel to the last coefficient.
 
-
-def _is_lyndon(word):
-    """Strictly smaller than each of its proper rotations."""
-    return all(word < word[i:] + word[:i] for i in range(1, len(word)))
-
-
-def _lyndon_prefix(mono):
-    """Brute force: m is a prefix of a Lyndon word iff m + (a larger letter,) is Lyndon."""
-    return not mono or _is_lyndon(mono + (max(mono) + 1,))
+    Keeping only a prefix-closed set of monomials is exact on it, so this
+    holds with the pairs in place too.
+    """
+    _assert_expansion_matches_oracle(raw, cutoff)
 
 
 def test_lyndon_prefix_rule_on_every_short_word():
@@ -266,32 +281,24 @@ def test_lyndon_prefix_rule_on_every_short_word():
     """
     for n in range(1, 8):
         for u in itertools.product((1, 2, 3), repeat=n):
-            assert (u in _expand(u, n, lyndon=True)[n]) == _lyndon_prefix(u), u
-
-
-@given(inverse_heavy_letters, st.integers(min_value=1, max_value=6))
-@settings(max_examples=100)
-def test_pruned_expansion_is_the_full_one_on_lyndon_prefixes(raw, cutoff):
-    """Truncating to a prefix-closed set is exact on it, even with x x^-1 left in place."""
-    full = _expand(tuple(raw), cutoff)
-    pruned = _expand(tuple(raw), cutoff, lyndon=True)
-    assert pruned == [{m: c for m, c in level.items() if _lyndon_prefix(m)} for level in full]
+            assert (u in _expand(u, n)[n]) == _lyndon_prefix(u), u
 
 
 def test_magnus_at_a_huge_cutoff_stays_small_for_positive_words():
     """Levels stop at the word's length when no letter is an inverse."""
     start = time.perf_counter()
-    assert magnus(generator(1), 10**7).terms == {(1,): 1}
-    assert magnus(generator(1) ** 3, 10**7).terms == {(1,): 3, (1, 1): 3, (1, 1, 1): 1}
+    assert _expand((1,), 10**7) == [{(): 1}, {(1,): 1}]
+    assert _expand((1, 1, 1), 10**7) == [{(): 1}, {(1,): 3}, {(1, 1): 3}, {(1, 1, 1): 1}]
     assert lcs_depth(generator(2) ** 40, 10**7) == Depth.exact(1)
     elapsed = time.perf_counter() - start
     assert elapsed < 0.5, f"took {elapsed:.2f}s"
 
 
-def _random_reduced(rng, n):
+def _random_reduced(rng, n, rank=3):
+    alphabet = tuple(range(1, rank + 1)) + tuple(range(-1, -rank - 1, -1))
     letters = []
     while len(letters) < n:
-        x = rng.choice((1, 2, 3, -1, -2, -3))
+        x = rng.choice(alphabet)
         if not letters or letters[-1] != -x:
             letters.append(x)
     return GroupWord(tuple(letters))
@@ -314,33 +321,18 @@ def test_depth_of_long_shallow_words_at_a_huge_cutoff_is_fast():
 
 
 def test_expansion_and_witness_refuse_past_the_term_budget(monkeypatch):
-    """The budget is counted inside _expand and predicted for the witness."""
+    """The budget is counted inside _expand and predicted for the witness.
+
+    The deep word repeats its two generators, so its eight degrees are
+    settled by the expansion, not by the essential generators.
+    """
     monkeypatch.setattr(words_module, "MAX_EXPANSION_TERMS", 5000)
     deep = reduce(left_normed_letters([1, 2, 1, 1, 2, 2, 1, 2]))  # 310 letters, depth 8
     assert lcs_depth(commutator(generator(1), generator(2))) == Depth.exact(2)
     with pytest.raises(GrowthLimitError, match="visits more than 5000 terms"):
         lcs_depth(deep, 8)  # the witness makes at most 310 * 8 updates a pass
-    with pytest.raises(GrowthLimitError, match="visits more than 5000 terms"):
-        magnus(deep, 8)
     with pytest.raises(GrowthLimitError, match="makes more than 5000 updates"):
         lcs_depth(generator(1) ** 3000 * generator(2) ** 3000, 8)  # 2 syllables: 6000 * 2
-
-
-@given(words, words)
-@settings(max_examples=60)
-def test_magnus_homomorphism(a, b):
-    cutoff = 4
-    lhs = magnus(a * b, cutoff)
-    rhs = magnus(a, cutoff) * magnus(b, cutoff)
-    assert lhs.terms == rhs.terms
-
-
-@given(words)
-@settings(max_examples=60)
-def test_magnus_inverse_is_series_inverse(w):
-    cutoff = 4
-    prod = magnus(w, cutoff) * magnus(w.inverse(), cutoff)
-    assert prod.terms == {}
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +434,102 @@ def test_depth_matches_oracle_on_commutators_with_repeated_generators(letters, c
     expected = _expect_depth(letters, cutoff)
     assert lcs_depth(reduce(letters), cutoff) == expected
     _assert_witness_sound(letters, cutoff, expected)
+
+
+# ---------------------------------------------------------------------------
+# the lower bound from essential generators
+
+
+def _essential_generators(letters):
+    """Generators whose deletion leaves a word that reduces to the identity, by brute force."""
+    gens = sorted({abs(x) for x in letters})
+    return [g for g in gens if not reduce_letters([x for x in letters if abs(x) != g])]
+
+
+@given(commutator_heavy_letters, st.integers(min_value=1, max_value=5))
+@example(left_normed_letters([1, 2, 3]), 3)
+@example(commutator_letters([1, 2], [3]), 3)
+@settings(max_examples=150, deadline=None)
+def test_essential_generators_are_in_every_nonzero_monomial(letters, cutoff):
+    """The lemma behind the bound, on the oracle alone: killing x_g kills every g-free monomial."""
+    essential = _essential_generators(letters)
+    for mono in magnus_oracle(letters, cutoff):
+        assert not mono or all(g in mono for g in essential), (mono, essential)
+
+
+def _bracketing(rng, gens):
+    """Letters of a random bracketing of gens, each used once, in order."""
+    if len(gens) == 1:
+        return (gens[0],)
+    cut = rng.randint(1, len(gens) - 1)
+    return commutator_letters(_bracketing(rng, gens[:cut]), _bracketing(rng, gens[cut:]))
+
+
+def _refuse_expansion(monkeypatch):
+    def refuse(letters, cutoff):
+        raise AssertionError(f"expanded {len(letters)} letters to degree {cutoff}")
+
+    monkeypatch.setattr(words_module, "_expand", refuse)
+
+
+def test_distinct_generator_commutators_need_no_expansion(monkeypatch):
+    """Every generator of a commutator of distinct generators is essential, so the bound meets the witness."""
+    _refuse_expansion(monkeypatch)
+    rng = random.Random(20261020)
+    for weight in range(2, 13):
+        gens = rng.sample(range(1, 40), weight)
+        for letters in (left_normed_letters(gens), _bracketing(rng, gens)):
+            w = reduce(letters)
+            for cutoff in range(1, 15):
+                expected = Depth.exact(weight) if weight <= cutoff else Depth.at_least(cutoff + 1)
+                assert lcs_depth(w, cutoff) == expected, (gens, cutoff)
+                assert lcs_depth(w.inverse(), cutoff) == expected, (gens, cutoff)
+
+
+def test_essential_generators_past_the_cutoff_give_a_lower_bound(monkeypatch):
+    """t > cutoff essential generators answer '>= cutoff + 1' where the witness certified nothing."""
+    _refuse_expansion(monkeypatch)
+    # All four generators are essential in both factors, and the degree-4
+    # parts cancel: [x2, x1] = [x1, x2]^-1.
+    product = left_normed_letters([1, 2, 3, 4]) + left_normed_letters([2, 1, 3, 4])
+    for letters, cutoff in ((left_normed_letters(range(1, 13)), 8), (product, 3)):
+        assert _witness(reduce_letters(letters), cutoff) is None
+        assert lcs_depth(reduce(letters), cutoff) == Depth.at_least(cutoff + 1)
+
+
+REPEATED_LETTERS = [
+    left_normed_letters([1, 2, 1]),  # depth 3, 2 essential
+    left_normed_letters([1, 2, 2, 1]),  # depth 4, 2 essential
+    left_normed_letters([1, 2, 1, 2, 1]),  # depth 5, 2 essential
+    left_normed_letters([1, 2, 3, 1]),  # depth 4, 3 essential
+    commutator_letters(left_normed_letters([1, 2]), left_normed_letters([1, 3])),  # depth 4, 3 essential
+]
+
+
+@pytest.mark.parametrize("letters", REPEATED_LETTERS)
+def test_repeated_generators_leave_the_depth_to_the_expansion(monkeypatch, letters):
+    """With fewer essential generators than the depth, the expansion decides, and matches the oracle."""
+    depth = depth_oracle(letters, 6)
+    assert len(_essential_generators(letters)) < depth
+    real, calls = words_module._expand, []
+    monkeypatch.setattr(words_module, "_expand", lambda *args: calls.append(args) or real(*args))
+    for cutoff in range(1, 7):
+        assert lcs_depth(reduce(letters), cutoff) == _expect_depth(letters, cutoff), cutoff
+    assert calls
+
+
+def test_depth_of_a_long_word_over_many_generators_is_fast():
+    """The essential-generator test gives up after 2t passes, not one pass per generator.
+
+    [u, x1*x2], with u 30,000 letters over x1..x1000, has depth 2 and no
+    essential generator; a pass per generator would take seconds.
+    """
+    rng = random.Random(20261020)
+    w = commutator(_random_reduced(rng, 30_000, rank=1000), generator(1) * generator(2))
+    start = time.perf_counter()
+    assert lcs_depth(w) == Depth.exact(2)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"{len(w)} letters took {elapsed:.2f}s"
 
 
 CANCELLING_LETTERS = [
