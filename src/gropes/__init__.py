@@ -79,18 +79,14 @@ from .render import render_dot
 from .serialize import (
     canonical_dumps,
     capped_from_doc,
-    capped_to_doc,
     document_kind,
     dumps_capped,
     dumps_kernel,
     dumps_result,
     grope_from_doc,
-    grope_to_doc,
     kernel_from_doc,
-    kernel_to_doc,
     loads_document,
     result_from_doc,
-    result_to_doc,
 )
 from .splitting import SplitLimits, full_split, split_cap, split_stage
 from .words import (

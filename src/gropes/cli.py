@@ -32,18 +32,13 @@ from .grope import Grope, boundary_word, class_of, tips as grope_tips, validate_
 from .pipeline import check_hypotheses, generate_kernel, run_surgery, validate_kernel
 from .moves import contract, pushoff
 from .render import render_dot
-from .serialize import (
-    canonical_dumps,
-    dumps_capped,
-    dumps_kernel,
-    dumps_result,
-    loads_document,
-)
+from .serialize import _emit, loads_document
 from .splitting import SplitLimits, full_split, split_cap, split_stage
 from .words import DEFAULT_CUTOFF, lcs_depth
 
 USAGE_ERROR = 64
 DATA_ERROR = 65
+_CHUNK = 8192  # pieces of a document joined into one write to stdout
 
 
 class _Parser(argparse.ArgumentParser):
@@ -113,6 +108,26 @@ def _write_trace(path: str | None, entries: list[dict]) -> None:
             fh.writelines(json.dumps(entry, separators=(", ", ": ")) + "\n" for entry in entries)
     except OSError as e:  # a failed write or close names no file
         raise OSError(e.errno, e.strerror, path) from None
+
+
+def _write_document(doc) -> None:
+    """Write the canonical text of doc to stdout as it is produced.
+
+    The emitter's pieces go out in joined chunks of _CHUNK, so the whole text
+    is never held at once, and unbuffered stdout is not written piece by
+    piece.  A write that fails leaves the part of the document already out.
+    """
+    pieces: list[str] = []
+
+    def put(piece: str) -> None:
+        pieces.append(piece)
+        if len(pieces) == _CHUNK:
+            sys.stdout.write("".join(pieces))
+            pieces.clear()
+
+    _emit(doc, "\n", put)
+    pieces.append("\n")
+    sys.stdout.write("".join(pieces))
 
 
 _STEP = re.compile(r"(\d+)([ab])")
@@ -210,7 +225,7 @@ def cmd_split(args) -> int:
     else:
         out = full_split(cg, limits=limits, trace=trace)
     _write_trace(args.trace, trace)
-    sys.stdout.write(dumps_capped(out))
+    _write_document(out)
     return 0
 
 
@@ -224,7 +239,7 @@ def cmd_contract(args) -> int:
     if not args.skip_pushoff:
         out = pushoff(out, sphere.sphere_id, trace=trace)
     _write_trace(args.trace, trace)
-    sys.stdout.write(dumps_capped(out))
+    _write_document(out)
     return 0
 
 
@@ -237,14 +252,14 @@ def cmd_pipeline(args) -> int:
                 print(issue, file=sys.stderr)
             return 1
         report = check_hypotheses(kernel)
-        sys.stdout.write(canonical_dumps(report.as_doc()))
+        _write_document(report.as_doc())
         return 0 if report.ok else 1
     result = run_surgery(kernel, force=args.force, limits=_limits(args))
     _write_trace(args.trace, list(result.trace))
     if args.stats_only:
-        sys.stdout.write(canonical_dumps(result.stats))
+        _write_document(result.stats)
     else:
-        sys.stdout.write(dumps_result(result))
+        _write_document(result)
     return 0
 
 
@@ -257,7 +272,7 @@ def cmd_generate(args) -> int:
         density=args.density,
         adversarial=args.adversarial,
     )
-    sys.stdout.write(dumps_kernel(kernel))
+    _write_document(kernel)
     return 0
 
 

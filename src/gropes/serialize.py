@@ -1,13 +1,15 @@
 """Canonical JSON for gropes, capped gropes, kernels, and surgery results.
 
 Serialization is byte-stable: object -> text -> object -> text produces
-identical bytes.  Emitters write keys in a fixed order, cap tables sorted by
-cap id and intersections in their stored (id-sorted) order.  The text of a
-document is exactly json.dumps(doc, indent=2) plus a newline: ASCII only,
-with \\uXXXX escapes, "," at line end, ": " between key and value, and {} or
-[] for an empty container.  canonical_dumps writes that text without the
-pure-Python encoder.  Parsers reject unknown keys so format mistakes
-surface early, and report a JSON-path-style location on errors.
+identical bytes.  The objects are the document model: one emitter, _emit,
+writes JSON values and package objects alike, each object as its view in
+_VIEWS, a dict in key order whose values may be objects again.  Cap
+tables are written sorted by cap id and intersections in their stored
+(id-sorted) order.  The text of a document is exactly json.dumps of its
+views with indent=2, plus a newline: ASCII only, with \\uXXXX escapes, ","
+at line end, ": " between key and value, and {} or [] for an empty
+container.  Parsers reject unknown keys so format mistakes surface early,
+and report a JSON-path-style location on errors.
 
 Labels use word syntax ("1", "x1*x2^-1"); body endpoints use explicit paths
 [[pairIndex, "alpha"|"beta"], ...] from the root stage.
@@ -28,7 +30,7 @@ from .capped import (
     SphereRecord,
     SphereRef,
 )
-from .commutators import MAX_NESTING, parse_word, word_str
+from .commutators import MAX_NESTING, parse_word
 from .errors import ParseError, ValidationError
 from .grope import Grope, Slot, Stage, Tip, _path_from_doc, path_doc
 from .pipeline import SurgeryKernel, SurgeryResult
@@ -49,68 +51,152 @@ def canonical_dumps(doc: Any) -> str:
 
     json.dumps leaves its C encoder whenever indent is set, so this writes
     the same text in one pass over str, int, float, bool, None, list, tuple
-    and dict (str keys) of exactly those types.  Anything else, subclasses
-    included, and a document too deep for the emitter (a cycle is one) goes
-    to json.dumps whole, which writes it or raises what it raises.
+    and dict (str keys) of exactly those types, and over the package objects
+    in _VIEWS.  Anything else, subclasses included, and a document too deep
+    for the emitter (a cycle is one) goes to json.dumps whole, which writes
+    objects through the same views and writes the rest or raises what it
+    raises.
     """
     out: list[str] = []
     try:
         _emit(doc, "\n", out.append)
     except (_Uncovered, RecursionError):
-        return json.dumps(doc, indent=2) + "\n"
+        return json.dumps(doc, indent=2, default=_view) + "\n"
     out.append("\n")
     return "".join(out)
 
 
+dumps_capped = dumps_kernel = dumps_result = canonical_dumps
+
+
 def _emit(o: Any, nl: str, put) -> None:
-    """Append the text of o, whose lines start at nl (a newline and indent)."""
-    t = type(o)
-    if t is dict:
-        if not o:
-            put("{}")
-            return
-        inner = nl + "  "
-        sep = "{" + inner
-        for k, v in o.items():
-            if type(k) is not str:
-                raise _Uncovered
-            tv = type(v)
-            if tv is str:
-                put(sep + _str(k) + ": " + _str(v))
-            elif tv is int:
-                put(sep + _str(k) + ": " + _int(v))
-            else:
-                put(sep + _str(k) + ": ")
-                _emit(v, inner, put)
-            sep = "," + inner
-        put(nl + "}")
-    elif t is list or t is tuple:
-        if not o:
-            put("[]")
-            return
-        inner = nl + "  "
-        sep = "[" + inner
-        for v in o:
-            tv = type(v)
-            if tv is str:
-                put(sep + _str(v))
-            elif tv is int:
-                put(sep + _int(v))
-            else:
-                put(sep)
-                _emit(v, inner, put)
-            sep = "," + inner
-        put(nl + "]")
-    elif t is str:
-        put(_str(o))
-    elif t is int:
-        put(_int(o))
-    elif t is float:
-        put(json.dumps(o))
-    elif t is bool or o is None:
-        put(_CONSTANTS[o])
-    else:
-        raise _Uncovered
+    """Put the text of o, whose lines start at nl (a newline and indent).
+
+    A package object is replaced by its view within the same call, after
+    the JSON branches: a stage costs the four frames of its plain document,
+    which keeps the deepest stage tree a parser admits inside the recursion
+    limit, and a JSON value pays nothing for the views.
+    """
+    while True:
+        t = type(o)
+        if t is dict:
+            if not o:
+                put("{}")
+                return
+            inner = nl + "  "
+            sep = "{" + inner
+            for k, v in o.items():
+                if type(k) is not str:
+                    raise _Uncovered
+                tv = type(v)
+                if tv is str:
+                    put(sep + _str(k) + ": " + _str(v))
+                elif tv is int:
+                    put(sep + _str(k) + ": " + _int(v))
+                else:
+                    put(sep + _str(k) + ": ")
+                    _emit(v, inner, put)
+                sep = "," + inner
+            put(nl + "}")
+        elif t is list or t is tuple:
+            if not o:
+                put("[]")
+                return
+            inner = nl + "  "
+            sep = "[" + inner
+            for v in o:
+                tv = type(v)
+                if tv is str:
+                    put(sep + _str(v))
+                elif tv is int:
+                    put(sep + _int(v))
+                else:
+                    put(sep)
+                    _emit(v, inner, put)
+                sep = "," + inner
+            put(nl + "]")
+        elif t is str:
+            put(_str(o))
+        elif t is int:
+            put(_int(o))
+        elif t is float:
+            put(json.dumps(o))
+        elif t is bool or o is None:
+            put(_CONSTANTS[o])
+        elif (view := _VIEWS.get(t)) is not None:
+            o = view(o)
+            continue
+        else:
+            raise _Uncovered
+        return
+
+
+def _view(o: Any) -> dict:
+    """The view of a package object, for json.dumps; TypeError as its own default."""
+    if type(o) not in _VIEWS:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+    return _VIEWS[type(o)](o)
+
+
+def _capped_view(cg: CappedGrope) -> dict:
+    view: dict[str, Any] = {
+        "closed": cg.body.closed if cg.body is not None else False,
+        "root": {"pairs": cg.body.root.pairs} if cg.body is not None else None,
+        "caps": {cap: cg.caps[cap] for cap in sorted(cg.caps)},
+        "intersections": cg.intersections,
+    }
+    if cg.spheres:
+        view["spheres"] = cg.spheres
+    return view
+
+
+def _sphere_view(s: SphereRecord) -> dict:
+    view: dict[str, Any] = {
+        "id": s.sphere_id,
+        "piece": s.piece,
+        "capA": s.cap_a,
+        "capB": s.cap_b,
+        "label": str(s.label),
+    }
+    if s.pending:
+        view["pending"] = [
+            {"id": q.point_id, "other": _end(q.other), "label": str(q.label)} for q in s.pending
+        ]
+    return view
+
+
+def _end(end: SheetRef) -> dict:
+    if isinstance(end, CapRef):
+        return {"cap": end.cap_id}
+    if isinstance(end, SphereRef):
+        return {"sphere": end.sphere_id}
+    return {"body": path_doc(end.path)}
+
+
+# A stage is viewed as the slot that holds it; a root stage is written as
+# {"pairs": ...} by the view of its grope.
+_VIEWS = {
+    Tip: lambda t: {"tip": t.tip_id},
+    Stage: lambda s: {"stage": {"pairs": s.pairs}},
+    Grope: lambda g: {"closed": g.closed, "root": {"pairs": g.root.pairs}},
+    Intersection: lambda p: {
+        "id": p.point_id, "endA": _end(p.end_a), "endB": _end(p.end_b), "label": str(p.label)
+    },
+    SphereRecord: _sphere_view,
+    CappedGrope: _capped_view,
+    SurgeryKernel: lambda k: {
+        "rank": k.rank, "gropes": k.gropes, "hyperbolicPairs": k.hyperbolic_pairs
+    },
+    SurgeryResult: lambda r: {
+        "stats": r.stats,
+        "spherePairs": [
+            [{"grope": gi, "sphere": si}, {"grope": gj, "sphere": sj}]
+            for (gi, si), (gj, sj) in r.sphere_pairs
+        ],
+        "gropes": r.gropes,
+        "trace": r.trace,
+    },
+}
 
 
 def _check_keys(doc: Any, allowed: tuple[str, ...], ctx: str, what: str) -> None:
@@ -150,14 +236,8 @@ def _word_from_doc(doc: Any, ctx: str) -> GroupWord:
         raise ParseError(f"{ctx}: bad word {doc!r}: {e}") from None
 
 
-def slot_to_doc(slot: Slot) -> dict:
-    if isinstance(slot, Tip):
-        return {"tip": slot.tip_id}
-    return {"stage": stage_to_doc(slot)}
 
 
-def stage_to_doc(stage: Stage) -> dict:
-    return {"pairs": [[slot_to_doc(a), slot_to_doc(b)] for a, b in stage.pairs]}
 
 
 def slot_from_doc(doc: Any, ctx: str, depth: int = 1) -> Slot:
@@ -196,8 +276,6 @@ def stage_from_doc(doc: Any, ctx: str, depth: int = 1) -> Stage:
     return Stage(tuple(pairs))
 
 
-def grope_to_doc(g: Grope) -> dict:
-    return {"closed": g.closed, "root": stage_to_doc(g.root)}
 
 
 def grope_from_doc(doc: Any, ctx: str = "$") -> Grope:
@@ -206,12 +284,6 @@ def grope_from_doc(doc: Any, ctx: str = "$") -> Grope:
     return Grope(stage_from_doc(_get(doc, "root", dict, ctx), f"{ctx}.root"), closed)
 
 
-def end_to_doc(end: SheetRef) -> dict:
-    if isinstance(end, CapRef):
-        return {"cap": end.cap_id}
-    if isinstance(end, SphereRef):
-        return {"sphere": end.sphere_id}
-    return {"body": path_doc(end.path)}
 
 
 def end_from_doc(doc: Any, ctx: str) -> SheetRef:
@@ -226,13 +298,6 @@ def end_from_doc(doc: Any, ctx: str) -> SheetRef:
     raise ParseError(f"{ctx}: an endpoint has exactly one of 'cap', 'body', 'sphere'")
 
 
-def intersection_to_doc(p: Intersection) -> dict:
-    return {
-        "id": p.point_id,
-        "endA": end_to_doc(p.end_a),
-        "endB": end_to_doc(p.end_b),
-        "label": word_str(p.label),
-    }
 
 
 def intersection_from_doc(doc: Any, ctx: str) -> Intersection:
@@ -248,20 +313,6 @@ def intersection_from_doc(doc: Any, ctx: str) -> Intersection:
         raise ParseError(f"{ctx}: {e}") from None
 
 
-def sphere_to_doc(s: SphereRecord) -> dict:
-    doc = {
-        "id": s.sphere_id,
-        "piece": s.piece,
-        "capA": s.cap_a,
-        "capB": s.cap_b,
-        "label": word_str(s.label),
-    }
-    if s.pending:
-        doc["pending"] = [
-            {"id": q.point_id, "other": end_to_doc(q.other), "label": word_str(q.label)}
-            for q in s.pending
-        ]
-    return doc
 
 
 def sphere_from_doc(doc: Any, ctx: str) -> SphereRecord:
@@ -289,16 +340,6 @@ def sphere_from_doc(doc: Any, ctx: str) -> SphereRecord:
     )
 
 
-def capped_to_doc(cg: CappedGrope) -> dict:
-    doc: dict[str, Any] = {
-        "closed": cg.body.closed if cg.body is not None else False,
-        "root": stage_to_doc(cg.body.root) if cg.body is not None else None,
-        "caps": {cap: cg.caps[cap] for cap in sorted(cg.caps)},
-        "intersections": [intersection_to_doc(p) for p in cg.intersections],
-    }
-    if cg.spheres:
-        doc["spheres"] = [sphere_to_doc(s) for s in cg.spheres]
-    return doc
 
 
 def capped_from_doc(doc: Any, ctx: str = "$") -> CappedGrope:
@@ -327,12 +368,6 @@ def capped_from_doc(doc: Any, ctx: str = "$") -> CappedGrope:
     return CappedGrope(body, caps, tuple(points), tuple(spheres))
 
 
-def kernel_to_doc(k: SurgeryKernel) -> dict:
-    return {
-        "rank": k.rank,
-        "gropes": [capped_to_doc(cg) for cg in k.gropes],
-        "hyperbolicPairs": [list(pair) for pair in k.hyperbolic_pairs],
-    }
 
 
 def kernel_from_doc(doc: Any, ctx: str = "$") -> SurgeryKernel:
@@ -358,16 +393,6 @@ def kernel_from_doc(doc: Any, ctx: str = "$") -> SurgeryKernel:
         raise ParseError(f"{ctx}: {e}") from None
 
 
-def result_to_doc(r: SurgeryResult) -> dict:
-    return {
-        "stats": dict(r.stats),
-        "spherePairs": [
-            [{"grope": gi, "sphere": si}, {"grope": gj, "sphere": sj}]
-            for (gi, si), (gj, sj) in r.sphere_pairs
-        ],
-        "gropes": [capped_to_doc(cg) for cg in r.gropes],
-        "trace": list(r.trace),
-    }
 
 
 def result_from_doc(doc: Any, ctx: str = "$") -> SurgeryResult:
@@ -424,13 +449,6 @@ def loads_document(text: str):
     return kind, parser(doc)
 
 
-def dumps_capped(cg: CappedGrope) -> str:
-    return canonical_dumps(capped_to_doc(cg))
 
 
-def dumps_kernel(k: SurgeryKernel) -> str:
-    return canonical_dumps(kernel_to_doc(k))
 
-
-def dumps_result(r: SurgeryResult) -> str:
-    return canonical_dumps(result_to_doc(r))

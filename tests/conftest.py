@@ -21,7 +21,6 @@ from gropes import (
     canonical_dumps,
     generate_kernel,
     generator,
-    grope_to_doc,
     iter_stages,
     random_grope,
     reduce,
@@ -45,7 +44,7 @@ def is_dyadic(obj: Grope | Stage) -> bool:
 
 def dumps_grope(g: Grope) -> str:
     """The canonical JSON text of a grope document."""
-    return canonical_dumps(grope_to_doc(g))
+    return canonical_dumps(g)
 
 
 def random_capped_grope(

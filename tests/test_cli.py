@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -264,6 +265,85 @@ def test_an_unwritable_stdout_fails_in_one_line(stdout):
     assert proc.stderr == f"error: cannot write stdout: {reason}\n"
 
 
+def _tower_file(tmp_path, n: int, k: int) -> str:
+    """A dyadic class-k tower whose every cap carries n values; full_split makes genus n**k."""
+    rng = random.Random(1)
+    slot = Tip(f"t{k}")
+    for i in range(k - 1, 0, -1):
+        slot = Stage(((Tip(f"t{i}"), slot),))
+    points = [
+        Intersection(f"c{i}p{j}", CapRef(f"c{i}"), CapRef(f"c{i}"), generator(g) ** rng.choice((1, -1)))
+        for i in range(1, k + 1)
+        for j, g in enumerate(rng.sample(range(1, 7), n))
+    ]
+    cg = CappedGrope(Grope(slot), {f"c{i}": f"t{i}" for i in range(1, k + 1)}, tuple(points))
+    return write(tmp_path, f"tower-{n}-{k}.json", dumps_capped(cg))
+
+
+def test_a_large_document_goes_to_stdout_in_bounded_writes(tmp_path, monkeypatch):
+    """The split of a class-6 tower is 12.6 MB; stdout never receives it in one piece."""
+    sizes = []
+
+    class Stdout:
+        def write(self, text):
+            sizes.append(len(text))
+            return len(text)
+
+        def flush(self):
+            pass
+
+    path = _tower_file(tmp_path, 4, 6)
+    monkeypatch.setattr(sys, "stdout", Stdout())
+    assert main(["split", path]) == 0
+    assert sum(sizes) > 12_000_000
+    assert max(sizes) < 1_000_000
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_stdout_that_fails_part_way_through_a_document_fails_in_one_line(tmp_path, unbuffered):
+    """Part of the document has gone out when the reader leaves; the rest is refused."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = [sys.executable, "-m", "gropes", "split", _tower_file(tmp_path, 4, 5)]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = proc.stdout.read(100_000)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1, err
+    assert head.startswith(b'{\n  "closed": false,\n  "root": {')
+    assert err == b"error: cannot write stdout: Broken pipe\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("split", "MULTI"),
+        ("split", "--cap", "c1", "MULTI"),
+        ("contract", "--pair", "0", "--caps", "c1,c2", "GENUS3"),
+        ("contract", "--pair", "0", "--caps", "c1,c2", "--skip-pushoff", "GENUS3"),
+        ("pipeline", "KERNEL"),
+        ("pipeline", "--stats-only", "KERNEL"),
+        ("pipeline", "--check", "KERNEL"),
+        ("generate", "--seed", "1", "--labels", "3"),
+        ("generate", "--seed", "1", "--labels", "3", "--adversarial"),
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_every_streamed_document_is_canonical_json(capsys, tmp_path, multivalue_file, kernel_file, argv):
+    """A streamed document cannot fall back to json.dumps once it has started, so every
+    value in it must be one the emitter writes itself."""
+    files = {
+        "MULTI": multivalue_file,
+        "GENUS3": write(tmp_path, "g3.json", dumps_capped(split_genus3_grope())),
+        "KERNEL": kernel_file,
+    }
+    code, out, err = run(capsys, *(files.get(a, a) for a in argv))
+    assert (code, err) == (0, "")
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # validate
 
@@ -460,6 +540,11 @@ def test_lcs_refuses_words_over_the_length_bound(capsys, tmp_path):
         assert err.count("\n") == 1, argv
         assert "exceeds the bound" in err or "digits is too long" in err, argv
         assert elapsed < 1.0, f"{argv[:2]} took {elapsed:.2f}s"
+
+
+def test_lcs_refuses_a_cutoff_below_one(capsys):
+    code, out, err = run(capsys, "lcs", "--cutoff", "0", "x1")
+    assert (code, out, err) == (1, "", "error: cutoff must be >= 1, got 0\n")
 
 
 def test_lcs_parse_error(capsys):

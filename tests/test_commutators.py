@@ -262,6 +262,10 @@ def test_word_length_bound_clears_real_inputs():
     assert parse_word("x1^20000").letters == (1,) * 20000
 
 
+def test_a_power_of_the_identity_is_the_identity():
+    assert parse_word("1^3") == IDENTITY
+
+
 def test_word_str_forms():
     assert word_str(IDENTITY) == "1"
     assert word_str(generator(1) * generator(1) * generator(2) ** -1) == "x1^2*x2^-1"

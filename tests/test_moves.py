@@ -15,6 +15,7 @@ from gropes import (
     Tip,
     contract,
     effective_value,
+    find_duplicate_pair,
     generator,
     label_keys,
     piece_caps,
@@ -358,6 +359,18 @@ def test_contract_rejects_a_fully_surgered_body():
     husk = CappedGrope(None, {}, (), (SphereRecord("sph0", 0, "c1", "c2", F),))
     with pytest.raises(MoveError, match="fully surgered"):
         contract(husk, 0, "c1", "c2")
+
+
+def test_piece_reads_refuse_a_tip_without_a_cap():
+    """An API-built grope need not cap every tip; the piece reads name the first bare one."""
+    cg = CappedGrope(Grope(Stage(((Tip("t1"), Tip("t2")),))), {"c2": "t2"})
+    for read in (
+        lambda: piece_caps(cg, 0),
+        lambda: find_duplicate_pair(cg, 0),
+        lambda: contract(cg, 0, "c1", "c2"),
+    ):
+        with pytest.raises(ValidationError, match="^tip 't1' has no cap$"):
+            read()
 
 
 def test_contract_and_pushoff_refuse_duplicate_point_ids():

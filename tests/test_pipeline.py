@@ -33,7 +33,6 @@ from gropes import (
     full_split,
     generate_kernel,
     generator,
-    grope_to_doc,
     is_pi1_null,
     label_keys,
     piece_caps,
@@ -273,6 +272,15 @@ def test_surgery_rejects_invalid_kernels():
     husk = CappedGrope(None, {}, ())
     with pytest.raises(ValidationError, match="invalid kernel"):
         run_surgery(SurgeryKernel(0, (husk, husk), ((0, 1),)))
+
+
+def test_surgery_refuses_a_pair_that_splits_unevenly():
+    left = generate_kernel(1, labels=2).gropes[0]
+    right = generate_kernel(3, labels=2).gropes[0]
+    kernel = SurgeryKernel(2, (left, right), ((0, 1),))
+    with pytest.raises(ValidationError) as exc:
+        run_surgery(kernel)
+    assert str(exc.value) == "gropes 0 and 1 are paired but split into 3 and 2 pieces"
 
 
 def test_surgery_enforces_the_class_hypothesis():
@@ -1088,7 +1096,7 @@ def test_generate_kernel_golden(name):
 
 @pytest.mark.parametrize("genus", sorted(RANDOM_GROPE_GOLDEN))
 def test_random_grope_golden(genus):
-    text = canonical_dumps(grope_to_doc(random_grope(random.Random(genus), 4, genus=genus)))
+    text = canonical_dumps(random_grope(random.Random(genus), 4, genus=genus))
     assert hashlib.sha256(text.encode()).hexdigest() == RANDOM_GROPE_GOLDEN[genus]
 
 

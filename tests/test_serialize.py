@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import enum
+import itertools
 import json
+import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
@@ -19,6 +21,8 @@ from gropes import (
     Grope,
     Intersection,
     ParseError,
+    PigeonholeFailure,
+    SphereRef,
     Stage,
     Tip,
     canonical_dumps,
@@ -28,6 +32,8 @@ from gropes import (
     dumps_capped,
     dumps_kernel,
     dumps_result,
+    find_duplicate_pair,
+    full_split,
     generate_kernel,
     generator,
     grope_from_doc,
@@ -41,7 +47,7 @@ from gropes import (
 
 from gropes.commutators import MAX_NESTING
 
-from conftest import chain_stage_text, dumps_grope, two_cap_grope
+from conftest import chain_stage_text, dumps_grope, random_capped_grope, two_cap_grope, words
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schema"
 
@@ -145,6 +151,13 @@ def test_canonical_dumps_falls_back_to_the_indent_encoder(doc):
     assert canonical_dumps(doc) == _indent_dumps(doc)
 
 
+def test_canonical_dumps_falls_back_with_package_objects_in_the_document():
+    cg = two_cap_grope(generator(1))
+    assert canonical_dumps({"a": _Name("sub"), "b": [cg]}) == _indent_dumps(
+        {"a": "sub", "b": [_oracle_capped(cg)]}
+    )
+
+
 @pytest.mark.parametrize("doc", [{"a": [1, object()]}, {"a": {1, 2}}, {(1, 2): 3}, b"bytes"])
 def test_canonical_dumps_raises_what_the_indent_encoder_raises(doc):
     with pytest.raises(TypeError) as want:
@@ -159,6 +172,163 @@ def test_canonical_dumps_refuses_a_cycle_as_the_indent_encoder_does():
     doc["a"].append(doc)
     with pytest.raises(ValueError, match="Circular reference detected"):
         canonical_dumps(doc)
+
+
+# ---------------------------------------------------------------------------
+# the bytes of each document, against an independent oracle
+#
+# The oracle builds each document as plain dicts and lists from the data
+# classes' fields alone, writing body paths and word text itself, and
+# json.dumps writes it.
+
+
+def _oracle_word(letters: tuple[int, ...]) -> str:
+    if not letters:
+        return "1"
+    parts = []
+    for letter, run in itertools.groupby(letters):
+        exp = len(list(run)) * (1 if letter > 0 else -1)
+        parts.append(f"x{abs(letter)}" if exp == 1 else f"x{abs(letter)}^{exp}")
+    return "*".join(parts)
+
+
+def _oracle_stage(stage) -> dict:
+    def slot(s):
+        return {"tip": s.tip_id} if isinstance(s, Tip) else {"stage": _oracle_stage(s)}
+
+    return {"pairs": [[slot(a), slot(b)] for a, b in stage.pairs]}
+
+
+def _oracle_grope(g) -> dict:
+    return {"closed": g.closed, "root": _oracle_stage(g.root)}
+
+
+def _oracle_end(end) -> dict:
+    if isinstance(end, CapRef):
+        return {"cap": end.cap_id}
+    if isinstance(end, SphereRef):
+        return {"sphere": end.sphere_id}
+    return {"body": [[j, "beta" if side else "alpha"] for j, side in end.path]}
+
+
+def _oracle_capped(cg) -> dict:
+    doc = {
+        "closed": cg.body.closed if cg.body is not None else False,
+        "root": _oracle_stage(cg.body.root) if cg.body is not None else None,
+        "caps": {cap: cg.caps[cap] for cap in sorted(cg.caps)},
+        "intersections": [
+            {
+                "id": p.point_id,
+                "endA": _oracle_end(p.end_a),
+                "endB": _oracle_end(p.end_b),
+                "label": _oracle_word(p.label.letters),
+            }
+            for p in cg.intersections
+        ],
+    }
+    spheres = []
+    for s in cg.spheres:
+        sphere = {
+            "id": s.sphere_id,
+            "piece": s.piece,
+            "capA": s.cap_a,
+            "capB": s.cap_b,
+            "label": _oracle_word(s.label.letters),
+        }
+        if s.pending:
+            sphere["pending"] = [
+                {"id": q.point_id, "other": _oracle_end(q.other), "label": _oracle_word(q.label.letters)}
+                for q in s.pending
+            ]
+        spheres.append(sphere)
+    if spheres:
+        doc["spheres"] = spheres
+    return doc
+
+
+def _oracle_kernel(k) -> dict:
+    return {
+        "rank": k.rank,
+        "gropes": [_oracle_capped(cg) for cg in k.gropes],
+        "hyperbolicPairs": [list(pair) for pair in k.hyperbolic_pairs],
+    }
+
+
+def _oracle_result(r) -> dict:
+    return {
+        "stats": dict(r.stats),
+        "spherePairs": [
+            [{"grope": gi, "sphere": si}, {"grope": gj, "sphere": sj}]
+            for (gi, si), (gj, sj) in r.sphere_pairs
+        ],
+        "gropes": [_oracle_capped(cg) for cg in r.gropes],
+        "trace": list(r.trace),
+    }
+
+
+def _assert_capped_matches_the_oracle(cg) -> None:
+    assert dumps_capped(cg) == _indent_dumps(_oracle_capped(cg))
+    if cg.body is not None:
+        assert dumps_grope(cg.body) == _indent_dumps(_oracle_grope(cg.body))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 5),
+    st.integers(1, 3),
+    st.lists(words, max_size=4),
+    st.booleans(),
+)
+def test_random_capped_gropes_match_the_oracle(seed, grope_class, genus, labels, closed):
+    cg = random_capped_grope(random.Random(seed), grope_class, labels, genus=genus)
+    if closed:
+        cg = CappedGrope(Grope(cg.body.root, closed=True), cg.caps, cg.intersections)
+    _assert_capped_matches_the_oracle(cg)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 3), st.integers(1, 2), st.booleans())
+def test_kernels_results_and_mid_surgery_gropes_match_the_oracle(seed, labels, pairs, adversarial):
+    """Generated kernels hold body ends; results hold sphere ends and husks with no body."""
+    kernel = generate_kernel(seed, labels=labels, pair_count=pairs, adversarial=adversarial)
+    assert dumps_kernel(kernel) == _indent_dumps(_oracle_kernel(kernel))
+    split = full_split(kernel.gropes[0])
+    _assert_capped_matches_the_oracle(split)
+    try:
+        cap_a, cap_b = find_duplicate_pair(split, 0)
+        result = run_surgery(kernel, force=True)
+    except PigeonholeFailure:
+        return
+    mid, sphere = contract(split, 0, cap_a, cap_b)  # its queue waits for a pushoff
+    _assert_capped_matches_the_oracle(mid)
+    assert dumps_result(result) == _indent_dumps(_oracle_result(result))
+
+
+def _deep_capped_grope() -> CappedGrope:
+    """Stages nested MAX_NESTING deep, with a point on the deepest stage."""
+    slot, path = Tip("t0"), []
+    for k in range(1, MAX_NESTING):
+        slot = Stage(((Tip(f"t{k}"), slot),))
+        path.append((0, 1))
+    caps = {"c": "t", **{f"c{k}": f"t{k}" for k in range(MAX_NESTING)}}
+    point = Intersection("i1", CapRef("c0"), BodyRef(tuple(path)), generator(1))
+    return CappedGrope(Grope(Stage(((Tip("t"), slot),))), caps, (point,))
+
+
+def test_the_deepest_documents_never_reach_json_dumps(monkeypatch):
+    """A depth regression in the emitter shows here, not as a slow fallback."""
+    kernel = generate_kernel(1, labels=MAX_NESTING + 1, adversarial=True)
+    deep = _deep_capped_grope()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.dumps was called")
+
+    monkeypatch.setattr(json, "dumps", refuse)
+    for kind, obj in (("kernel", kernel), ("capped", deep)):
+        text = canonical_dumps(obj)
+        back = loads_document(text)
+        assert back[0] == kind and canonical_dumps(back[1]) == text
 
 
 # ---------------------------------------------------------------------------

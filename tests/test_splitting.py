@@ -78,6 +78,13 @@ def _two_value_cap():
 # split_cap
 
 
+def test_splits_refuse_a_fully_surgered_grope():
+    husk = CappedGrope(None, {}, (), (SphereRecord("sph0", 0, "c1", "c2", IDENTITY),))
+    for split in (full_split, lambda cg: split_cap(cg, "c1")):
+        with pytest.raises(ValidationError, match="^cannot split a fully surgered grope$"):
+            split(husk)
+
+
 def test_split_cap_partitions_by_least_key():
     cg = _two_value_cap()
     trace: list = []

@@ -361,6 +361,11 @@ def test_depth_frozen_examples():
     assert lcs_depth(commutator(commutator(x, y), y)).is_exact
 
 
+def test_lcs_depth_refuses_a_cutoff_below_one():
+    with pytest.raises(ValidationError, match="^cutoff must be >= 1, got 0$"):
+        lcs_depth(generator(1), 0)
+
+
 def test_depth_beyond_cutoff_reports_lower_bound():
     w = generator(1)
     for k in range(2, 11):
