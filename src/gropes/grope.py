@@ -90,6 +90,29 @@ class Stage:
                 raise ValidationError(f"each pair needs exactly two slots, got {p!r}")
         object.__setattr__(self, "pairs", pairs)
 
+    def __eq__(self, other: object) -> bool:
+        """Equality of the pair tuples, as a dataclass compares them, but in a loop.
+
+        The generated comparison recurses once per stage level, which a
+        grope as deep as a document may be exhausts.
+        """
+        if type(other) is not Stage:
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            if len(a.pairs) != len(b.pairs):
+                return False
+            for pair_a, pair_b in zip(a.pairs, b.pairs):
+                for x, y in zip(pair_a, pair_b):
+                    if type(x) is Stage and type(y) is Stage:
+                        todo.append((x, y))
+                    elif x != y:
+                        return False
+        return True
+
     @property
     def genus(self) -> int:
         return len(self.pairs)
@@ -206,47 +229,51 @@ def boundary_word(obj: Grope | Stage, assignment: Mapping[str, GroupWord] | None
     # Both walks memoize by node, so a stage shared by several parents (built
     # through the API; documents are trees) is measured and built once.  The
     # tree outlives the call, so no id is reused while the memos are in use.
-    lengths: dict[int, int] = {}
-    words: dict[int, GroupWord] = {}
-
-    def length_of(slot: Slot) -> int:
-        n = lengths.get(id(slot))
-        if n is not None:
-            return n
-        if isinstance(slot, Tip):
-            # The default assignment, built only once the length passes,
-            # gives each tip one letter: an aliased stage is measured
-            # without enumerating its paths.
-            try:
-                n = 1 if assignment is None else len(assignment[slot.tip_id])
-            except KeyError:
-                raise ValidationError(f"no word assigned to tip {slot.tip_id!r}") from None
-        else:
-            n = sum(2 * (length_of(a) + length_of(b)) for a, b in slot.pairs)
-        lengths[id(slot)] = n
-        return n
-
-    def word_of(slot: Slot) -> GroupWord:
-        if isinstance(slot, Tip):
-            return assignment[slot.tip_id]
-        word = words.get(id(slot))
-        if word is None:
-            # One reduction over the whole stage: folding pair by pair
-            # re-reduces the growing word each time, quadratic in the genus.
-            letters: list[int] = []
-            for a, b in slot.pairs:
-                u, v = word_of(a).letters, word_of(b).letters
-                letters += u
-                letters += v
-                letters.extend(-x for x in reversed(u))
-                letters.extend(-x for x in reversed(v))
-            word = words[id(slot)] = GroupWord(tuple(letters))
-        return word
-
-    _refuse_long(length_of(root))
+    _refuse_long(_boundary_length(root, assignment, {}))
     if assignment is None:
         assignment = default_assignment(root)
-    return word_of(root)
+    return _boundary_of(root, assignment, {})
+
+
+def _boundary_length(slot: Slot, assignment: Mapping | None, lengths: dict[int, int]) -> int:
+    """The unreduced length of slot's boundary word, memoized in lengths by node.
+
+    A plain recursive function, like the other walks of boundary_word and
+    grope_from_expression: a closure that calls itself is a reference cycle.
+    """
+    if (n := lengths.get(id(slot))) is not None:
+        return n
+    if isinstance(slot, Tip):
+        # The default assignment, built only once the length passes,
+        # gives each tip one letter: an aliased stage is measured
+        # without enumerating its paths.
+        try:
+            n = 1 if assignment is None else len(assignment[slot.tip_id])
+        except KeyError:
+            raise ValidationError(f"no word assigned to tip {slot.tip_id!r}") from None
+    else:
+        n = 2 * sum(_boundary_length(s, assignment, lengths) for pair in slot.pairs for s in pair)
+    lengths[id(slot)] = n
+    return n
+
+
+def _boundary_of(slot: Slot, assignment: Mapping, words: dict[int, GroupWord]) -> GroupWord:
+    """The boundary word of slot, memoized in words by node."""
+    if isinstance(slot, Tip):
+        return assignment[slot.tip_id]
+    word = words.get(id(slot))
+    if word is None:
+        # One reduction over the whole stage: folding pair by pair
+        # re-reduces the growing word each time, quadratic in the genus.
+        letters: list[int] = []
+        for a, b in slot.pairs:
+            u, v = (_boundary_of(s, assignment, words).letters for s in (a, b))
+            letters += u
+            letters += v
+            letters.extend(-x for x in reversed(u))
+            letters.extend(-x for x in reversed(v))
+        word = words[id(slot)] = GroupWord(tuple(letters))
+    return word
 
 
 def grope_from_expression(expr: CommutatorExpr) -> tuple[Grope, dict[str, GroupWord]]:
@@ -258,39 +285,37 @@ def grope_from_expression(expr: CommutatorExpr) -> tuple[Grope, dict[str, GroupW
     resulting class equals the expression's weight, so the expression must
     have weight >= 2: a bare generator does not bound a surface.
     """
-    counter = 0
     assignment: dict[str, GroupWord] = {}
-
-    def fresh_tip(word: GroupWord) -> Tip:
-        nonlocal counter
-        counter += 1
-        tip = Tip(f"t{counter}")
-        assignment[tip.tip_id] = word
-        return tip
-
-    def build_slot(e: CommutatorExpr) -> Slot:
-        if isinstance(e, Gen):
-            return fresh_tip(generator(e.index))
-        if isinstance(e, Inv):
-            if isinstance(e.operand, Gen):
-                return fresh_tip(generator(e.operand.index).inverse())
-            raise ValidationError("inverses should have been pushed to generators")
-        if isinstance(e, Comm):
-            return Stage(((build_slot(e.left), build_slot(e.right)),))
-        pairs: list[tuple[Slot, Slot]] = []
-        for factor in e.factors:
-            built = build_slot(factor)
-            if not isinstance(built, Stage):
-                raise ValidationError(
-                    "a product factor must be a commutator to bound a surface"
-                )
-            pairs.extend(built.pairs)
-        return Stage(tuple(pairs))
-
-    built = build_slot(push_inverses(expr))
+    built = _slot_from_expression(push_inverses(expr), assignment)
     if not isinstance(built, Stage):
         raise ValidationError("an expression of weight 1 does not describe a grope")
     return Grope(built), assignment
+
+
+def _slot_from_expression(e: CommutatorExpr, assignment: dict[str, GroupWord]) -> Slot:
+    """The slot shaped like e; each generator becomes tip t1, t2, ... in order, in assignment."""
+    if isinstance(e, Gen):
+        return _fresh_tip(generator(e.index), assignment)
+    if isinstance(e, Inv):
+        if isinstance(e.operand, Gen):
+            return _fresh_tip(generator(e.operand.index).inverse(), assignment)
+        raise ValidationError("inverses should have been pushed to generators")
+    if isinstance(e, Comm):
+        return Stage((tuple(_slot_from_expression(s, assignment) for s in (e.left, e.right)),))
+    pairs: list[tuple[Slot, Slot]] = []
+    for factor in e.factors:
+        built = _slot_from_expression(factor, assignment)
+        if not isinstance(built, Stage):
+            raise ValidationError("a product factor must be a commutator to bound a surface")
+        pairs.extend(built.pairs)
+    return Stage(tuple(pairs))
+
+
+def _fresh_tip(word: GroupWord, assignment: dict[str, GroupWord]) -> Tip:
+    """A new tip, named t1, t2, ... in the order made, with word recorded in assignment."""
+    tip = Tip(f"t{len(assignment) + 1}")
+    assignment[tip.tip_id] = word
+    return tip
 
 
 def validate_grope(obj: Grope) -> list[str]:

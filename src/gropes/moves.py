@@ -17,13 +17,15 @@ contract and pushoff open one for a single move, while run_surgery and
 gropes.pipeline.replay_trace keep one per grope across its splits,
 contractions and pushoffs.  The state indexes every live point by the caps
 and body paths it has an end on, and holds the spheres by id, with a count
-of those whose pushoff queue is pending.
+of those whose pushoff queue is pending.  A live end is a cap id, a stage
+path or a SphereRef; a queued point's surviving end becomes a CapRef or a
+BodyRef again, as a SphereRecord holds it, and a pushoff copy turns it back.
 
 A contraction reads its piece in one walk of the first-stage pair: the
 piece's caps in traversal order, its first tip without a cap, whether it
 has a stage of genus above 1, and its stage paths.  Its points are those
 the index files under these caps and paths, and, at the last piece, under
-the first stage itself, BodyRef(()); it takes them sorted by id, as the
+the first stage itself, the path (); it takes them sorted by id, as the
 grope's points are.  Pieces keep the numbers the first-stage pairs had
 after the last split, and so do body paths: pair i of the current grope is
 the i-th piece not yet contracted.  The state renumbers the body paths of
@@ -44,11 +46,8 @@ from dataclasses import replace
 from typing import Container
 
 from .capped import (
-    BodyRef,
     CappedGrope,
-    CapRef,
     PendingPushoff,
-    SheetRef,
     SphereRecord,
     SphereRef,
     derived_id,
@@ -62,8 +61,8 @@ from .errors import (
     SplitFirstError,
     ValidationError,
 )
-from .grope import Path, Stage, _pairs, _slots
-from .splitting import _Point, _RewriteState
+from .grope import Path, _slots
+from .splitting import _Point, _RewriteState, _sheet, _sheet_ref, _thaw
 from .words import IDENTITY, GroupWord
 
 
@@ -74,34 +73,34 @@ def piece_caps(cg: CappedGrope, pair_index: int) -> list[str]:
     root = cg.body.root
     if not 0 <= pair_index < root.genus:
         raise ValidationError(f"no pair {pair_index} at a genus-{root.genus} first stage")
-    caps, uncapped, _, _ = _walk_piece(root, pair_index, cg.tip_to_cap)
+    # The pair alone, thawed and walked as pair 0, so the read stays O(piece).
+    alpha, beta = root.pairs[pair_index]
+    caps, uncapped, _, _ = _walk_piece([(_thaw(alpha), _thaw(beta))], 0, cg.tip_to_cap)
     if uncapped is not None:
         raise ValidationError(f"tip {uncapped!r} has no cap")
     return caps
 
 
 def _walk_piece(
-    root: Stage | list, j: int, tip_cap: dict[str, str]
+    root: list, j: int, tip_cap: dict[str, str]
 ) -> tuple[list[str], str | None, bool, set[Path]]:
     """One walk of first-stage pair j: its caps and its first tip without a cap.
 
-    root is a Stage or a live stage (see gropes.grope).  Returns the caps in
-    traversal order, that tip (None when every tip is capped), whether a
-    stage of genus above 1 is on the pair, and the paths of the pair's
-    stages.
+    root is a live stage (see gropes.grope).  Returns the caps in traversal
+    order, that tip (None when every tip is capped), whether a stage of
+    genus above 1 is on the pair, and the paths of the pair's stages.
     """
     caps, uncapped, wide, paths = [], None, False, set()
     for path, slot in _slots(root, j):
         if path[0][0] != j:
             break
-        kind = type(slot)
-        if kind is Stage or kind is list:
+        if type(slot) is list:
             paths.add(path)
-            wide = wide or len(_pairs(slot)) > 1
-        elif (cap := tip_cap.get(tip := slot if kind is str else slot.tip_id)) is not None:
+            wide = wide or len(slot) > 1
+        elif (cap := tip_cap.get(slot)) is not None:
             caps.append(cap)
         elif uncapped is None:
-            uncapped = tip
+            uncapped = slot
     return caps, uncapped, wide, paths
 
 
@@ -229,17 +228,14 @@ def _contract_at(
     sphere_id = _sphere_name(len(spheres), live, state.sphere_at)
     ref = SphereRef(sphere_id)
 
-    def inside(end: SheetRef) -> bool:  # values has a key for each of the piece's caps
-        kind = type(end)
-        return end.cap_id in values if kind is CapRef else kind is BodyRef and end.path in paths
-
     # The piece's sheets go with it; a queued point leaves its other sheet's bucket too.
     for buckets, keys in ((state.by_cap, caps), (state.by_path, paths)):
         for key in keys:
             buckets.pop(key, None)
     self_log, queued = [], []
     for p in points:
-        a_in, b_in = inside(p.end_a), inside(p.end_b)
+        # values has a key for each of the piece's caps, and paths holds its stages.
+        a_in, b_in = [end in values or end in paths for end in (p.end_a, p.end_b)]
         if a_in and b_in:
             self_log.append({"point": p.point_id, "was": str(p.label), "result": "1"})
             p.end_a = p.end_b = ref
@@ -247,7 +243,7 @@ def _contract_at(
         else:
             # The label as read from the surviving end.
             other, label = (p.end_b, p.label.inverse()) if a_in else (p.end_a, p.label)
-            queued.append(PendingPushoff(p.point_id, other, label))
+            queued.append(PendingPushoff(p.point_id, _sheet_ref(other), label))
             del live[p.point_id]
             state.unindex(p)
     del alive[pair_index]
@@ -292,10 +288,10 @@ def _pushoff_at(state: _RewriteState, sphere_id: str) -> None:
     ref, live = SphereRef(sphere_id), state.points
     logged = []
     for q in record.pending:
-        created = []
+        created, other = [], _sheet(q.other)
         for k in (1, 2):
             name = derived_id(q.point_id, k, live)
-            live[name] = point = _Point(name, q.other, ref, IDENTITY, ())
+            live[name] = point = _Point(name, other, ref, IDENTITY, ())
             state.index(point)
             created.append(name)
         logged.append(

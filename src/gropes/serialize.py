@@ -236,10 +236,6 @@ def _word_from_doc(doc: Any, ctx: str) -> GroupWord:
         raise ParseError(f"{ctx}: bad word {doc!r}: {e}") from None
 
 
-
-
-
-
 def slot_from_doc(doc: Any, ctx: str, depth: int = 1) -> Slot:
     if not isinstance(doc, dict):
         raise ParseError(f"{ctx}: expected a slot object, got {doc!r}")
@@ -276,14 +272,10 @@ def stage_from_doc(doc: Any, ctx: str, depth: int = 1) -> Stage:
     return Stage(tuple(pairs))
 
 
-
-
 def grope_from_doc(doc: Any, ctx: str = "$") -> Grope:
     _check_keys(doc, ("closed", "root"), ctx, "a grope object, got {!r}")
     closed = _get(doc, "closed", bool, ctx, default=False)
     return Grope(stage_from_doc(_get(doc, "root", dict, ctx), f"{ctx}.root"), closed)
-
-
 
 
 def end_from_doc(doc: Any, ctx: str) -> SheetRef:
@@ -298,8 +290,6 @@ def end_from_doc(doc: Any, ctx: str) -> SheetRef:
     raise ParseError(f"{ctx}: an endpoint has exactly one of 'cap', 'body', 'sphere'")
 
 
-
-
 def intersection_from_doc(doc: Any, ctx: str) -> Intersection:
     _check_keys(doc, ("id", "endA", "endB", "label"), ctx, "an intersection object, got {!r}")
     try:
@@ -311,8 +301,6 @@ def intersection_from_doc(doc: Any, ctx: str) -> Intersection:
         )
     except ValidationError as e:
         raise ParseError(f"{ctx}: {e}") from None
-
-
 
 
 def sphere_from_doc(doc: Any, ctx: str) -> SphereRecord:
@@ -338,8 +326,6 @@ def sphere_from_doc(doc: Any, ctx: str) -> SphereRecord:
         _word_from_doc(_get(doc, "label", str, ctx), f"{ctx}.label"),
         tuple(pending),
     )
-
-
 
 
 def capped_from_doc(doc: Any, ctx: str = "$") -> CappedGrope:
@@ -368,8 +354,6 @@ def capped_from_doc(doc: Any, ctx: str = "$") -> CappedGrope:
     return CappedGrope(body, caps, tuple(points), tuple(spheres))
 
 
-
-
 def kernel_from_doc(doc: Any, ctx: str = "$") -> SurgeryKernel:
     _check_keys(doc, ("rank", "gropes", "hyperbolicPairs"), ctx, "a kernel object, got {!r}")
     rank = _get(doc, "rank", int, ctx)
@@ -391,8 +375,6 @@ def kernel_from_doc(doc: Any, ctx: str = "$") -> SurgeryKernel:
         return SurgeryKernel(rank, tuple(gropes), tuple(pairs))
     except ValidationError as e:
         raise ParseError(f"{ctx}: {e}") from None
-
-
 
 
 def result_from_doc(doc: Any, ctx: str = "$") -> SurgeryResult:
@@ -447,8 +429,3 @@ def loads_document(text: str):
         "grope": grope_from_doc,
     }[kind]
     return kind, parser(doc)
-
-
-
-
-

@@ -34,29 +34,34 @@ check each move's preconditions.  They run on a _RewriteState, the one state
 the contraction cores of gropes.moves run on too: the public moves open one
 for a single rewrite, while run_surgery and replay keep one per grope across
 every split, contraction and pushoff.  It holds the grope under rewriting
-as mutable objects.  The first split thaws the body into a live body, in
-which a stage is a list of (alpha, beta) pairs and a tip is its id, and
-every rewrite splices its new pairs into that list in place; a state that
-only contracts never thaws.  Each live point is a private record of an
-intersection's fields and its label's unoriented key, worked out once when
-the point enters the state and inherited by its copies; a move rewrites a
-record's ends in place.  The points are indexed by sheet: every point by
-id, the ids of the points on each cap, and the ids of the points on each
-stage surface, keyed by the stage's path.  A rewrite at pair j of the stage
-at path P reads only the buckets it changes: the replaced cap's, those of
-the caps copied with the dual slot, and those of the stage paths below P
-whose step at P is the dual slot, the replaced slot, or a later pair (which
-shift by the number of new pairs less one).  Every other point is untouched
-and never visited.  The touched points are rewritten in id order, because a
-copied point's lineage name depends on the names taken before it, and that
-order is the one in which a scan of the sorted points always derived them.
-A cap's label values are read from its bucket, as the records' keys, when a
-split needs them, so no rewrite, contraction or pushoff keeps a second copy
-of them in step.  A split after a contraction first drops the contracted
-pairs and renumbers the body paths, as result() does.  Only result() builds
-frozen objects, each once and through the public constructors, so every one
-passes its checks: the Tips and Stages of the live body, one Intersection
-per live point, and the CappedGrope, with its points sorted.
+as plain mutable data, and thaws the body as it opens: in the live body a
+stage is a list of (alpha, beta) pairs and a tip is its id, and every
+rewrite splices its new pairs into that list in place.  Each live point is
+a private record of an intersection's fields and its label's unoriented
+key, worked out once when the point enters the state and inherited by its
+copies; a move rewrites a record's ends in place.  A live end is the key
+of its sheet: a cap's id, a stage's path, or the point's SphereRef.  Two
+helpers turn CapRefs and BodyRefs into these keys and back, and run only
+where the state meets frozen objects: when it opens, in result(), and at
+the pushoff queues of the sphere records.  The points are indexed by
+sheet: every point by id, the ids of the points on each cap, and the ids
+of the points on each stage surface, keyed by the stage's path.  A
+rewrite at pair j of the stage at path P reads only the buckets it
+changes: the replaced cap's, those of the caps copied with the dual slot,
+and those of the stage paths below P whose step at P is the dual slot,
+the replaced slot, or a later pair (which shift by the number of new pairs
+less one).  Every other point is untouched and never visited.  The
+touched points are rewritten in id order, because a copied point's
+lineage name depends on the names taken before it, and that order is the
+one in which a scan of the sorted points always derived them.  A cap's
+label values are read from its bucket, as the records' keys, when a split
+needs them, so no rewrite, contraction or pushoff keeps a second copy of
+them in step.  A split after a contraction first drops the contracted
+pairs and renumbers the body paths, as result() does.  Only result()
+builds the frozen grope, each object once and through the public
+constructors, so every one passes its checks: the Tips and Stages of the
+live body, one Intersection per live point, and the CappedGrope, with its
+points sorted.
 
 full_split runs each phase as one walk of the live body by grope._slots,
 rewriting a slot as the walk yields it: phase 1 splits each multi-valued
@@ -96,7 +101,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Union
 
 from .capped import (
     BodyRef,
@@ -104,6 +109,7 @@ from .capped import (
     CapRef,
     Intersection,
     SheetRef,
+    SphereRef,
     derived_id,
 )
 from .errors import GrowthLimitError, RewriteError, ValidationError
@@ -115,11 +121,9 @@ from .grope import (
     Slot,
     Stage,
     Tip,
-    _pairs,
     _slots,
     path_doc,
     stage_at,
-    tips,
 )
 from .words import GroupWord, unoriented_key
 
@@ -169,18 +173,34 @@ class _Names:
         return name
 
 
+# A live point's end: a cap id, a stage path, or the point's SphereRef.
+_Sheet = Union[str, Path, SphereRef]
+
+
+def _sheet(end: SheetRef) -> _Sheet:
+    """An end as the state keeps it, the key its sheet index uses."""
+    kind = type(end)
+    return end.cap_id if kind is CapRef else end.path if kind is BodyRef else end
+
+
+def _sheet_ref(sheet: _Sheet) -> SheetRef:
+    """A live end as the SheetRef an Intersection or a pending pushoff holds."""
+    kind = type(sheet)
+    return CapRef(sheet) if kind is str else BodyRef(sheet) if kind is tuple else sheet
+
+
 @dataclass(slots=True)
 class _Point:
     """A live point: an Intersection's fields and its label's unoriented key.
 
-    The key is worked out once, when the point enters the state, and its
-    copies inherit it.  A move rewrites the ends in place; result() builds
-    the Intersection.
+    The ends are live ends (_Sheet).  The key is worked out once, when the
+    point enters the state, and its copies inherit it.  A move rewrites the
+    ends in place; result() builds the Intersection.
     """
 
     point_id: str
-    end_a: SheetRef
-    end_b: SheetRef
+    end_a: _Sheet
+    end_b: _Sheet
     label: GroupWord
     key: tuple[int, ...]
 
@@ -202,14 +222,13 @@ def _freeze(slot: str | list) -> Slot:
 class _RewriteState:
     """A capped grope under splitting and contraction, its live points indexed by sheet.
 
-    root is the first stage: the input's Stage until the first split thaws
-    it into a live stage (see _thaw), which splits then edit in place until
-    result() freezes it, or None once every piece is contracted.  points maps every live point's id
-    to its _Point.  by_cap maps a cap, and by_path a stage path, to the ids
-    of the points with an end on that sheet; a point on two sheets is in
-    both buckets, and empty buckets are dropped.  tip_cap maps every tip of
-    the body to its cap, or to None when it has none, and every other tip a
-    cap sits on to that cap.
+    root is the first stage as a live stage (see _thaw), which splits edit
+    in place and result() freezes, or None once every piece is contracted.
+    points maps every live point's id to its _Point.  by_cap maps a cap,
+    and by_path a stage path, to the ids of the points with an end on that
+    sheet; a point on two sheets is in both buckets, and empty buckets are
+    dropped.  tip_cap maps every tip of the body to its cap, or to None when
+    it has none, and every other tip a cap sits on to that cap.
 
     A contraction leaves root as it is: alive lists the first-stage pairs
     not yet contracted, and body paths keep their numbers until renumber()
@@ -227,14 +246,15 @@ class _RewriteState:
         self, cg: CappedGrope, limits: SplitLimits | None = None, trace: list | None = None
     ):
         self.source = cg
-        body = cg.body
-        self.root = None if body is None else body.root
-        self.alive = list(range(0 if body is None else body.root.genus))
+        self.root = None if cg.body is None else _thaw(cg.body.root)
+        self.alive = list(range(len(self.root or ())))
         self.caps = dict(cg.caps)
-        self.tip_cap = dict.fromkeys(() if body is None else tips(body))
+        self.tip_cap = dict.fromkeys(s for _, s in _slots(self.root or []) if type(s) is str)
         self.tip_cap.update(cg.tip_to_cap)
         self.points = {
-            p.point_id: _Point(p.point_id, p.end_a, p.end_b, p.label, unoriented_key(p.label))
+            p.point_id: _Point(
+                p.point_id, _sheet(p.end_a), _sheet(p.end_b), p.label, unoriented_key(p.label)
+            )
             for p in cg.intersections
         }
         if len(self.points) != len(cg.intersections):
@@ -253,51 +273,45 @@ class _RewriteState:
 
     def index(self, p: _Point) -> None:
         for end in (p.end_a, p.end_b):
-            kind = type(end)
-            if kind is CapRef:
-                self.by_cap.setdefault(end.cap_id, set()).add(p.point_id)
-            elif kind is BodyRef:
-                self.by_path.setdefault(end.path, set()).add(p.point_id)
+            if type(end) is not SphereRef:
+                buckets = self.by_cap if type(end) is str else self.by_path
+                buckets.setdefault(end, set()).add(p.point_id)
 
     def unindex(self, p: _Point) -> None:
         for end in (p.end_a, p.end_b):
-            kind = type(end)
-            if kind is CapRef:
-                buckets, key = self.by_cap, end.cap_id
-            elif kind is BodyRef:
-                buckets, key = self.by_path, end.path
-            else:
-                continue
-            ids = buckets.get(key)
+            # A sphere end is in neither index, so by_path has no bucket for it.
+            buckets = self.by_cap if type(end) is str else self.by_path
+            ids = buckets.get(end)
             if ids is not None:  # gone for a self point's second end or a contracted sheet
                 ids.discard(p.point_id)
                 if not ids:
-                    del buckets[key]
+                    del buckets[end]
 
     def renumber(self) -> None:
         """Drop the contracted first-stage pairs, renumbering the body paths after them."""
         root, alive = self.root, self.alive
-        if root is None or len(alive) == len(pairs := _pairs(root)):
+        if root is None or len(alive) == len(root):
             return
-        kept = [pairs[j] for j in alive]
-        self.root = None if not kept else kept if type(root) is list else Stage(tuple(kept))
+        self.root = [root[j] for j in alive] or None
         self.alive = list(range(len(alive)))
-        gone = sorted(set(range(len(pairs))).difference(alive))
+        gone = sorted(set(range(len(root))).difference(alive))
 
-        def renumber(end: SheetRef) -> SheetRef:
-            if type(end) is not BodyRef or not end.path:
+        def renumber(end: _Sheet) -> _Sheet:
+            if type(end) is not tuple or not end:
                 return end
-            (j, side), rest = end.path[0], end.path[1:]
+            (j, side), rest = end[0], end[1:]
             shift = bisect_left(gone, j)
-            return BodyRef(((j - shift, side),) + rest) if shift else end
+            return ((j - shift, side),) + rest if shift else end
 
         for p in self.points.values():
-            if BodyRef in (type(p.end_a), type(p.end_b)):
+            if type(p.end_a) is tuple or type(p.end_b) is tuple:
                 self.unindex(p)
                 p.end_a, p.end_b = renumber(p.end_a), renumber(p.end_b)
                 self.index(p)
         self.spheres = [
-            replace(s, pending=tuple(replace(q, other=renumber(q.other)) for q in s.pending))
+            replace(s, pending=tuple(
+                replace(q, other=_sheet_ref(renumber(_sheet(q.other)))) for q in s.pending
+            ))
             if s.pending else s
             for s in self.spheres
         ]
@@ -308,24 +322,28 @@ class _RewriteState:
         return {points[i].key for i in self.by_cap.get(cap_id, ())}
 
     def ready_to_split(self) -> None:
-        """Renumber after contractions and thaw the body; a fully surgered grope cannot split."""
+        """Renumber after contractions; a fully surgered grope cannot split."""
         self.renumber()
         if self.root is None:
             raise ValidationError("cannot split a fully surgered grope")
-        if type(self.root) is Stage:
-            self.root = _thaw(self.root)
 
     def result(self) -> CappedGrope:
-        """The rewritten grope, built once; the input if nothing was rewritten."""
+        """The rewritten grope, built once; the input if nothing was rewritten.
+
+        It ends the state: the live body is dropped once frozen, so it is
+        not held beside the Intersections.
+        """
         if not self.changes:
             return self.source
         self.renumber()
-        if type(self.root) is list:  # frozen in place, so the live body is freed here
-            self.root = _freeze(self.root)
-        body = None if self.root is None else Grope(self.root, self.source.body.closed)
-        points = tuple(
-            Intersection(p.point_id, p.end_a, p.end_b, p.label) for p in self.points.values()
-        )
+        body = None if self.root is None else Grope(_freeze(self.root), self.source.body.closed)
+        self.root = None
+        live = self.points.values()
+        # One SheetRef per sheet, shared by every point on it.
+        refs = dict.fromkeys(end for p in live for end in (p.end_a, p.end_b))
+        for end in refs:
+            refs[end] = _sheet_ref(end)
+        points = tuple(Intersection(p.point_id, refs[p.end_a], refs[p.end_b], p.label) for p in live)
         return CappedGrope(body, self.caps, points, tuple(self.spheres))
 
 
@@ -346,7 +364,7 @@ def _widen_pair(
     side: int,
     mine: list,
     mine_caps: list[tuple[str, str]],
-    remap_mine: Callable[[_Point, SheetRef], SheetRef],
+    remap_mine: Callable[[_Point, _Sheet], _Sheet],
     names: _Names,
 ) -> None:
     """Replace pair `pair` of the live stage at ppath by len(mine) pairs, in place.
@@ -380,7 +398,7 @@ def _widen_pair(
         tip_cap[tip] = cap
 
     new_pairs = []
-    cap_copies: dict[str, list[CapRef]] = {}
+    cap_copies: dict[str, list[str]] = {}
     for k in range(1, count + 1):
         tip_map: dict[str, str] = {}
         copy = _copy_slot(dual, k, names, tip_map)
@@ -389,15 +407,15 @@ def _widen_pair(
             if old_cap is not None:
                 new_cap = names.derived(old_cap, k)
                 caps[new_cap] = new_tip
-                cap_copies.setdefault(old_cap, []).append(CapRef(new_cap))
+                cap_copies.setdefault(old_cap, []).append(new_cap)
             tip_cap[new_tip] = new_cap
         new_pairs.append((mine[k - 1], copy) if side == 0 else (copy, mine[k - 1]))
     pairs[pair : pair + 1] = new_pairs
     if not ppath:  # the new first-stage pairs are pieces too
         state.alive.extend(range(len(state.alive), len(pairs)))
 
-    # One ref, one ref per copy, or remap_mine, which also reads the point.
-    image: dict[str | Path, SheetRef | list | Callable] = dict(cap_copies)
+    # One end, one end per copy, or remap_mine, which also reads the point.
+    image: dict[_Sheet, _Sheet | list | Callable] = dict(cap_copies)
     if mine_cap is not None:
         image[mine_cap] = remap_mine
     depth = len(ppath)
@@ -407,9 +425,9 @@ def _widen_pair(
         if len(path) > depth and path[:depth] == ppath:
             (j, s), rest = path[depth], path[depth + 1 :]
             if j > pair:
-                image[path] = BodyRef(ppath + ((j + count - 1, s),) + rest)
+                image[path] = ppath + ((j + count - 1, s),) + rest
             elif (j, s) == dual_step:
-                image[path] = [BodyRef(ppath + ((pair + k, s),) + rest) for k in range(count)]
+                image[path] = [ppath + ((pair + k, s),) + rest for k in range(count)]
             elif (j, s) == mine_step:
                 image[path] = remap_mine
 
@@ -417,15 +435,9 @@ def _widen_pair(
     for key in image:
         touched.update((state.by_cap if type(key) is str else state.by_path).get(key, ()))
 
-    def move(p: _Point, end: SheetRef) -> SheetRef | list[SheetRef]:
+    def move(p: _Point, end: _Sheet) -> _Sheet | list[_Sheet]:
         """The rewritten endpoint, or its list of per-copy endpoints."""
-        kind = type(end)
-        if kind is CapRef:
-            moved = image.get(end.cap_id, end)
-        elif kind is BodyRef:
-            moved = image.get(end.path, end)
-        else:
-            return end
+        moved = image.get(end, end)
         return remap_mine(p, end) if moved is remap_mine else moved
 
     points = state.points
@@ -500,10 +512,9 @@ def _split_cap_at(
 
     new_tips = (names.derived(tip_id, 1), names.derived(tip_id, 2))
     new_caps = (names.derived(cap_id, 1), names.derived(cap_id, 2))
-    least_ref, rest_ref = CapRef(new_caps[0]), CapRef(new_caps[1])
 
-    def remap_mine(p: _Point, end: SheetRef) -> SheetRef:
-        return least_ref if p.key == least else rest_ref
+    def remap_mine(p: _Point, end: _Sheet) -> _Sheet:
+        return new_caps[0] if p.key == least else new_caps[1]
 
     mine_caps = list(zip(new_caps, new_tips))
     _widen_pair(state, ppath, pair, side, list(new_tips), mine_caps, remap_mine, names)
@@ -534,13 +545,13 @@ def _split_stage_at(state: _RewriteState, path: Path) -> None:
     genus = len(stage_at(state.root, ppath))
     depth = len(path)
 
-    def remap_mine(p: _Point, end: SheetRef) -> SheetRef:
+    def remap_mine(p: _Point, end: _Sheet) -> _Sheet:
         # The stage's own surface stays on the first piece; a stage above
         # pair j of it moves onto piece j.
-        if len(end.path) == depth:
+        if len(end) == depth:
             return end
-        j, s = end.path[depth]
-        return BodyRef(ppath + ((pair + j, side), (0, s)) + end.path[depth + 1 :])
+        j, s = end[depth]
+        return ppath + ((pair + j, side), (0, s)) + end[depth + 1 :]
 
     mine = [[pr] for pr in stage]
     _widen_pair(state, ppath, pair, side, mine, [], remap_mine, _Names(state))
@@ -656,17 +667,11 @@ def _predicted_size(state: _RewriteState) -> tuple[int, int]:
         parent, (j, side) = path[:-1], path[-1]
         copies[path] = copies[parent] * mult[parent + ((j, 1 - side),)]
 
-    def sheet_path(end: SheetRef) -> Path | None:
-        kind = type(end)
-        if kind is CapRef:
-            return cap_path.get(end.cap_id)
-        if kind is BodyRef and end.path in copies:
-            return end.path
-        return None
-
+    # The path of each sheet in the body: a cap's tip path, or a stage's own.
+    sheet_path = cap_path | dict(zip(copies, copies))
     total = 0
     for p in state.points.values():
-        a, b = sheet_path(p.end_a), sheet_path(p.end_b)
+        a, b = sheet_path.get(p.end_a), sheet_path.get(p.end_b)
         if a is None or b is None:
             known = b if a is None else a
             total += 1 if known is None else copies[known]

@@ -69,6 +69,32 @@ def test_closed_flag():
     assert g.closed
 
 
+def _chain(depth: int, last: str = "t0", wide: bool = False) -> Stage:
+    """Stages nested depth deep along the beta slots; wide gives the first stage a second pair."""
+    slot: Tip | Stage = Tip(last)
+    for k in range(depth):
+        slot = Stage(((Tip(f"u{k}"), slot),))
+    pairs = slot.pairs + (((Tip("w1"), Tip("w2")),) if wide else ())
+    return Stage(pairs)
+
+
+def test_stage_equality_is_structural_at_any_depth():
+    """Far deeper than the recursion limit, == reads as the dataclass's would."""
+    deep = 5000
+    a, b = _chain(deep), _chain(deep)
+    assert a is not b and a == b and not a != b
+    # The dataclass hash is kept, and it reaches as deep as a document may nest.
+    nesting = commutators_module.MAX_NESTING
+    assert hash(_chain(nesting)) == hash(_chain(nesting))
+    assert a != _chain(deep, last="t1")  # the deepest tip differs
+    assert a != _chain(deep, wide=True)  # the first stage's genus differs
+    assert Grope(a) == Grope(b) != Grope(b, closed=True)
+    shallow = Stage(((Tip("t1"), Tip("t2")),))
+    assert shallow != Stage(((Tip("t1"), shallow),))  # a tip against a stage
+    assert shallow != (("t1", "t2"),) and shallow != shallow.pairs
+    assert shallow == Stage(((Tip("t1"), Tip("t2")),))
+
+
 # ---------------------------------------------------------------------------
 # class
 

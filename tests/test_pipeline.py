@@ -21,6 +21,7 @@ from gropes import (
     SphereRef,
     SurgeryKernel,
     SurgeryResult,
+    boundary_word,
     canonical_dumps,
     check_hypotheses,
     class_of,
@@ -33,8 +34,11 @@ from gropes import (
     full_split,
     generate_kernel,
     generator,
+    grope_from_expression,
     is_pi1_null,
     label_keys,
+    lcs_depth,
+    parse_expression,
     piece_caps,
     pushoff,
     random_grope,
@@ -1113,7 +1117,9 @@ def test_split_and_surgery_leave_no_reference_cycles():
     """Their state is freed when each call returns, not by a later full collection.
 
     A cycle anywhere in the rewrite state, or a walk that closes over
-    itself, leaves garbage that only the cyclic collector finds.
+    itself, leaves garbage that only the cyclic collector finds.  The depth
+    path (parse, build the grope, read its boundary word, take its depth)
+    is held to the same.
     """
     kernel = generate_kernel(1, labels=3, pair_count=2)
     enabled = gc.isenabled()
@@ -1123,6 +1129,10 @@ def test_split_and_surgery_leave_no_reference_cycles():
         for cg in kernel.gropes:
             full_split(cg)
         run_surgery(kernel)
+        for text in ("[[x1,x2],x3]", "[[x1,x2],[x3,x4]]", "[x1,x2][x2^-1,[x3,x1]]"):
+            grope, assignment = grope_from_expression(parse_expression(text))
+            lcs_depth(boundary_word(grope), 5)
+            boundary_word(grope, assignment)
         assert gc.collect() == 0
     finally:
         if enabled:

@@ -331,6 +331,14 @@ def test_the_deepest_documents_never_reach_json_dumps(monkeypatch):
         assert back[0] == kind and canonical_dumps(back[1]) == text
 
 
+def test_the_deepest_documents_read_back_equal():
+    """Equality walks the stage tree in a loop, so objects as deep as a document compare."""
+    kernel = generate_kernel(1, labels=MAX_NESTING + 1, adversarial=True)
+    assert loads_document(dumps_kernel(kernel))[1] == kernel
+    deep = _deep_capped_grope()
+    assert loads_document(dumps_capped(deep))[1] == deep
+
+
 # ---------------------------------------------------------------------------
 # kinds
 

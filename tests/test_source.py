@@ -15,8 +15,9 @@ import pytest
 
 import gropes
 
-# __init__.py imports names to re-export them, so it is not checked.
-MODULES = sorted(p for p in Path(gropes.__file__).parent.glob("*.py") if p.name != "__init__.py")
+PACKAGE = sorted(Path(gropes.__file__).parent.glob("*.py"))
+# __init__.py imports names to re-export them, so it is not checked for unread imports.
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def _annotations(tree: ast.AST):
@@ -61,6 +62,34 @@ def test_module_uses_every_name_it_imports(module):
     assert unused_imports(module.read_text()) == []
 
 
+def blank_line_faults(source: str) -> list[str]:
+    """Runs of more than two blank lines, and blank lines at the end, with their lines."""
+    faults, run = [], 0
+    lines = source.split("\n")
+    for number, line in enumerate(lines, 1):
+        if line.strip():
+            if run > 2:
+                faults.append(f"line {number}: {run} blank lines before it")
+            run = 0
+        else:
+            run += 1
+    # A file ends in one newline, which split reads as one empty last line.
+    if run > 1:
+        faults.append(f"end: {run - 1} blank lines")
+    return faults
+
+
+def test_blank_line_faults_finds_long_runs_and_a_blank_end():
+    assert blank_line_faults("a\n\n\nb\n") == []
+    faults = blank_line_faults("a\n\n\n\nb\n\n")
+    assert faults == ["line 5: 3 blank lines before it", "end: 1 blank lines"]
+
+
+@pytest.mark.parametrize("module", PACKAGE, ids=lambda p: p.name)
+def test_module_has_no_long_blank_runs_and_no_blank_end(module):
+    assert blank_line_faults(module.read_text()) == []
+
+
 def code_lines(source: str) -> int:
     """Lines that hold part of a token other than a comment or a docstring."""
     docstrings: set[int] = set()
@@ -98,8 +127,7 @@ def test_code_lines_skips_docstrings_comments_and_blank_lines():
 
 
 if __name__ == "__main__":
-    package = sorted(Path(gropes.__file__).parent.glob("*.py"))
-    counts = {p.name: code_lines(p.read_text()) for p in package}
+    counts = {p.name: code_lines(p.read_text()) for p in PACKAGE}
     for name, count in counts.items():
         print(f"{count:6d}  {name}")
     print(f"{sum(counts.values()):6d}  total")

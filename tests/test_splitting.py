@@ -37,6 +37,7 @@ from gropes import (
     label_keys,
     pushoff,
     replay_trace,
+    run_surgery,
     split_cap,
     split_stage,
     stage_at,
@@ -45,8 +46,9 @@ from gropes import (
     validate_capped,
     value_keys_by_cap,
 )
-from gropes.moves import _contract_at, _pushoff_at
-from gropes.splitting import _predicted_size, _RewriteState
+import gropes.pipeline as pipeline_module
+from gropes.moves import _contract_at, _pushoff_at, _sweep
+from gropes.splitting import _full_split, _predicted_size, _RewriteState, _split_cap_at
 
 from conftest import (
     dyadic_tower,
@@ -581,13 +583,65 @@ def test_replay_leaves_its_kernel_unchanged():
     assert replay_trace(kernel, [{"grope": 0, **e} for e in trace]) == (out,)
 
 
-def test_a_state_that_only_contracts_never_thaws():
+def test_a_state_that_only_contracts_keeps_the_other_pairs():
     cg = split_genus3_grope()
     state = _RewriteState(cg)
     _contract_at(state, 1, "c3", "c5", None)
     _pushoff_at(state, state.spheres[-1].sphere_id)
-    assert state.root is cg.body.root
     assert state.result().body.root.pairs == tuple(cg.body.root.pairs[j] for j in (0, 2))
+
+
+def _live_end_types(state: _RewriteState) -> set[type]:
+    return {type(end) for p in state.points.values() for end in (p.end_a, p.end_b)}
+
+
+def _end_types(cg: CappedGrope) -> set[type]:
+    """The types of every point end and every pending pushoff's other end."""
+    ends = [end for p in cg.intersections for end in (p.end_a, p.end_b)]
+    return {type(end) for end in ends + [q.other for s in cg.spheres for q in s.pending]}
+
+
+LIVE_ENDS, REF_ENDS = {str, tuple, SphereRef}, {CapRef, BodyRef, SphereRef}
+
+
+def test_the_state_keeps_ends_as_sheet_keys_and_builds_refs_only_at_its_edges(monkeypatch):
+    """A live end is a cap id, a stage path or a SphereRef; result() gives SheetRefs back."""
+    kernel = generate_kernel(3, labels=3, pair_count=2)
+    live, out = set(), set()
+    for gi, cg in enumerate(kernel.gropes):
+        state = _RewriteState(cg)
+        _full_split(state)
+        live |= _live_end_types(state)
+        _sweep(state, gi)
+        live |= _live_end_types(state)
+        out |= _end_types(state.result()) | _end_types(full_split(cg))
+    assert live == LIVE_ENDS and out == REF_ENDS
+
+    # Pending queues hold refs, renumbered with the points before a split.
+    state = _RewriteState(split_genus3_grope())
+    _contract_at(state, 0, "c1", "c2", None)
+    _split_cap_at(state, "c3")  # one value: it only renumbers
+    assert _live_end_types(state) == LIVE_ENDS
+    cg = state.result()
+    assert _end_types(cg) == REF_ENDS
+    assert {q.point_id: q.other for q in cg.spheres[-1].pending} == {
+        "b1": BodyRef(((0, 0),)),
+        "b2": BodyRef(((1, 1), (0, 1))),
+        "x1": CapRef("c7"),
+    }
+
+    seen = []
+
+    class Recording(_RewriteState):
+        def result(self) -> CappedGrope:
+            seen.append(_live_end_types(self))
+            return super().result()
+
+    monkeypatch.setattr(pipeline_module, "_RewriteState", Recording)
+    result = run_surgery(kernel)
+    replayed = replay_trace(kernel, result.trace)
+    assert seen and set().union(*seen) <= LIVE_ENDS
+    assert replayed == result.gropes
 
 
 # ---------------------------------------------------------------------------
