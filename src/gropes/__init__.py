@@ -27,13 +27,10 @@ from .commutators import (
     Inv,
     Prod,
     evaluate,
-    expr_str,
-    generators_used,
     parse_expression,
     parse_word,
     push_inverses,
     weight,
-    word_str,
 )
 from .errors import (
     GropeError,
@@ -97,7 +94,6 @@ from .words import (
     commutator,
     generator,
     lcs_depth,
-    reduce,
     unoriented_key,
 )
 

@@ -65,14 +65,6 @@ class Intersection:
         if not isinstance(self.label, GroupWord):
             raise ValidationError(f"label must be a GroupWord, got {self.label!r}")
 
-    def label_from(self, end: SheetRef) -> GroupWord:
-        """The label as read starting at the given endpoint."""
-        if end == self.end_a:
-            return self.label
-        if end == self.end_b:
-            return self.label.inverse()
-        raise ValidationError(f"{end!r} is not an endpoint of {self.point_id}")
-
 
 @dataclass(frozen=True, slots=True)
 class PendingPushoff:
@@ -122,12 +114,6 @@ class CappedGrope:
     @property
     def tip_to_cap(self) -> dict[str, str]:
         return {tip: cap for cap, tip in self.caps.items()}
-
-    def sphere(self, sphere_id: str) -> SphereRecord:
-        for s in self.spheres:
-            if s.sphere_id == sphere_id:
-                return s
-        raise ValidationError(f"unknown sphere {sphere_id!r}")
 
 
 def derived_id(base: str, k: int, taken: Container[str]) -> str:

@@ -20,7 +20,7 @@ import sys
 
 from . import __version__
 from .capped import CappedGrope, validate_capped
-from .commutators import evaluate, parse_expression, parse_word, word_str
+from .commutators import evaluate, parse_expression, parse_word
 from .errors import (
     GropeError,
     GrowthLimitError,
@@ -201,7 +201,7 @@ def cmd_boundary(args) -> int:
             if not eq:
                 raise ParseError(f"bad assignment {item!r}: expected tip=word")
             assignment[tip] = parse_word(word)
-    print(word_str(boundary_word(body, assignment)))
+    print(boundary_word(body, assignment))
     return 0
 
 

@@ -24,7 +24,7 @@ from itertools import chain
 from typing import Iterator, Union
 
 from .errors import ParseError, ValidationError
-from .words import IDENTITY, GroupWord, generator
+from .words import IDENTITY, GroupWord, commutator, generator
 
 CommutatorExpr = Union["Gen", "Inv", "Comm", "Prod"]
 
@@ -123,23 +123,12 @@ def _evaluate(expr: CommutatorExpr) -> GroupWord:
     if isinstance(expr, Inv):
         return _evaluate(expr.operand).inverse()
     if isinstance(expr, Comm):
-        u, v = _evaluate(expr.left), _evaluate(expr.right)
-        return u * v * u.inverse() * v.inverse()
+        return commutator(_evaluate(expr.left), _evaluate(expr.right))
     if isinstance(expr, Prod):
         # One reduction over all factors: folding pairwise is quadratic in
         # the factor count, and "x1^n" parses to a Prod of n factors.
         return GroupWord(tuple(chain.from_iterable(_evaluate(f).letters for f in expr.factors)))
     raise ValidationError(f"not a commutator expression: {expr!r}")
-
-
-def generators_used(expr: CommutatorExpr) -> set[int]:
-    if isinstance(expr, Gen):
-        return {expr.index}
-    if isinstance(expr, Inv):
-        return generators_used(expr.operand)
-    if isinstance(expr, Comm):
-        return generators_used(expr.left) | generators_used(expr.right)
-    return set().union(*(generators_used(f) for f in expr.factors))
 
 
 def push_inverses(expr: CommutatorExpr) -> CommutatorExpr:
@@ -158,22 +147,6 @@ def push_inverses(expr: CommutatorExpr) -> CommutatorExpr:
     if isinstance(inner, Prod):
         return Prod(tuple(push_inverses(Inv(f)) for f in reversed(inner.factors)))
     return expr
-
-
-def expr_str(expr: CommutatorExpr) -> str:
-    if isinstance(expr, Gen):
-        return f"x{expr.index}"
-    if isinstance(expr, Inv):
-        inner = expr_str(expr.operand)
-        if isinstance(expr.operand, (Gen, Comm)):
-            return f"{inner}^-1"
-        return f"({inner})^-1"
-    if isinstance(expr, Comm):
-        return f"[{expr_str(expr.left)}, {expr_str(expr.right)}]"
-    return "*".join(
-        f"({expr_str(f)})" if isinstance(f, Prod) else expr_str(f)
-        for f in expr.factors
-    )
 
 
 _TOKEN = re.compile(
@@ -316,17 +289,9 @@ def parse_expression(text: str) -> CommutatorExpr:
     return expr
 
 
-def parse_word(text: str, rank: int | None = None) -> GroupWord:
+def parse_word(text: str) -> GroupWord:
     """Parse a plain word such as "x1*x2^-1" or "1"."""
     parser = _Parser(text, allow_brackets=False)
     expr = parser.parse_expr()
     parser.finish()
-    word = IDENTITY if expr is None else evaluate(expr)
-    if rank is not None and word.max_generator > rank:
-        raise ParseError(f"generator x{word.max_generator} exceeds alphabet rank {rank}")
-    return word
-
-
-def word_str(w: GroupWord) -> str:
-    """Canonical textual form: "1" for the identity, else "x1^2*x2^-1" style."""
-    return str(w)
+    return IDENTITY if expr is None else evaluate(expr)

@@ -113,6 +113,21 @@ class Stage:
                         return False
         return True
 
+    def __hash__(self) -> int:
+        """A hash of the first tip id in each slot, found in a loop down alpha slots.
+
+        Equal stages have equal tips, so they hash equal however deep they
+        nest, and in a tree whose tip ids are distinct no two stages hash the
+        same tuple.  It reads genus times depth slots, not the whole tree.
+        """
+        firsts = []
+        for pair in self.pairs:
+            for slot in pair:
+                while type(slot) is Stage:
+                    slot = slot.pairs[0][0]
+                firsts.append(slot.tip_id)
+        return hash(tuple(firsts))
+
     @property
     def genus(self) -> int:
         return len(self.pairs)

@@ -42,26 +42,17 @@ _int = int.__repr__
 _CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
-class _Uncovered(Exception):
-    """A value the fast emitter does not write; json.dumps writes the document."""
-
-
 def canonical_dumps(doc: Any) -> str:
     """json.dumps(doc, indent=2) plus a newline, without the pure-Python encoder.
 
     json.dumps leaves its C encoder whenever indent is set, so this writes
-    the same text in one pass over str, int, float, bool, None, list, tuple
-    and dict (str keys) of exactly those types, and over the package objects
-    in _VIEWS.  Anything else, subclasses included, and a document too deep
-    for the emitter (a cycle is one) goes to json.dumps whole, which writes
-    objects through the same views and writes the rest or raises what it
-    raises.
+    the same text in one pass.  It writes JSON values and package objects
+    only: str, int, float, bool, None, list, tuple and dict (str keys) of
+    exactly those types, and the objects in _VIEWS.  Anything else,
+    subclasses included, raises TypeError.
     """
     out: list[str] = []
-    try:
-        _emit(doc, "\n", out.append)
-    except (_Uncovered, RecursionError):
-        return json.dumps(doc, indent=2, default=_view) + "\n"
+    _emit(doc, "\n", out.append)
     out.append("\n")
     return "".join(out)
 
@@ -87,7 +78,7 @@ def _emit(o: Any, nl: str, put) -> None:
             sep = "{" + inner
             for k, v in o.items():
                 if type(k) is not str:
-                    raise _Uncovered
+                    raise TypeError(f"keys must be str, not {type(k).__name__}")
                 tv = type(v)
                 if tv is str:
                     put(sep + _str(k) + ": " + _str(v))
@@ -127,15 +118,8 @@ def _emit(o: Any, nl: str, put) -> None:
             o = view(o)
             continue
         else:
-            raise _Uncovered
+            raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
         return
-
-
-def _view(o: Any) -> dict:
-    """The view of a package object, for json.dumps; TypeError as its own default."""
-    if type(o) not in _VIEWS:
-        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-    return _VIEWS[type(o)](o)
 
 
 def _capped_view(cg: CappedGrope) -> dict:

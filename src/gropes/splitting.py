@@ -264,7 +264,7 @@ class _RewriteState:
         for p in self.points.values():
             self.index(p)
         self.spheres = list(cg.spheres)
-        # The first sphere of an id wins, as in CappedGrope.sphere.
+        # The first sphere of an id wins, as a search of the records in order finds it.
         self.sphere_at = {s.sphere_id: i for i, s in reversed(list(enumerate(self.spheres)))}
         self.pending = sum(1 for s in self.spheres if s.pending)
         self.limits = limits or DEFAULT_LIMITS

@@ -150,16 +150,6 @@ def generator(i: int) -> GroupWord:
     return GroupWord((i,))
 
 
-def reduce(letters: Iterable[int], rank: int | None = None) -> GroupWord:
-    """Freely reduce a raw letter sequence, checking indices against rank."""
-    word = GroupWord(tuple(letters))
-    if rank is not None and word.max_generator > rank:
-        raise ValidationError(
-            f"letter index {word.max_generator} exceeds alphabet rank {rank}"
-        )
-    return word
-
-
 def commutator(a: GroupWord, b: GroupWord) -> GroupWord:
     """[a, b] = a b a^-1 b^-1."""
     return a * b * a.inverse() * b.inverse()
@@ -257,10 +247,6 @@ class Depth:
     @classmethod
     def infinite(cls) -> "Depth":
         return cls(None, True)
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.bound is None
 
     def __str__(self) -> str:
         if self.bound is None:

@@ -23,7 +23,6 @@ from gropes import (
     generator,
     iter_stages,
     random_grope,
-    reduce,
     tips,
 )
 
@@ -32,7 +31,7 @@ signed_letters = st.integers(min_value=-6, max_value=6).filter(lambda i: i != 0)
 
 raw_letter_lists = st.lists(signed_letters, max_size=12)
 
-words = raw_letter_lists.map(lambda ls: reduce(ls))
+words = raw_letter_lists.map(GroupWord)
 
 nonempty_words = words.filter(lambda w: w.letters != ())
 
@@ -45,6 +44,11 @@ def is_dyadic(obj: Grope | Stage) -> bool:
 def dumps_grope(g: Grope) -> str:
     """The canonical JSON text of a grope document."""
     return canonical_dumps(g)
+
+
+def sphere_record(cg: CappedGrope, sphere_id: str) -> SphereRecord:
+    """The first sphere record of a capped grope with this id."""
+    return next(s for s in cg.spheres if s.sphere_id == sphere_id)
 
 
 def random_capped_grope(

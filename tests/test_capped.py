@@ -84,10 +84,13 @@ def test_tip_to_cap_mapping():
 
 
 def test_label_read_direction():
-    f = generator(1)
-    i = Intersection("p", CapRef("c1"), CapRef("c2"), f)
-    assert i.label_from(CapRef("c1")) == f
-    assert i.label_from(CapRef("c2")) == f.inverse()
+    """A point written from its other end, its label inverted, carries the same value."""
+    body, caps = _base()
+    f = generator(1) * generator(2)
+    forward = Intersection("p", CapRef("c1"), CapRef("c2"), f)
+    backward = Intersection("p", CapRef("c2"), CapRef("c1"), f.inverse())
+    values = [value_keys_by_cap(CappedGrope(body, caps, (p,))) for p in (forward, backward)]
+    assert values[0] == values[1] == {"c1": {unoriented_key(f)}, "c2": {unoriented_key(f)}}
 
 
 def test_self_intersection_counts_both_orientations():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from gropes import (
     Comm,
     Gen,
+    GroupWord,
     IDENTITY,
     Inv,
     ParseError,
@@ -18,15 +19,12 @@ from gropes import (
     boundary_word,
     commutator,
     evaluate,
-    expr_str,
     generator,
-    generators_used,
     grope_from_expression,
     parse_expression,
     parse_word,
     push_inverses,
     weight,
-    word_str,
 )
 from gropes import commutators
 from gropes.commutators import MAX_NESTING, MAX_WORD_LENGTH
@@ -115,14 +113,6 @@ def test_push_inverses_swaps_commutator():
     assert push_inverses(e) == Comm(Gen(2), Gen(1))
 
 
-@given(exprs)
-def test_generators_used_matches_evaluation_support(e):
-    used = generators_used(e)
-    letters = {abs(x) for x in evaluate(e).letters}
-    # Evaluation can cancel letters, so support is a subset of the syntax set.
-    assert letters <= used
-
-
 # ---------------------------------------------------------------------------
 # parsing expressions
 
@@ -172,11 +162,6 @@ def test_parse_error_carries_position():
     assert "position 2" in str(exc.value)
 
 
-@given(exprs)
-def test_expr_str_round_trips(e):
-    assert evaluate(parse_expression(expr_str(e))) == evaluate(e)
-
-
 # ---------------------------------------------------------------------------
 # parsing words
 
@@ -206,12 +191,6 @@ def test_nesting_bound_counts_brackets_and_parentheses_together():
 def test_parse_word_rejects_brackets():
     with pytest.raises(ParseError):
         parse_word("[x1,x2]")
-
-
-def test_parse_word_rank_bound():
-    assert parse_word("x2", rank=2).letters == (2,)
-    with pytest.raises(ParseError):
-        parse_word("x3", rank=2)
 
 
 def test_large_exponents_are_linear():
@@ -267,13 +246,11 @@ def test_a_power_of_the_identity_is_the_identity():
 
 
 def test_word_str_forms():
-    assert word_str(IDENTITY) == "1"
-    assert word_str(generator(1) * generator(1) * generator(2) ** -1) == "x1^2*x2^-1"
+    assert str(IDENTITY) == "1"
+    assert str(generator(1) * generator(1) * generator(2) ** -1) == "x1^2*x2^-1"
 
 
 @given(st.lists(st.integers(min_value=-4, max_value=4).filter(bool), max_size=10))
 def test_word_str_round_trips(raw):
-    from gropes import reduce
-
-    w = reduce(raw)
-    assert parse_word(word_str(w)) == w
+    w = GroupWord(raw)
+    assert parse_word(str(w)) == w

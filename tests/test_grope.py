@@ -83,9 +83,6 @@ def test_stage_equality_is_structural_at_any_depth():
     deep = 5000
     a, b = _chain(deep), _chain(deep)
     assert a is not b and a == b and not a != b
-    # The dataclass hash is kept, and it reaches as deep as a document may nest.
-    nesting = commutators_module.MAX_NESTING
-    assert hash(_chain(nesting)) == hash(_chain(nesting))
     assert a != _chain(deep, last="t1")  # the deepest tip differs
     assert a != _chain(deep, wide=True)  # the first stage's genus differs
     assert Grope(a) == Grope(b) != Grope(b, closed=True)
@@ -93,6 +90,25 @@ def test_stage_equality_is_structural_at_any_depth():
     assert shallow != Stage(((Tip("t1"), shallow),))  # a tip against a stage
     assert shallow != (("t1", "t2"),) and shallow != shallow.pairs
     assert shallow == Stage(((Tip("t1"), Tip("t2")),))
+
+
+def test_a_stage_far_deeper_than_the_recursion_limit_hashes():
+    deep = _chain(5000)
+    assert hash(deep) == hash(deep)
+    assert {deep: 1}[deep] == 1
+
+
+def test_equal_stages_built_separately_hash_equal():
+    for depth in (1, commutators_module.MAX_NESTING, 5000):
+        a, b = _chain(depth, wide=True), _chain(depth, wide=True)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert hash(Grope(a)) == hash(Grope(b))
+    shared = Stage(((Tip("t1"), Tip("t2")),))
+    twice = Stage(((shared, shared),))  # built through the API, a stage may be shared
+    assert hash(twice) == hash(Stage(((Stage(shared.pairs), Stage(shared.pairs)),)))
+    assert len({_chain(50), _chain(50), _chain(50, last="t1")}) == 2
+    stages = [stage for _, stage in iter_stages(random_grope(random.Random(1), 6, genus=2))]
+    assert len({hash(stage) for stage in stages}) == len(stages) > 10
 
 
 # ---------------------------------------------------------------------------

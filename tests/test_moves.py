@@ -33,7 +33,7 @@ from gropes.errors import (
 )
 from gropes.words import IDENTITY
 
-from conftest import two_cap_grope
+from conftest import sphere_record, two_cap_grope
 
 F = generator(1)
 G = generator(2)
@@ -152,7 +152,7 @@ def test_contract_removes_the_pair_and_its_caps():
 
 def test_contract_returns_a_sphere_record():
     mid, record = contract(contracted_pair_fixture(), 0, "c1", "c2")
-    assert record == mid.sphere("sph0")
+    assert record == sphere_record(mid, "sph0")
     assert (record.sphere_id, record.piece) == ("sph0", 0)
     assert (record.cap_a, record.cap_b) == ("c1", "c2")
     assert unoriented_key(record.label) == unoriented_key(F)
@@ -395,7 +395,7 @@ def test_contract_and_pushoff_refuse_duplicate_point_ids():
 def test_pushoff_replaces_each_queued_point_with_two_parallel_crossings():
     mid, record = contract(contracted_pair_fixture(), 0, "c1", "c2")
     after = pushoff(mid, "sph0")
-    assert after.sphere("sph0").pending == ()
+    assert sphere_record(after, "sph0").pending == ()
     made = [p for p in after.intersections if p.point_id.startswith("i9.")]
     assert [p.point_id for p in made] == ["i9.1", "i9.2"]
     for p in made:
@@ -412,9 +412,9 @@ def test_pushoff_keeps_other_spheres_untouched():
     mid, _ = contract(cg, 0, "c1", "c2")
     after = pushoff(mid, "sph0")
     final, r1 = contract(after, 0, "c3", "c4")
-    assert final.sphere("sph0").pending == ()
+    assert sphere_record(final, "sph0").pending == ()
     done = pushoff(final, r1.sphere_id)
-    assert done.sphere("sph0") == final.sphere("sph0")
+    assert sphere_record(done, "sph0") == sphere_record(final, "sph0")
 
 
 def test_pushoff_point_names_avoid_collisions():

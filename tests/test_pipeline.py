@@ -71,6 +71,7 @@ from conftest import (
     is_dyadic,
     random_capped_grope,
     report,
+    sphere_record,
     split_genus3_grope,
     stage_dual_grope,
     two_cap_grope,
@@ -258,7 +259,8 @@ def test_surgery_pairs_spheres_piece_by_piece():
     seen = set()
     for (gi, si), (gj, sj) in result.sphere_pairs:
         assert (gi, gj) in ((0, 1), (2, 3))
-        assert result.gropes[gi].sphere(si).piece == result.gropes[gj].sphere(sj).piece
+        a, b = sphere_record(result.gropes[gi], si), sphere_record(result.gropes[gj], sj)
+        assert a.piece == b.piece
         seen.add((gi, si))
         seen.add((gj, sj))
     total = sum(len(h.spheres) for h in result.gropes)
@@ -473,8 +475,9 @@ def _oracle_contract(cg, pair_index, cap_a, cap_b, *, piece=None, trace=None):
             kept.append(Intersection(p.point_id, ref, ref, IDENTITY))
             self_log.append({"point": p.point_id, "was": str(p.label), "result": "1"})
         elif a_in or b_in:
-            other = p.end_b if a_in else p.end_a
-            queued.append(PendingPushoff(p.point_id, remap(other), p.label_from(other)))
+            # The label is stored as read from end A, and reads inverted from end B.
+            other, label = (p.end_b, p.label.inverse()) if a_in else (p.end_a, p.label)
+            queued.append(PendingPushoff(p.point_id, remap(other), label))
         else:
             kept.append(Intersection(p.point_id, remap(p.end_a), remap(p.end_b), p.label))
     pairs = root.pairs[:pair_index] + root.pairs[pair_index + 1 :]
@@ -501,7 +504,7 @@ def _oracle_contract(cg, pair_index, cap_a, cap_b, *, piece=None, trace=None):
 
 def _oracle_pushoff(cg, sphere_id, *, trace=None):
     """pushoff as a whole scan: two identity copies per queued point, named past every id."""
-    record = cg.sphere(sphere_id)
+    record = sphere_record(cg, sphere_id)
     if not record.pending:
         return cg
     taken = {p.point_id for p in cg.intersections}

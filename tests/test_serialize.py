@@ -6,6 +6,7 @@ import enum
 import itertools
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -137,40 +138,30 @@ class _Colour(enum.IntEnum):
 
 
 @pytest.mark.parametrize(
-    "doc",
+    "doc, name",
     [
-        {1: "int key"},
-        {"a": [{2.5: None, True: 1, None: []}]},
-        {"a": _Name("sub")},
-        {_Name("key"): 1},
-        [_Colour.RED, {"c": _Colour.RED}],
+        ({1: "int key"}, "int"),
+        ({"a": [{2.5: None, True: 1, None: []}]}, "float"),
+        ({"a": _Name("sub")}, "_Name"),
+        ({_Name("key"): 1}, "_Name"),
+        ([_Colour.RED, {"c": _Colour.RED}], "_Colour"),
     ],
     ids=["int-key", "float-bool-none-keys", "str-subclass", "str-subclass-key", "int-enum"],
 )
-def test_canonical_dumps_falls_back_to_the_indent_encoder(doc):
-    assert canonical_dumps(doc) == _indent_dumps(doc)
-
-
-def test_canonical_dumps_falls_back_with_package_objects_in_the_document():
-    cg = two_cap_grope(generator(1))
-    assert canonical_dumps({"a": _Name("sub"), "b": [cg]}) == _indent_dumps(
-        {"a": "sub", "b": [_oracle_capped(cg)]}
-    )
+def test_canonical_dumps_refuses_what_the_indent_encoder_converts(doc, name):
+    """Only JSON values and package objects are written; json.dumps would convert these."""
+    _indent_dumps(doc)
+    with pytest.raises(TypeError, match=rf"\b{name}\b"):
+        canonical_dumps(doc)
 
 
 @pytest.mark.parametrize("doc", [{"a": [1, object()]}, {"a": {1, 2}}, {(1, 2): 3}, b"bytes"])
 def test_canonical_dumps_raises_what_the_indent_encoder_raises(doc):
+    """A TypeError that names the same type."""
     with pytest.raises(TypeError) as want:
         _indent_dumps(doc)
-    with pytest.raises(TypeError) as got:
-        canonical_dumps(doc)
-    assert str(got.value) == str(want.value)
-
-
-def test_canonical_dumps_refuses_a_cycle_as_the_indent_encoder_does():
-    doc: dict = {"a": []}
-    doc["a"].append(doc)
-    with pytest.raises(ValueError, match="Circular reference detected"):
+    name = re.search(r"(?:type|not) (\w+)", str(want.value)).group(1)
+    with pytest.raises(TypeError, match=rf"\b{name}\b"):
         canonical_dumps(doc)
 
 

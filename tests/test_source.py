@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import ast
 import io
+import re
 import tokenize
+import types
 from pathlib import Path
 
 import pytest
@@ -88,6 +90,41 @@ def test_blank_line_faults_finds_long_runs_and_a_blank_end():
 @pytest.mark.parametrize("module", PACKAGE, ids=lambda p: p.name)
 def test_module_has_no_long_blank_runs_and_no_blank_end(module):
     assert blank_line_faults(module.read_text()) == []
+
+
+def referenced_names(source: str) -> set[str]:
+    """Names the module reads, each outside the top-level definition of that name."""
+    names: set[str] = set()
+    for top in ast.parse(source).body:
+        own = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and node.id != own:
+                names.add(node.id)
+    return names
+
+
+def test_referenced_names_skips_a_definition_reading_itself():
+    source = "def f(n):\n    return f(n - 1) + g(n)\n\ndef g(n):\n    return n\n"
+    assert referenced_names(source) == {"g", "n"}
+
+
+def test_every_exported_name_has_a_user():
+    """Package code outside the name's definition, a gp.<name> benchmark call, or README code.
+
+    README code is inline: a name in a fenced example alone has no user.
+    """
+    root = Path(__file__).resolve().parent.parent
+    used = set().union(*(referenced_names(p.read_text()) for p in MODULES))
+    for bench in sorted((root / "perfbench").glob("*.py")):
+        used |= set(re.findall(r"\bgp\.(\w+)", bench.read_text()))
+    prose = re.sub(r"```.*?```", "", (root / "README.md").read_text(), flags=re.S)
+    for span in re.findall(r"`([^`]*)`", prose):
+        used |= set(re.findall(r"\w+", span))
+    public = {
+        name for name, value in vars(gropes).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert sorted(public - used) == []
 
 
 def code_lines(source: str) -> int:
