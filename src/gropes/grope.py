@@ -144,12 +144,21 @@ class Grope:
 
 
 def class_of(obj: Grope | Slot) -> int:
-    """Nested commutator depth guaranteed by the branching shape."""
+    """Nested commutator depth guaranteed by the branching shape.
+
+    The stages are listed in a loop, each after the stage it is glued to,
+    and valued in reverse, so a stage's slots are valued before it and a
+    grope of any depth is valued without recursion.
+    """
     if isinstance(obj, Grope):
         obj = obj.root
-    if isinstance(obj, Tip):
-        return 1
-    return min(class_of(a) + class_of(b) for a, b in obj.pairs)
+    stages = [obj] if type(obj) is Stage else []
+    for stage in stages:  # the list grows as it is read
+        stages.extend(s for pair in stage.pairs for s in pair if type(s) is Stage)
+    value: dict[int, int] = {}  # id(stage) -> class; a tip has class 1
+    for stage in reversed(stages):
+        value[id(stage)] = min(value.get(id(a), 1) + value.get(id(b), 1) for a, b in stage.pairs)
+    return value.get(id(obj), 1)
 
 
 def _pairs(stage: Stage | list) -> tuple | list:

@@ -13,8 +13,24 @@ each letter is multiplied in with a single pass over the terms below the
 cutoff (x_g appends g to every term; x_g^-1 solves B = A - B * X_g degree by
 degree), never as a product of two general series.
 
-The depth is found in up to three steps.  A witness first bounds it from
-above.  It multiplies a row vector through the word in the unitriangular
+The depth is found in up to four steps.  The first settles a word whose
+n generators are all essential (below), n at most the cutoff plus one:
+such a word has depth >= n, and a nonzero coefficient on the multilinear
+monomial X_{g1} ... X_{gn}, g1, ..., gn the generators in order of first
+occurrence, proves depth <= n.  That coefficient takes one pass of O(len)
+additions, since each letter can reach it only through its linear term.
+For an iterated commutator of distinct generators, with any tips
+inverted, it is +-1, by induction: for u and v on disjoint generators,
+every generator of v essential, [p q]M([u, v]) = [p]M(u) * [q]M(v), with
+p and q the first-occurrence monomials of u and v (only the terms
+M(u) * M(v)^-1 and M(v) * M(v)^-1 of the product can reach p q, and
+[q]M(v)^-1 = -[q]M(v) because no proper factor of q has a nonzero
+coefficient in M(v)).  Such a word, the boundary word of a grope whose
+tips get distinct generators, is settled in O(n * len), with no witness
+and no expansion.
+
+Otherwise a witness bounds the depth from above.  It multiplies a row
+vector through the word in the unitriangular
 representation x_g -> I + sum_t a_{g,t} E_{t,t+1} with fixed pseudo-random
 entries mod a prime, the expansion's in-place update on scalars, so K
 degrees cost O(len * K).  Entry d is the degree-d part evaluated at
@@ -28,10 +44,8 @@ deleting every x_g^+-1 from w and freely reducing gives the identity.
 Killing x_g is a homomorphism that sends X_g to 0 and fixes the other
 variables, so every g-free monomial of w's expansion has coefficient 0:
 when t generators are essential, every nonzero monomial of positive degree
-contains all t of them, and depth >= t.  An iterated commutator of distinct
-generators (the boundary word of a grope whose tips get distinct
-generators) has every generator essential, so this bound meets the
-witness and the depth is settled in O(generators * len).  The test stops
+contains all t of them, and depth >= t.  When this bound meets the
+witness, or passes the cutoff, the depth is settled.  The test stops
 after at most 2t reduction passes, t the depth it has to reach, so it costs
 about one more witness pass whatever the number of generators.
 
@@ -324,7 +338,8 @@ def _essential(letters: tuple[int, ...], t: int) -> bool:
     tests stop at the t-th essential generator, or at the (m+1)-th other
     one, m = min(n - t, t) for the n generators the word uses: past n - t
     the answer is no, and past t the bound is not worth its passes.  So a
-    call makes at most 2t passes, whatever n.
+    call makes at most 2t passes, whatever n; with t = n it asks whether
+    every generator is essential, and stops at the first that is not.
     """
     gens = {abs(x) for x in letters}
     spare = min(len(gens) - t, t)
@@ -342,14 +357,41 @@ def _essential(letters: tuple[int, ...], t: int) -> bool:
     return False
 
 
+def _multilinear(letters: tuple[int, ...], order: Iterable[int]) -> int:
+    """Coefficient of X_{g1} ... X_{gn} in the word's expansion, g1, ..., gn its generators in order.
+
+    order must list every generator of the word once.  v[i] is the
+    coefficient of the prefix X_{g1} ... X_{gi}, so v starts as [1, 0, ...,
+    0].  Only the linear term +-X_g of a letter's series can reach a
+    monomial that holds g once, so a letter x_g, g = g(i+1), adds v[i] to
+    v[i+1] and x_g^-1 subtracts it; no letter of g changes v[i].  One pass
+    of O(len) additions.
+    """
+    at = {g: i for i, g in enumerate(order)}
+    v = [1] + [0] * len(at)
+    for x in letters:
+        i = at[abs(x)]
+        v[i + 1] += v[i] if x > 0 else -v[i]
+    return v[-1]
+
+
 def lcs_depth(w: GroupWord, cutoff: int = DEFAULT_CUTOFF) -> Depth:
     """Depth of w in the lower central series, resolved up to the cutoff.
 
     A nontrivial word's expansion acquires its first terms exactly in degree
     equal to its depth, so the answer is exact whenever it is at most the
-    cutoff.  It is found in up to three steps.
+    cutoff.  It is found in up to four steps.
 
-    First a witness (_witness) bounds the depth from above: it evaluates
+    First, when the word's n generators are all essential (_essential) and
+    n <= cutoff + 1, the depth is at least n.  Past the cutoff that is the
+    answer.  Otherwise, a nonzero coefficient on X_{g1} ... X_{gn}, the
+    generators in order of first occurrence (_multilinear, one O(len(w))
+    pass), proves depth <= n, so the depth is n.  Every iterated commutator
+    of distinct generators, tips inverted or not, ends here (module
+    docstring).  The step is skipped when its n passes would make more than
+    MAX_EXPANSION_TERMS updates, and a zero coefficient goes on to the next.
+
+    Then a witness (_witness) bounds the depth from above: it evaluates
     every degree up to K at once in O(len(w) * K), and a nonzero degree d
     proves depth <= d.  K doubles from 2 up to min(cutoff, s), where s is the
     number of syllables: a word x_{i1}^{e1} ... x_{is}^{es} has coefficient
@@ -385,6 +427,13 @@ def lcs_depth(w: GroupWord, cutoff: int = DEFAULT_CUTOFF) -> Depth:
     if w.is_identity:
         return Depth.infinite()
     letters = w.letters
+    order = dict.fromkeys(abs(x) for x in letters)
+    n = len(order)
+    if n <= cutoff + 1 and n * len(letters) <= MAX_EXPANSION_TERMS and _essential(letters, n):
+        if n > cutoff:
+            return Depth.at_least(cutoff + 1)
+        if _multilinear(letters, order):
+            return Depth.exact(n)
     bound = min(cutoff, sum(1 for _ in w.syllables()))
     k, saved = 2, []
     while (certified := _witness(letters, min(k, bound), saved)) is None and k < bound:

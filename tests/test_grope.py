@@ -127,6 +127,13 @@ def test_class_is_min_over_pairs():
     assert class_of(g) == 2  # second pair only reaches 1 + 1
 
 
+def test_class_of_a_stage_far_deeper_than_the_recursion_limit():
+    """Each level of the chain adds its tip's 1; a second pair of two tips caps the class at 2."""
+    assert class_of(_chain(5000)) == class_of(Grope(_chain(5000))) == 5001
+    assert class_of(_chain(5000, wide=True)) == 2
+    assert class_of(Tip("t1")) == 1
+
+
 def test_dyadic_tower_class():
     for k in range(2, 9):
         g, _ = dyadic_tower(k)

@@ -24,7 +24,7 @@ from gropes import (
 )
 
 import gropes.words as words_module
-from gropes.words import _PRIME, _expand, _witness
+from gropes.words import _PRIME, _essential, _expand, _multilinear, _witness
 
 from conftest import raw_letter_lists, words
 from magnus_oracle import (
@@ -454,12 +454,12 @@ def test_essential_generators_are_in_every_nonzero_monomial(letters, cutoff):
         assert not mono or all(g in mono for g in essential), (mono, essential)
 
 
-def _bracketing(rng, gens):
-    """Letters of a random bracketing of gens, each used once, in order."""
+def _bracketing(rng, gens, invert=0.0):
+    """Letters of a random bracketing of gens, each used once, in order, a tip inverted with chance invert."""
     if len(gens) == 1:
-        return (gens[0],)
+        return (-gens[0],) if rng.random() < invert else (gens[0],)
     cut = rng.randint(1, len(gens) - 1)
-    return commutator_letters(_bracketing(rng, gens[:cut]), _bracketing(rng, gens[cut:]))
+    return commutator_letters(_bracketing(rng, gens[:cut], invert), _bracketing(rng, gens[cut:], invert))
 
 
 def _refuse_expansion(monkeypatch):
@@ -469,18 +469,104 @@ def _refuse_expansion(monkeypatch):
     monkeypatch.setattr(words_module, "_expand", refuse)
 
 
+def _record_calls(monkeypatch, calls, *names):
+    """Make each named step of gropes.words append its name to calls, then run."""
+    for name in names:
+
+        def spy(*args, name=name, real=getattr(words_module, name)):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(words_module, name, spy)
+
+
+def _assert_multilinear_matches_oracle(letters):
+    """_multilinear gives the oracle's coefficient on each multilinear monomial in the word's generators."""
+    gens = sorted({abs(x) for x in letters})
+    expansion = magnus_oracle(letters, len(gens))
+    for order in itertools.permutations(gens):
+        assert _multilinear(letters, order) == expansion.get(order, 0), (letters, order)
+
+
+@given(commutator_heavy_letters)
+@example(left_normed_letters([1, 2, 3]))
+@settings(max_examples=100, deadline=None)
+def test_multilinear_coefficient_matches_oracle_on_commutators(letters):
+    _assert_multilinear_matches_oracle(letters)
+
+
+@given(raw_letter_lists)
+@settings(max_examples=100, deadline=None)
+def test_multilinear_coefficient_matches_oracle_on_random_words(letters):
+    """Unreduced letters too: the coefficient is read off the series, where x x^-1 cancels."""
+    _assert_multilinear_matches_oracle(tuple(letters))
+
+
 def test_distinct_generator_commutators_need_no_expansion(monkeypatch):
-    """Every generator of a commutator of distinct generators is essential, so the bound meets the witness."""
+    """Every generator of a commutator of distinct generators is essential, and its coefficient is +-1.
+
+    So up to cutoff + 1 generators neither the witness nor the expansion
+    runs, whatever the bracketing, the inverted tips or the orientation.
+    Past that the essential-generator step is out of scope and the witness
+    runs, but the essential generators still spare the expansion.
+    """
     _refuse_expansion(monkeypatch)
+    calls = []
+    _record_calls(monkeypatch, calls, "_witness")
     rng = random.Random(20261020)
-    for weight in range(2, 13):
+    for weight in range(1, 13):
         gens = rng.sample(range(1, 40), weight)
-        for letters in (left_normed_letters(gens), _bracketing(rng, gens)):
+        bracketings = (left_normed_letters(gens), _bracketing(rng, gens), _bracketing(rng, gens, 0.5))
+        for letters in bracketings:
+            assert abs(_multilinear(letters, dict.fromkeys(abs(x) for x in letters))) == 1
             w = GroupWord(letters)
             for cutoff in range(1, 15):
                 expected = Depth.exact(weight) if weight <= cutoff else Depth.at_least(cutoff + 1)
-                assert lcs_depth(w, cutoff) == expected, (gens, cutoff)
-                assert lcs_depth(w.inverse(), cutoff) == expected, (gens, cutoff)
+                for u in (w, w.inverse()):
+                    calls.clear()
+                    assert lcs_depth(u, cutoff) == expected, (gens, cutoff)
+                    assert bool(calls) == (weight > cutoff + 1), (gens, cutoff)
+
+
+def test_a_cancelling_multilinear_coefficient_falls_through_to_the_witness(monkeypatch):
+    """All four generators are essential, but the degree-4 parts cancel: [x2, x1] = [x1, x2]^-1.
+
+    The zero coefficient certifies nothing, so from cutoff 4 on the
+    witness and the expansion decide, and match the oracle.
+    """
+    letters = left_normed_letters([1, 2, 3, 4]) + left_normed_letters([2, 1, 3, 4])
+    reduced = reduce_letters(letters)
+    assert _essential(reduced, 4) and _multilinear(reduced, (1, 2, 3, 4)) == 0
+    calls = []
+    _record_calls(monkeypatch, calls, "_witness")
+    for cutoff in range(4, 8):
+        calls.clear()
+        assert lcs_depth(GroupWord(letters), cutoff) == _expect_depth(letters, cutoff), cutoff
+        assert calls, cutoff
+
+
+def test_the_multilinear_step_keeps_to_the_term_budget(monkeypatch):
+    """n * len over MAX_EXPANSION_TERMS skips the step; the old steps answer, or refuse as before.
+
+    The weight-6 left-normed commutator has 94 letters, so the step makes
+    564 updates and a witness to degree d makes 94 * d.
+    """
+    letters = left_normed_letters(range(1, 7))
+    assert len(letters) == 94
+    w = GroupWord(letters)
+    calls = []
+    _record_calls(monkeypatch, calls, "_witness", "_essential", "_multilinear")
+    monkeypatch.setattr(words_module, "MAX_EXPANSION_TERMS", 564)
+    assert lcs_depth(w, 6) == Depth.exact(6)
+    assert calls == ["_essential", "_multilinear"]
+    monkeypatch.setattr(words_module, "MAX_EXPANSION_TERMS", 563)
+    calls.clear()
+    assert lcs_depth(w, 5) == Depth.at_least(6)  # the witness to degree 5 makes 470 updates
+    assert calls[0] == "_witness" and "_multilinear" not in calls
+    calls.clear()
+    with pytest.raises(GrowthLimitError, match="makes more than 563 updates"):
+        lcs_depth(w, 6)
+    assert calls == ["_witness"] * 3  # degrees 2 and 4 pass, degree 6 is refused
 
 
 def test_essential_generators_past_the_cutoff_give_a_lower_bound(monkeypatch):
