@@ -29,7 +29,6 @@ from .commutators import (
     evaluate,
     parse_expression,
     parse_word,
-    push_inverses,
     weight,
 )
 from .errors import (

@@ -131,24 +131,6 @@ def _evaluate(expr: CommutatorExpr) -> GroupWord:
     raise ValidationError(f"not a commutator expression: {expr!r}")
 
 
-def push_inverses(expr: CommutatorExpr) -> CommutatorExpr:
-    """Rewrite so Inv only wraps generators, using [u,v]^-1 = [v,u]."""
-    if isinstance(expr, Gen):
-        return expr
-    if isinstance(expr, Comm):
-        return Comm(push_inverses(expr.left), push_inverses(expr.right))
-    if isinstance(expr, Prod):
-        return Prod(tuple(push_inverses(f) for f in expr.factors))
-    inner = expr.operand
-    if isinstance(inner, Inv):
-        return push_inverses(inner.operand)
-    if isinstance(inner, Comm):
-        return Comm(push_inverses(inner.right), push_inverses(inner.left))
-    if isinstance(inner, Prod):
-        return Prod(tuple(push_inverses(Inv(f)) for f in reversed(inner.factors)))
-    return expr
-
-
 _TOKEN = re.compile(
     r"""(?P<ws>\s+)
       | (?P<gen>x(?P<genindex>\d+))

@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Iterator, Mapping, Union
 
-from .commutators import Comm, CommutatorExpr, Gen, Inv, _refuse_long, push_inverses
+from .commutators import Comm, CommutatorExpr, Gen, Inv, _refuse_long
 from .errors import ParseError, ValidationError
 from .words import GroupWord, generator
 
@@ -146,18 +146,22 @@ class Grope:
 def class_of(obj: Grope | Slot) -> int:
     """Nested commutator depth guaranteed by the branching shape.
 
-    The stages are listed in a loop, each after the stage it is glued to,
-    and valued in reverse, so a stage's slots are valued before it and a
-    grope of any depth is valued without recursion.
+    A stack replaces recursion: a stage is valued once the stages glued to
+    it are, so a grope of any depth is valued in a loop.  Values are kept
+    by stage object, so a stage shared by several parents (built through the
+    API; documents are trees) is walked once, not once per path to it.
     """
     if isinstance(obj, Grope):
         obj = obj.root
-    stages = [obj] if type(obj) is Stage else []
-    for stage in stages:  # the list grows as it is read
-        stages.extend(s for pair in stage.pairs for s in pair if type(s) is Stage)
     value: dict[int, int] = {}  # id(stage) -> class; a tip has class 1
-    for stage in reversed(stages):
-        value[id(stage)] = min(value.get(id(a), 1) + value.get(id(b), 1) for a, b in stage.pairs)
+    todo = [(obj, False)] if type(obj) is Stage else []
+    while todo:
+        stage, ready = todo.pop()
+        if ready:
+            value[id(stage)] = min(value.get(id(a), 1) + value.get(id(b), 1) for a, b in stage.pairs)
+        elif id(stage) not in value:
+            todo.append((stage, True))  # valued once every stage glued to it is
+            todo.extend((s, False) for pair in stage.pairs for s in pair if type(s) is Stage)
     return value.get(id(obj), 1)
 
 
@@ -304,42 +308,45 @@ def grope_from_expression(expr: CommutatorExpr) -> tuple[Grope, dict[str, GroupW
     """Build the grope whose shape mirrors a commutator expression.
 
     Returns the grope and the tip assignment under which its boundary word
-    equals the expression's value.  Inverses are first pushed down to the
-    generators ([u,v]^-1 = [v,u]), where they become tip orientations.  The
-    resulting class equals the expression's weight, so the expression must
-    have weight >= 2: a bare generator does not bound a surface.
+    equals the expression's value.  Inverses are read as the grope is built
+    and end at the generators, where they become tip orientations: an
+    inverted commutator swaps its sides ([u,v]^-1 = [v,u]) and an inverted
+    product takes its factors in reverse, each inverted.  The resulting
+    class equals the expression's weight, so the expression must have
+    weight >= 2: a bare generator does not bound a surface.
     """
     assignment: dict[str, GroupWord] = {}
-    built = _slot_from_expression(push_inverses(expr), assignment)
+    built = _slot_from_expression(expr, False, assignment)
     if not isinstance(built, Stage):
         raise ValidationError("an expression of weight 1 does not describe a grope")
     return Grope(built), assignment
 
 
-def _slot_from_expression(e: CommutatorExpr, assignment: dict[str, GroupWord]) -> Slot:
-    """The slot shaped like e; each generator becomes tip t1, t2, ... in order, in assignment."""
+def _slot_from_expression(e: CommutatorExpr, inverted: bool, assignment: dict) -> Slot:
+    """The slot shaped like e, or like e^-1 when inverted.
+
+    Each generator becomes tip t1, t2, ... in the order made, with its word,
+    x_i or x_i^-1, recorded in assignment.
+    """
+    while isinstance(e, Inv):
+        e, inverted = e.operand, not inverted
     if isinstance(e, Gen):
-        return _fresh_tip(generator(e.index), assignment)
-    if isinstance(e, Inv):
-        if isinstance(e.operand, Gen):
-            return _fresh_tip(generator(e.operand.index).inverse(), assignment)
-        raise ValidationError("inverses should have been pushed to generators")
+        tip = Tip(f"t{len(assignment) + 1}")
+        assignment[tip.tip_id] = GroupWord((-e.index if inverted else e.index,))
+        return tip
     if isinstance(e, Comm):
-        return Stage((tuple(_slot_from_expression(s, assignment) for s in (e.left, e.right)),))
+        sides = (e.right, e.left) if inverted else (e.left, e.right)
+        return Stage((tuple(_slot_from_expression(s, False, assignment) for s in sides),))
     pairs: list[tuple[Slot, Slot]] = []
-    for factor in e.factors:
-        built = _slot_from_expression(factor, assignment)
+    for factor in reversed(e.factors) if inverted else e.factors:
+        built = _slot_from_expression(factor, inverted, assignment)
         if not isinstance(built, Stage):
             raise ValidationError("a product factor must be a commutator to bound a surface")
         pairs.extend(built.pairs)
     return Stage(tuple(pairs))
 
 
-def _fresh_tip(word: GroupWord, assignment: dict[str, GroupWord]) -> Tip:
-    """A new tip, named t1, t2, ... in the order made, with word recorded in assignment."""
-    tip = Tip(f"t{len(assignment) + 1}")
-    assignment[tip.tip_id] = word
-    return tip
+_SHARED = "shared subtree: the stage tree must not alias nodes"
 
 
 def validate_grope(obj: Grope) -> list[str]:
@@ -353,7 +360,7 @@ def validate_grope(obj: Grope) -> list[str]:
     while todo:
         slot = todo.pop()
         if id(slot) in seen_objects:
-            problems.append("shared subtree: the stage tree must not alias nodes")
+            problems.append(_SHARED)
             continue
         seen_objects.add(id(slot))
         if isinstance(slot, Tip):

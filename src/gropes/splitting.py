@@ -114,8 +114,6 @@ from .capped import (
 )
 from .errors import GrowthLimitError, RewriteError, ValidationError
 from .grope import (
-    ALPHA,
-    BETA,
     Grope,
     Path,
     Slot,
@@ -608,43 +606,16 @@ def split_stage(
     return state.result()
 
 
-def _mult(
-    state: _RewriteState,
-    slot: str | list,
-    path: Path,
-    mult: dict[Path, int],
-    cap_path: dict[str, Path],
-) -> int:
-    """mult(slot) of _predicted_size, recorded for slot and every slot above it.
-
-    A plain recursive function rather than a closure that calls itself,
-    which would be a reference cycle holding state until a full collection.
-    """
-    if type(slot) is str:
-        cap = state.tip_cap.get(slot)
-        m = 1
-        if cap is not None:
-            cap_path[cap] = path
-            m = max(1, len(state.cap_keys(cap)))
-    else:
-        m = sum(
-            _mult(state, a, path + ((j, ALPHA),), mult, cap_path)
-            * _mult(state, b, path + ((j, BETA),), mult, cap_path)
-            for j, (a, b) in enumerate(slot)
-        )
-    mult[path] = m
-    return m
-
-
 def _predicted_size(state: _RewriteState) -> tuple[int, int]:
     """The first-stage genus full_split reaches, and a lower bound on the points it ends with.
 
-    Both come from one walk of the body, without rewriting, once the state
-    is ready to split (see _RewriteState.ready_to_split).  A slot stands
-    for mult(slot) pieces: max(1, number of values) for a tip's cap, and for
-    a stage the sum over its pairs of mult(a) * mult(b).  Every rewrite
-    leaves mult of the first stage unchanged, and at the fixed point it
-    equals the first-stage genus.
+    Both come from one walk of the body by grope._slots, without rewriting,
+    once the state is ready to split (see _RewriteState.ready_to_split).  A
+    slot stands for mult(slot) pieces: max(1, number of values) for a tip's
+    cap, and for a stage the sum over its pairs of mult(a) * mult(b).  The
+    walk is read in reverse, first stage last, so every slot is valued after
+    the slots above it.  Every rewrite leaves mult(()), that of the first
+    stage, unchanged, and at the fixed point it equals the first-stage genus.
 
     In a pair (a, b) every piece of a ends up once beside each of the
     mult(b) pieces of b, so the sheet at path P (a cap's tip or a stage)
@@ -661,7 +632,16 @@ def _predicted_size(state: _RewriteState) -> tuple[int, int]:
     state.ready_to_split()
     mult: dict[Path, int] = {}
     cap_path: dict[str, Path] = {}
-    genus = _mult(state, state.root, (), mult, cap_path)
+    for path, slot in reversed([((), state.root), *_slots(state.root)]):
+        if type(slot) is str:
+            cap = state.tip_cap.get(slot)
+            m = 1
+            if cap is not None:
+                cap_path.setdefault(cap, path)  # a repeated tip id: its last path
+                m = max(1, len(state.cap_keys(cap)))
+        else:
+            m = sum(mult[path + ((j, 0),)] * mult[path + ((j, 1),)] for j in range(len(slot)))
+        mult[path] = m
     copies: dict[Path, int] = {(): 1}
     for path in sorted(mult, key=len)[1:]:
         parent, (j, side) = path[:-1], path[-1]
@@ -682,7 +662,7 @@ def _predicted_size(state: _RewriteState) -> tuple[int, int]:
                 break
             shared += 1
         total += copies[a] * copies[b] // copies[a[:shared]]
-    return genus, total
+    return mult[()], total
 
 
 def full_split(

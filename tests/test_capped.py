@@ -20,13 +20,17 @@ from gropes import (
     SphereRecord,
     SphereRef,
     Stage,
+    SurgeryKernel,
     Tip,
     ValidationError,
+    check_hypotheses,
+    class_of,
     generator,
     is_pi1_null,
     iter_stages,
     label_keys,
     piece_caps,
+    run_surgery,
     unoriented_key,
     validate_capped,
     value_keys_by_cap,
@@ -321,3 +325,28 @@ def test_validate_reads_sphere_ends_as_fast_as_cap_ends():
             best[i] = min(best[i], time.perf_counter() - start)
     sphere_s, cap_s = best
     assert sphere_s < 3 * cap_s, f"sphere ends {sphere_s:.3f} s, cap ends {cap_s:.3f} s"
+
+
+def test_a_shared_stage_is_read_once():
+    """40 levels of (s, s) alias one stage: 2^40 paths through 41 stage objects.
+
+    validate_capped reports the aliasing and lists no tip or body path
+    through it, class_of values each stage object once, and the surgery
+    refuses the kernel, all in well under a second.
+    """
+    stage = Stage(((Tip("t1"), Tip("t2")),))
+    for _ in range(40):
+        stage = Stage(((stage, stage),))
+    # A cap on a missing tip and a point on a missing stage, which a tree would report.
+    caps = {"c1": "t1", "c2": "t2", "c3": "tX"}
+    point = Intersection("p", CapRef("c1"), BodyRef(((9, 0),)), generator(1))
+    cg = CappedGrope(Grope(stage), caps, (point,))
+    kernel = SurgeryKernel(1, (cg, cg), ((0, 1),))
+    start = time.perf_counter()
+    assert validate_capped(cg) == ["shared subtree: the stage tree must not alias nodes"] * 40
+    assert class_of(stage) == 2**41
+    assert check_hypotheses(kernel).min_class == 2**41
+    with pytest.raises(ValidationError, match="grope 0: shared subtree"):
+        run_surgery(kernel)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"took {elapsed:.2f}s, budget 1s"

@@ -405,6 +405,62 @@ def test_validate_checks_the_husks_and_sphere_pairs_of_a_result(capsys, tmp_path
     ]
 
 
+_SMALL_CAPPED = {
+    "closed": False,
+    "root": {"pairs": [[{"tip": "t1"}, {"tip": "t2"}]]},
+    "caps": {"c1": "t1", "c2": "t2"},
+    "intersections": [{"id": "i1", "endA": {"cap": "c1"}, "endB": {"cap": "c1"}, "label": "x1"}],
+}
+_SPHERE = {"id": "s1", "piece": 0, "capA": "c1", "capB": "c2", "label": "1"}
+_SPHERE_ENDED = {
+    **_SMALL_CAPPED,
+    "intersections": [{"id": "i2", "endA": {"cap": "c2"}, "endB": {"sphere": "s1"}, "label": "x1"}],
+    "spheres": [_SPHERE],
+}
+_BODY_TO_BODY = {
+    **_SMALL_CAPPED,
+    "intersections": [{"id": "i2", "endA": {"body": []}, "endB": {"body": []}, "label": "x1"}],
+}
+_ONE_ENDED_PAIR = {"stats": {}, "spherePairs": [[{"grope": 0, "sphere": "s1"}]], "gropes": []}
+
+
+@pytest.mark.parametrize(
+    "doc, argv, code, out, err",
+    [
+        pytest.param(
+            {"rank": -1, "gropes": [], "hyperbolicPairs": []}, [], 65, "",
+            "error: $: rank must be >= 0, got -1\n", id="negative-rank",
+        ),
+        pytest.param(
+            _BODY_TO_BODY, [], 65, "",
+            "error: $.intersections[0]: intersection i2: two body surfaces may not intersect\n",
+            id="body-to-body",
+        ),
+        pytest.param(
+            _ONE_ENDED_PAIR, [], 65, "",
+            "error: $.spherePairs[0]: expected a two-element list\n", id="one-ended-sphere-pair",
+        ),
+        pytest.param(
+            {**_SMALL_CAPPED, "closed": 1}, [], 65, "",
+            "error: $.closed: expected a boolean, got 1\n", id="closed-not-boolean",
+        ),
+        pytest.param(
+            {**_SMALL_CAPPED, "spheres": [_SPHERE, _SPHERE]}, [], 1,
+            "duplicate sphere ids\n", "", id="duplicate-sphere-ids",
+        ),
+        pytest.param(
+            _SPHERE_ENDED, ["--strict"], 1,
+            "intersection i2: sphere endpoint in strict mode\n", "", id="sphere-end-strict",
+        ),
+        pytest.param(_SPHERE_ENDED, [], 0, "ok: valid capped\n", "", id="sphere-end"),
+    ],
+)
+def test_validate_reports_document_faults(capsys, monkeypatch, doc, argv, code, out, err):
+    """Each fault ends in its exit code and its one message, read from stdin."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    assert run(capsys, "validate", *argv, "-") == (code, out, err)
+
+
 # ---------------------------------------------------------------------------
 # class / tips / boundary / lcs
 

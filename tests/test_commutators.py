@@ -1,4 +1,4 @@
-"""Commutator expressions: parsing, weight, evaluation, inverse pushing."""
+"""Commutator expressions: parsing, weight, evaluation, and the gropes they describe."""
 
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ from gropes import (
     Inv,
     ParseError,
     Prod,
+    ValidationError,
     boundary_word,
     commutator,
     evaluate,
@@ -23,7 +24,6 @@ from gropes import (
     grope_from_expression,
     parse_expression,
     parse_word,
-    push_inverses,
     weight,
 )
 from gropes import commutators
@@ -89,28 +89,41 @@ def test_evaluate_comm_matches_word_commutator(a, b):
     assert evaluate(Comm(a, b)) == commutator(evaluate(a), evaluate(b))
 
 
-@given(exprs)
-def test_push_inverses_preserves_value(e):
-    assert evaluate(push_inverses(e)) == evaluate(e)
+def _products(e):
+    """The product nodes of e, under any inverses."""
+    if isinstance(e, Inv):
+        return _products(e.operand)
+    if isinstance(e, Comm):
+        return _products(e.left) + _products(e.right)
+    if isinstance(e, Prod):
+        return [e] + [p for f in e.factors for p in _products(f)]
+    return []
 
 
 @given(exprs)
-def test_push_inverses_leaves_only_leaf_inverses(e):
-    def ok(node):
-        if isinstance(node, Inv):
-            return isinstance(node.operand, Gen)
-        if isinstance(node, Comm):
-            return ok(node.left) and ok(node.right)
-        if isinstance(node, Prod):
-            return all(ok(f) for f in node.factors)
-        return isinstance(node, Gen)
+def test_a_grope_from_an_expression_bounds_its_value(e):
+    """Inverses are read as the grope is built, at every level of the expression.
 
-    assert ok(push_inverses(e))
+    e and each of its products bound a surface only at weight >= 2.
+    """
+    if weight(e) < 2 or any(weight(p) < 2 for p in _products(e)):
+        with pytest.raises(ValidationError):
+            grope_from_expression(e)
+    else:
+        assert boundary_word(*grope_from_expression(e)) == evaluate(e)
 
 
-def test_push_inverses_swaps_commutator():
-    e = Inv(Comm(Gen(1), Gen(2)))
-    assert push_inverses(e) == Comm(Gen(2), Gen(1))
+def test_an_inverted_commutator_swaps_its_sides():
+    """[x1, x2]^-1 = [x2, x1]: the sides swap, and neither is inverted."""
+    _, assignment = grope_from_expression(Inv(Comm(Gen(1), Gen(2))))
+    assert assignment == {"t1": generator(2), "t2": generator(1)}
+
+
+def test_an_inverted_product_reverses_its_factors():
+    """([x1, x2] [x3, x4^-1])^-1 = [x4^-1, x3] [x2, x1]."""
+    e = Inv(Prod((Comm(Gen(1), Gen(2)), Comm(Gen(3), Inv(Gen(4))))))
+    _, assignment = grope_from_expression(e)
+    assert [str(w) for w in assignment.values()] == ["x4^-1", "x3", "x2", "x1"]
 
 
 # ---------------------------------------------------------------------------

@@ -134,6 +134,14 @@ def test_class_of_a_stage_far_deeper_than_the_recursion_limit():
     assert class_of(Tip("t1")) == 1
 
 
+def test_class_of_a_stage_shared_at_two_depths():
+    """A stage reached first from the root and again from deeper down is valued before both."""
+    shared = Stage(((Tip("t1"), Tip("t2")),))  # class 2
+    deeper = Stage(((shared, Tip("t3")),))  # class 3
+    assert class_of(Stage(((shared, deeper),))) == 5
+    assert class_of(Stage(((deeper, shared),))) == 5
+
+
 def test_dyadic_tower_class():
     for k in range(2, 9):
         g, _ = dyadic_tower(k)

@@ -127,6 +127,50 @@ def test_every_exported_name_has_a_user():
     assert sorted(public - used) == []
 
 
+def self_calls(source: str) -> list[str]:
+    """Functions, module-level or nested, that call themselves by their bare name.
+
+    A method's bare name reads the enclosing scope, not the method, so a
+    method is never counted.
+    """
+    tree = ast.parse(source)
+    methods = {
+        id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for node in cls.body
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and id(node) not in methods:
+            calls = [n.func for n in ast.walk(node) if isinstance(n, ast.Call)]
+            if any(isinstance(f, ast.Name) and f.id == node.name for f in calls):
+                found.append(node.name)
+    return sorted(found)
+
+
+def test_self_calls_finds_functions_and_closures_but_not_methods():
+    source = (
+        "def f(n):\n    return f(n - 1)\n\n"
+        "def g():\n    def h(n):\n        return h(n)\n    return h\n\n"
+        "class C:\n    def k(self):\n        def k(x):\n            return x\n        return k(1)\n"
+    )
+    assert self_calls(source) == ["f", "h"]
+
+
+# The package functions that still recurse, once per level of their input.
+# Each should become iterative and leave this list; no function may join it.
+SELF_CALLS = {
+    "commutators.py": ["_evaluate", "_word_length", "weight"],
+    "grope.py": ["_boundary_length", "_boundary_of", "_slot_from_expression"],
+    "pipeline.py": ["_dyadic_chain"],
+    "serialize.py": ["_emit"],
+    "splitting.py": ["_copy_slot", "_freeze", "_thaw"],
+}
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
+def test_no_new_function_calls_itself(module):
+    assert self_calls(module.read_text()) == SELF_CALLS.get(module.name, [])
+
+
 def code_lines(source: str) -> int:
     """Lines that hold part of a token other than a comment or a docstring."""
     docstrings: set[int] = set()
