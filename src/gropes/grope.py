@@ -313,7 +313,9 @@ def grope_from_expression(expr: CommutatorExpr) -> tuple[Grope, dict[str, GroupW
     inverted commutator swaps its sides ([u,v]^-1 = [v,u]) and an inverted
     product takes its factors in reverse, each inverted.  The resulting
     class equals the expression's weight, so the expression must have
-    weight >= 2: a bare generator does not bound a surface.
+    weight >= 2: a bare generator does not bound a surface.  Every product
+    inside a bracket needs weight >= 2 too, since its factors become pairs
+    of one stage: [x1, x1*x2] is refused, although its weight is 2.
     """
     assignment: dict[str, GroupWord] = {}
     built = _slot_from_expression(expr, False, assignment)

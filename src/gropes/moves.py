@@ -16,10 +16,11 @@ _RewriteState of gropes.splitting, the state the split cores run on:
 contract and pushoff open one for a single move, while run_surgery and
 gropes.pipeline.replay_trace keep one per grope across its splits,
 contractions and pushoffs.  The state indexes every live point by the caps
-and body paths it has an end on, and holds the spheres by id, with a count
-of those whose pushoff queue is pending.  A live end is a cap id, a stage
-path or a SphereRef; a queued point's surviving end becomes a CapRef or a
-BodyRef again, as a SphereRecord holds it, and a pushoff copy turns it back.
+and body paths it has an end on, and holds the spheres by id, with their
+pushoff queues kept apart.  A live end is a cap id, a stage path or a
+SphereRef.  A queued point keeps its surviving end as a live end, so a
+pushoff copy takes it as it is, and only the state's result() writes a
+queue into its SphereRecord.
 
 A contraction reads its piece in one walk of the first-stage pair: the
 piece's caps in traversal order, its first tip without a cap, whether it
@@ -42,12 +43,10 @@ read for a piece it does not touch.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Container
 
 from .capped import (
     CappedGrope,
-    PendingPushoff,
     SphereRecord,
     SphereRef,
     derived_id,
@@ -61,8 +60,8 @@ from .errors import (
     SplitFirstError,
     ValidationError,
 )
-from .grope import Path, _slots
-from .splitting import _Point, _RewriteState, _sheet, _sheet_ref, _thaw
+from .grope import Path, Stage, _slots
+from .splitting import _Point, _RewriteState, _thaw
 from .words import IDENTITY, GroupWord
 
 
@@ -73,9 +72,9 @@ def piece_caps(cg: CappedGrope, pair_index: int) -> list[str]:
     root = cg.body.root
     if not 0 <= pair_index < root.genus:
         raise ValidationError(f"no pair {pair_index} at a genus-{root.genus} first stage")
-    # The pair alone, thawed and walked as pair 0, so the read stays O(piece).
-    alpha, beta = root.pairs[pair_index]
-    caps, uncapped, _, _ = _walk_piece([(_thaw(alpha), _thaw(beta))], 0, cg.tip_to_cap)
+    # The pair alone, thawed as a genus-1 stage and walked as pair 0, so the read stays O(piece).
+    piece = _thaw(Stage((root.pairs[pair_index],)), {})
+    caps, uncapped, _, _ = _walk_piece(piece, 0, cg.tip_to_cap)
     if uncapped is not None:
         raise ValidationError(f"tip {uncapped!r} has no cap")
     return caps
@@ -188,19 +187,20 @@ def _contract_at(
     cap_b: str,
     piece: int | None,
     read: tuple | None = None,
-) -> SphereRecord:
+) -> str:
     """contract on the state, at pair pair_index of the grope the state holds now.
 
-    read is the piece's _read_piece, when the caller has it.  A point with
-    both ends on the piece becomes an identity self-point of the sphere
-    (logged with the label it had); one with a single end there is queued
-    from its other end.  Both are handled in id order.
+    Returns the new sphere's id.  read is the piece's _read_piece, when the
+    caller has it.  A point with both ends on the piece becomes an identity
+    self-point of the sphere (logged with the label it had); one with a
+    single end there is queued from its other end, with its label as read
+    from that end.  Both are handled in id order.
     """
     alive = state.alive
     if not alive:
         raise MoveError("nothing to contract: the body is fully surgered")
-    if state.pending:
-        sphere = next(s for s in state.spheres if s.pending)
+    if state.queues:
+        sphere = state.spheres[min(state.queues)]
         raise MoveError(f"sphere {sphere.sphere_id!r} has a pending pushoff queue")
     if not 0 <= pair_index < len(alive):
         raise ValidationError(f"no pair {pair_index} at a genus-{len(alive)} first stage")
@@ -243,17 +243,18 @@ def _contract_at(
         else:
             # The label as read from the surviving end.
             other, label = (p.end_b, p.label.inverse()) if a_in else (p.end_a, p.label)
-            queued.append(PendingPushoff(p.point_id, _sheet_ref(other), label))
+            queued.append((p.point_id, other, label))
             del live[p.point_id]
             state.unindex(p)
     del alive[pair_index]
     for cap in caps:
         del state.tip_cap[state.caps.pop(cap)]
     piece = pair_index if piece is None else piece
-    record = SphereRecord(sphere_id, piece, cap_a, cap_b, GroupWord(key_a), tuple(queued))
+    record = SphereRecord(sphere_id, piece, cap_a, cap_b, GroupWord(key_a))
+    if queued:
+        state.queues[len(spheres)] = queued
     state.sphere_at[sphere_id] = len(spheres)
     spheres.append(record)
-    state.pending += bool(queued)
     state.changes += 1
     if state.trace is not None:
         state.trace.append(
@@ -266,10 +267,10 @@ def _contract_at(
                 "label": str(record.label),
                 "sphere": sphere_id,
                 "selfPoints": self_log,
-                "queued": [q.point_id for q in queued],
+                "queued": [point_id for point_id, _, _ in queued],
             }
         )
-    return record
+    return sphere_id
 
 
 def _pushoff_at(state: _RewriteState, sphere_id: str) -> None:
@@ -282,23 +283,19 @@ def _pushoff_at(state: _RewriteState, sphere_id: str) -> None:
     i = state.sphere_at.get(sphere_id)
     if i is None:
         raise ValidationError(f"unknown sphere {sphere_id!r}")
-    record = state.spheres[i]
-    if not record.pending:
+    queue = state.queues.pop(i, None)
+    if queue is None:
         return
     ref, live = SphereRef(sphere_id), state.points
     logged = []
-    for q in record.pending:
-        created, other = [], _sheet(q.other)
+    for point_id, other, label in queue:
+        created = []
         for k in (1, 2):
-            name = derived_id(q.point_id, k, live)
+            name = derived_id(point_id, k, live)
             live[name] = point = _Point(name, other, ref, IDENTITY, ())
             state.index(point)
             created.append(name)
-        logged.append(
-            {"from": q.point_id, "hadLabel": str(q.label), "created": created, "result": "1"}
-        )
-    state.spheres[i] = replace(record, pending=())
-    state.pending -= 1
+        logged.append({"from": point_id, "hadLabel": str(label), "created": created, "result": "1"})
     state.changes += 1
     if state.trace is not None:
         state.trace.append({"op": "pushoff", "sphere": sphere_id, "points": logged})
@@ -354,5 +351,4 @@ def _sweep(state: _RewriteState, gi: int) -> None:
     for k in range(len(state.alive)):
         read = caps, *_, values = _read_piece(state, k)
         cap_a, cap_b = _pick_pair(caps, values, f"grope {gi} piece {k}")
-        record = _contract_at(state, 0, cap_a, cap_b, k, read)
-        _pushoff_at(state, record.sphere_id)
+        _pushoff_at(state, _contract_at(state, 0, cap_a, cap_b, k, read))

@@ -156,16 +156,6 @@ class SurgeryResult:
     trace: tuple[dict, ...]
     stats: dict
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "gropes", tuple(self.gropes))
-        object.__setattr__(
-            self,
-            "sphere_pairs",
-            tuple(((gi, si), (gj, sj)) for (gi, si), (gj, sj) in self.sphere_pairs),
-        )
-        object.__setattr__(self, "trace", tuple(self.trace))
-        object.__setattr__(self, "stats", dict(self.stats))
-
 
 def run_surgery(
     kernel: SurgeryKernel,
@@ -485,8 +475,14 @@ def _pigeonhole_safe_grope(
 
 
 def _dyadic_chain(c: int, tip_ids: "list[str]") -> Slot:
-    """A genus-1 chain of class exactly c: [(x, [(y, ...)])]; its tips join tip_ids."""
-    if c == 1:
-        tip_ids.append(f"t{len(tip_ids) + 1}")
-        return Tip(tip_ids[-1])
-    return Stage(((_dyadic_chain(1, tip_ids), _dyadic_chain(c - 1, tip_ids)),))
+    """A genus-1 chain of class exactly c: [(x, [(y, ...)])]; its tips join tip_ids.
+
+    Its c tips are made first, in traversal order, and the chain is built
+    from its innermost slot out.
+    """
+    start = len(tip_ids)
+    tip_ids.extend(f"t{k}" for k in range(start + 1, start + c + 1))
+    slot = Tip(tip_ids[-1])
+    for tip in reversed(tip_ids[start:-1]):
+        slot = Stage(((Tip(tip), slot),))
+    return slot

@@ -123,12 +123,9 @@ def _emit(o: Any, nl: str, put) -> None:
 
 
 def _capped_view(cg: CappedGrope) -> dict:
-    view: dict[str, Any] = {
-        "closed": cg.body.closed if cg.body is not None else False,
-        "root": {"pairs": cg.body.root.pairs} if cg.body is not None else None,
-        "caps": {cap: cg.caps[cap] for cap in sorted(cg.caps)},
-        "intersections": cg.intersections,
-    }
+    view = {"closed": False, "root": None} if cg.body is None else _VIEWS[Grope](cg.body)
+    view["caps"] = {cap: cg.caps[cap] for cap in sorted(cg.caps)}
+    view["intersections"] = cg.intersections
     if cg.spheres:
         view["spheres"] = cg.spheres
     return view

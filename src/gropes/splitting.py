@@ -40,28 +40,29 @@ rewrite splices its new pairs into that list in place.  Each live point is
 a private record of an intersection's fields and its label's unoriented
 key, worked out once when the point enters the state and inherited by its
 copies; a move rewrites a record's ends in place.  A live end is the key
-of its sheet: a cap's id, a stage's path, or the point's SphereRef.  Two
-helpers turn CapRefs and BodyRefs into these keys and back, and run only
-where the state meets frozen objects: when it opens, in result(), and at
-the pushoff queues of the sphere records.  The points are indexed by
-sheet: every point by id, the ids of the points on each cap, and the ids
-of the points on each stage surface, keyed by the stage's path.  A
-rewrite at pair j of the stage at path P reads only the buckets it
-changes: the replaced cap's, those of the caps copied with the dual slot,
-and those of the stage paths below P whose step at P is the dual slot,
-the replaced slot, or a later pair (which shift by the number of new pairs
-less one).  Every other point is untouched and never visited.  The
-touched points are rewritten in id order, because a copied point's
-lineage name depends on the names taken before it, and that order is the
-one in which a scan of the sorted points always derived them.  A cap's
-label values are read from its bucket, as the records' keys, when a split
-needs them, so no rewrite, contraction or pushoff keeps a second copy of
-them in step.  A split after a contraction first drops the contracted
-pairs and renumbers the body paths, as result() does.  Only result()
-builds the frozen grope, each object once and through the public
+of its sheet: a cap's id, a stage's path, or the point's SphereRef.  The
+pushoff queues are live data too: the state takes each queue off its
+sphere record as it opens, and holds a queued point's surviving end as a
+live end.  Two helpers turn CapRefs and BodyRefs into these keys and back,
+and run only where the state meets frozen objects: when it opens, and in
+result().  The points are indexed by sheet: every point by id, the ids of
+the points on each cap, and the ids of the points on each stage surface,
+keyed by the stage's path.  A rewrite at pair j of the stage at path P
+reads only the buckets it changes: the replaced cap's, those of the caps
+copied with the dual slot, and those of the stage paths below P whose step
+at P is the dual slot, the replaced slot, or a later pair (which shift by
+the number of new pairs less one).  Every other point is untouched and
+never visited.  The touched points are rewritten in id order, because a
+copied point's lineage name depends on the names taken before it, and that
+order is the one in which a scan of the sorted points always derived them.
+A cap's label values are read from its bucket, as the records' keys, when
+a split needs them, so no rewrite, contraction or pushoff keeps a second
+copy of them in step.  A split after a contraction first drops the
+contracted pairs and renumbers the body paths, as result() does.  Only
+result() builds the frozen grope, each object once and through the public
 constructors, so every one passes its checks: the Tips and Stages of the
-live body, one Intersection per live point, and the CappedGrope, with its
-points sorted.
+live body, one Intersection per live point, one PendingPushoff per queued
+point, and the CappedGrope, with its points sorted.
 
 full_split runs each phase as one walk of the live body by grope._slots,
 rewriting a slot as the walk yields it: phase 1 splits each multi-valued
@@ -108,6 +109,7 @@ from .capped import (
     CappedGrope,
     CapRef,
     Intersection,
+    PendingPushoff,
     SheetRef,
     SphereRef,
     derived_id,
@@ -203,11 +205,19 @@ class _Point:
     key: tuple[int, ...]
 
 
-def _thaw(slot: Slot) -> str | list:
-    """A live copy of a slot: a tip as its id, a stage as its list of (alpha, beta) pairs."""
+def _thaw(slot: Slot, tips: dict[str, str | None]) -> str | list:
+    """A live copy of a slot: a tip as its id, a stage as its list of (alpha, beta) pairs.
+
+    Each tip id is added to tips, mapped to None, and one already there is
+    refused: so is a stage shared by several parents (built through the API;
+    documents are trees), before its paths are unfolded.
+    """
     if type(slot) is Tip:
+        if slot.tip_id in tips:
+            raise ValidationError(f"tip id {slot.tip_id!r} occurs twice in the body")
+        tips[slot.tip_id] = None
         return slot.tip_id
-    return [(_thaw(a), _thaw(b)) for a, b in slot.pairs]
+    return [(_thaw(a, tips), _thaw(b, tips)) for a, b in slot.pairs]
 
 
 def _freeze(slot: str | list) -> Slot:
@@ -226,28 +236,33 @@ class _RewriteState:
     and by_path a stage path, to the ids of the points with an end on that
     sheet; a point on two sheets is in both buckets, and empty buckets are
     dropped.  tip_cap maps every tip of the body to its cap, or to None when
-    it has none, and every other tip a cap sits on to that cap.
+    it has none, and every other tip a cap sits on to that cap; _thaw enters
+    the body's tips, and refuses a body with a tip id twice.
 
     A contraction leaves root as it is: alive lists the first-stage pairs
     not yet contracted, and body paths keep their numbers until renumber()
     drops the contracted pairs.  spheres holds the sphere records in order,
-    sphere_at the place of each id, and pending the number of spheres with a
-    pushoff queue.  changes counts the rewrites and moves applied.
+    without their pushoff queues, and sphere_at the place of each id.
+    queues maps the place of each sphere with a pushoff queue to the queue:
+    a (point id, live end, label read from that end) per queued point, in
+    queue order.  It is keyed by place, so of two spheres with one id only
+    the first, which sphere_at names, can be pushed off.  changes counts the
+    rewrites and moves applied.
     """
 
     __slots__ = (
         "source", "root", "alive", "caps", "tip_cap", "points", "by_cap", "by_path",
-        "spheres", "sphere_at", "pending", "limits", "trace", "changes",
+        "spheres", "sphere_at", "queues", "limits", "trace", "changes",
     )
 
     def __init__(
         self, cg: CappedGrope, limits: SplitLimits | None = None, trace: list | None = None
     ):
         self.source = cg
-        self.root = None if cg.body is None else _thaw(cg.body.root)
+        self.tip_cap = {}
+        self.root = None if cg.body is None else _thaw(cg.body.root, self.tip_cap)
         self.alive = list(range(len(self.root or ())))
         self.caps = dict(cg.caps)
-        self.tip_cap = dict.fromkeys(s for _, s in _slots(self.root or []) if type(s) is str)
         self.tip_cap.update(cg.tip_to_cap)
         self.points = {
             p.point_id: _Point(
@@ -261,10 +276,11 @@ class _RewriteState:
         self.by_path: dict[Path, set[str]] = {}
         for p in self.points.values():
             self.index(p)
-        self.spheres = list(cg.spheres)
+        queued = [(i, s.pending) for i, s in enumerate(cg.spheres) if s.pending]
+        self.queues = {i: [(q.point_id, _sheet(q.other), q.label) for q in qs] for i, qs in queued}
+        self.spheres = [replace(s, pending=()) if s.pending else s for s in cg.spheres]
         # The first sphere of an id wins, as a search of the records in order finds it.
         self.sphere_at = {s.sphere_id: i for i, s in reversed(list(enumerate(self.spheres)))}
-        self.pending = sum(1 for s in self.spheres if s.pending)
         self.limits = limits or DEFAULT_LIMITS
         self.trace = trace
         self.changes = 0
@@ -306,13 +322,8 @@ class _RewriteState:
                 self.unindex(p)
                 p.end_a, p.end_b = renumber(p.end_a), renumber(p.end_b)
                 self.index(p)
-        self.spheres = [
-            replace(s, pending=tuple(
-                replace(q, other=_sheet_ref(renumber(_sheet(q.other)))) for q in s.pending
-            ))
-            if s.pending else s
-            for s in self.spheres
-        ]
+        for queue in self.queues.values():
+            queue[:] = [(point_id, renumber(end), label) for point_id, end, label in queue]
 
     def cap_keys(self, cap_id: str) -> set[tuple[int, ...]]:
         """The distinct unoriented label values of the live points on the cap."""
@@ -342,7 +353,13 @@ class _RewriteState:
         for end in refs:
             refs[end] = _sheet_ref(end)
         points = tuple(Intersection(p.point_id, refs[p.end_a], refs[p.end_b], p.label) for p in live)
-        return CappedGrope(body, self.caps, points, tuple(self.spheres))
+        spheres = self.spheres
+        for i, queue in self.queues.items():
+            pending = tuple(
+                PendingPushoff(point_id, _sheet_ref(end), label) for point_id, end, label in queue
+            )
+            spheres[i] = replace(spheres[i], pending=pending)
+        return CappedGrope(body, self.caps, points, tuple(spheres))
 
 
 def _copy_slot(slot: str | list, k: int, names: _Names, tip_map: dict[str, str]) -> str | list:

@@ -13,9 +13,12 @@ difference, and exits 1 on any difference.
 The corpus: generate on seeds 1-100, a tenth of them adversarial; pipeline
 --trace on each kernel (--force on the adversarial ones); split --trace on
 each kernel's first grope; tips, class, boundary, render and validate on
-each split document; lcs on inverted commutators and products, and on words
-with --word.  It takes a few minutes.  Standard library only; pytest does
-not collect it.
+each split document; contract --trace on it at pieces 0, g//2 and g-1 of
+its g, along the caps the pipeline's trace contracted each piece of grope 0
+along, with and without --skip-pushoff; split --trace and validate on each
+--skip-pushoff output, whose new sphere keeps its pushoff queue, if any;
+lcs on inverted commutators and products, and on words with --word.  It
+takes a few minutes.  Standard library only; pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ class Parity:
         self.trace = work / "trace.jsonl"
         self.runs = 0
         self.first: str | None = None
+        self.old_trace: bytes | None = None
 
     def file(self, name: str, data: bytes) -> str:
         path = self.work / name
@@ -72,6 +76,8 @@ class Parity:
         """Run argv under both trees and return the old tree's stdout.
 
         A "{trace}" in argv stands for the trace path, the same for both.
+        The old tree's trace, or None when it wrote none, is kept in
+        old_trace.
         """
         argv = [str(self.trace) if a == "{trace}" else a for a in argv]
         outcomes = []
@@ -84,11 +90,22 @@ class Parity:
             trace = self.trace.read_bytes() if self.trace.exists() else None
             outcomes.append((proc.returncode, proc.stdout, proc.stderr, trace))
         self.runs += 1
+        self.old_trace = outcomes[0][3]
         if self.first is None and outcomes[0] != outcomes[1]:
             fields = ("exit code", "stdout", "stderr", "trace")
             differ = [f for f, a, b in zip(fields, *outcomes) if a != b]
             self.first = f"gropes {' '.join(argv)}: {', '.join(differ)} differ"
         return outcomes[0][1]
+
+
+def contracted_caps(trace: bytes | None) -> dict[int, str]:
+    """The caps, as "A,B", of each piece of grope 0 that a pipeline trace contracts."""
+    entries = [json.loads(line) for line in (trace or b"").splitlines()]
+    return {
+        e["piece"]: f"{e['capA']},{e['capB']}"
+        for e in entries
+        if e.get("grope") == 0 and e.get("op") == "contract"
+    }
 
 
 def corpus(p: Parity) -> None:
@@ -98,6 +115,7 @@ def corpus(p: Parity) -> None:
         kernel_path = p.file(f"kernel{seed}.json", kernel)
         force = ["--force"] if "--adversarial" in gen else []
         p.run(["pipeline", *force, "--trace", "{trace}", kernel_path])
+        piece_caps = contracted_caps(p.old_trace)
         try:
             first = json.loads(kernel)["gropes"][0]
         except (ValueError, LookupError, TypeError):
@@ -106,6 +124,14 @@ def corpus(p: Parity) -> None:
         split = p.file(f"split{seed}.json", p.run(["split", "--trace", "{trace}", grope_path]))
         for command in ("tips", "class", "boundary", "render", "validate"):
             p.run([command, split])
+        g = len(piece_caps)
+        for piece in sorted({0, g // 2, g - 1}) if g else ():
+            argv = ["contract", "--pair", str(piece), "--caps", piece_caps[piece]]
+            p.run([*argv, "--trace", "{trace}", split])
+            queued = p.run([*argv, "--skip-pushoff", "--trace", "{trace}", split])
+            queued_path = p.file(f"queued{seed}-{piece}.json", queued)
+            p.run(["split", "--trace", "{trace}", queued_path])
+            p.run(["validate", queued_path])
     for text in EXPRESSIONS:
         p.run(["lcs", text])
     for text in WORDS:

@@ -273,7 +273,7 @@ def test_slots_is_the_traversal_order(root, data):
 @given(walker_roots, stage_trees(), st.data())
 def test_slots_walks_on_through_a_splice(side, root, spliced, data):
     """Pairs spliced in place of the pair just yielded are walked from the next slot on."""
-    live, new_pairs = _thaw(root), _thaw(spliced)
+    live, new_pairs = _thaw(root, {}), _thaw(spliced, {})
     full = list(_slots(live))
     at = data.draw(st.sampled_from([p for p, _ in full if p[-1][1] == side]))
     parent, j = stage_at(live, at[:-1]), at[-1][0]

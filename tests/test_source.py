@@ -160,7 +160,6 @@ def test_self_calls_finds_functions_and_closures_but_not_methods():
 SELF_CALLS = {
     "commutators.py": ["_evaluate", "_word_length", "weight"],
     "grope.py": ["_boundary_length", "_boundary_of", "_slot_from_expression"],
-    "pipeline.py": ["_dyadic_chain"],
     "serialize.py": ["_emit"],
     "splitting.py": ["_copy_slot", "_freeze", "_thaw"],
 }

@@ -30,6 +30,7 @@ from gropes import (
     class_of,
     contract,
     dumps_capped,
+    find_duplicate_pair,
     full_split,
     generate_kernel,
     generator,
@@ -583,6 +584,42 @@ def test_replay_leaves_its_kernel_unchanged():
     assert replay_trace(kernel, [{"grope": 0, **e} for e in trace]) == (out,)
 
 
+def _shared_body_grope(depth: int) -> CappedGrope:
+    """depth levels of (s, s) over one genus-1 stage: 2^depth paths to each of its two tips."""
+    stage = Stage(((Tip("t1"), Tip("t2")),))
+    for _ in range(depth):
+        stage = Stage(((stage, stage),))
+    return CappedGrope(Grope(stage), {"c1": "t1", "c2": "t2"})
+
+
+REPEATED_TIP_MOVES = {
+    "full_split": full_split,
+    "split_cap": lambda cg: split_cap(cg, "c1"),
+    "split_stage": lambda cg: split_stage(cg, ((0, 0),)),
+    "contract": lambda cg: contract(cg, 0, "c1", "c2"),
+    "pushoff": lambda cg: pushoff(cg, "sph0"),
+    "find_duplicate_pair": lambda cg: find_duplicate_pair(cg, 0),
+}
+
+
+@pytest.mark.parametrize("name", REPEATED_TIP_MOVES)
+def test_a_body_that_repeats_a_tip_is_refused_as_the_state_opens(name):
+    """A shared stage is refused at its second tip, in well under a second, not unfolded.
+
+    A tree body that repeats a tip id is refused the same way.
+    """
+    move = REPEATED_TIP_MOVES[name]
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match="tip id 't1' occurs twice in the body"):
+        move(_shared_body_grope(40))
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"took {elapsed:.2f}s, budget 1s"
+    tree = Stage(((Stage(((Tip("t1"), Tip("t2")),)), Tip("t1")),))
+    cg = CappedGrope(Grope(tree), {"c1": "t1", "c2": "t2"})
+    with pytest.raises(ValidationError, match="tip id 't1' occurs twice in the body"):
+        move(cg)
+
+
 def test_a_state_that_only_contracts_keeps_the_other_pairs():
     cg = split_genus3_grope()
     state = _RewriteState(cg)
@@ -593,6 +630,11 @@ def test_a_state_that_only_contracts_keeps_the_other_pairs():
 
 def _live_end_types(state: _RewriteState) -> set[type]:
     return {type(end) for p in state.points.values() for end in (p.end_a, p.end_b)}
+
+
+def _queue_ends(state: _RewriteState) -> dict[str, object]:
+    """The surviving end of every queued point of the open state, by point id."""
+    return {point_id: end for queue in state.queues.values() for point_id, end, _ in queue}
 
 
 def _end_types(cg: CappedGrope) -> set[type]:
@@ -617,11 +659,16 @@ def test_the_state_keeps_ends_as_sheet_keys_and_builds_refs_only_at_its_edges(mo
         out |= _end_types(state.result()) | _end_types(full_split(cg))
     assert live == LIVE_ENDS and out == REF_ENDS
 
-    # Pending queues hold refs, renumbered with the points before a split.
+    # A contraction queues its outward points with live ends, which a split
+    # renumbers with the points; result() writes them as PendingPushoffs, and
+    # a state opened on that grope takes them off its sphere records again.
     state = _RewriteState(split_genus3_grope())
     _contract_at(state, 0, "c1", "c2", None)
+    assert {type(end) for end in _queue_ends(state).values()} == {str, tuple} < LIVE_ENDS
     _split_cap_at(state, "c3")  # one value: it only renumbers
     assert _live_end_types(state) == LIVE_ENDS
+    queued = {"b1": ((0, 0),), "b2": ((1, 1), (0, 1)), "x1": "c7"}
+    assert _queue_ends(state) == queued
     cg = state.result()
     assert _end_types(cg) == REF_ENDS
     assert {q.point_id: q.other for q in cg.spheres[-1].pending} == {
@@ -629,6 +676,9 @@ def test_the_state_keeps_ends_as_sheet_keys_and_builds_refs_only_at_its_edges(mo
         "b2": BodyRef(((1, 1), (0, 1))),
         "x1": CapRef("c7"),
     }
+    reopened = _RewriteState(cg)
+    assert _queue_ends(reopened) == queued
+    assert not any(s.pending for s in reopened.spheres)
 
     seen = []
 
